@@ -43,25 +43,6 @@ BM_Aes128EncryptReference(benchmark::State &state)
 BENCHMARK(BM_Aes128EncryptReference);
 
 static void
-BM_Aes128EncryptBatch8(benchmark::State &state)
-{
-    // Batched counterpart of BM_Aes128Encrypt: 8 independent block
-    // streams per encryptBlocks dispatch (the pipelined AES-NI kernel's
-    // full width when batching is active).  Chained across iterations so
-    // the work cannot be hoisted.
-    const Aes aes = Aes::fromSeed(1);
-    std::array<Block128, 8> b;
-    for (unsigned i = 0; i < 8; ++i)
-        b[i] = makeBlock(1, i);
-    for (auto _ : state) {
-        aes.encryptBlocks(b.data(), b.data(), b.size());
-        benchmark::DoNotOptimize(b);
-    }
-    state.SetItemsProcessed(state.iterations() * 8); // blocks/sec
-}
-BENCHMARK(BM_Aes128EncryptBatch8);
-
-static void
 BM_Aes256Encrypt(benchmark::State &state)
 {
     const Aes aes = Aes::fromSeed(1, Aes::KeySize::k256);
@@ -130,27 +111,6 @@ BM_Clmul128(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // ops/sec
 }
 BENCHMARK(BM_Clmul128);
-
-static void
-BM_Clmul128Batch8(benchmark::State &state)
-{
-    // Batched counterpart of BM_Clmul128: 8 independent pairs per
-    // clmul128Batch dispatch (interleaved PCLMULQDQ when active).
-    std::array<Block128, 8> a;
-    std::array<Block128, 8> b;
-    for (unsigned i = 0; i < 8; ++i) {
-        a[i] = makeBlock(0x0123456789abcdefULL + i, 0xfedcba9876543210ULL);
-        b[i] = makeBlock(0xdeadbeefULL, 0xcafebabeULL + i);
-    }
-    std::array<U256, 8> p;
-    for (auto _ : state) {
-        clmul128Batch(a.data(), b.data(), p.data(), a.size());
-        benchmark::DoNotOptimize(p);
-        a[0][0] ^= static_cast<std::uint8_t>(p[0].limb[0]);
-    }
-    state.SetItemsProcessed(state.iterations() * 8); // ops/sec
-}
-BENCHMARK(BM_Clmul128Batch8);
 
 static void
 BM_TruncmulCombine(benchmark::State &state)

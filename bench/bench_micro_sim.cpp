@@ -9,10 +9,9 @@
  * (spilled windowed-mmap replay vs the in-RAM buffer, with peak RSS).
  * Results are written as machine-readable JSON (BENCH_8.json by
  * default) for the CI perf-smoke job, which fails if RMCC_OBS=off costs
- * more than 2% over the no-obs baseline, if the batched hardware crypto
- * path fails to engage on an AES-NI runner, if the batched/SIMD replay
- * path regresses against the in-process legacy (batch off, scalar
- * probes) rate, or if the spilled replay drops below 0.9x in-RAM.
+ * more than 2% over the no-obs baseline, if the hardware crypto path
+ * fails to engage on an AES-NI runner, or if the spilled replay drops
+ * below 0.9x in-RAM.
  *
  * Every A/B gate uses the same median-of-medians protocol: the two
  * modes run as back-to-back pairs with alternating order, one discarded
@@ -20,17 +19,14 @@
  * median of three replays, and the median per-pair ratio wins.  Earlier
  * revisions used best-of-two per side, which let one lucky scheduler
  * slot on either side swing the ratio past the gate in both directions
- * (BENCH_6 once reported the legacy path *faster* and a -5.9% obs
- * overhead on the same run).
+ * (BENCH_6 once reported a -5.9% obs overhead).
  *
  * Knobs (environment):
  *   RMCC_BENCH_RECORDS  trace length (default 1000000)
  *   RMCC_BENCH_REPS     timed replay repetitions (default 3)
  *   RMCC_CRYPTO_IMPL    auto|hw|sw — which crypto path the replay uses
- *   RMCC_CRYPTO_BATCH   auto|on|off — pipelined multi-block kernels
  */
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +37,6 @@
 
 #include <sys/resource.h>
 
-#include "cache/set_assoc.hpp"
 #include "crypto/dispatch.hpp"
 #include "crypto/otp.hpp"
 #include "obs/registry.hpp"
@@ -103,68 +98,11 @@ clmulOpsPerSec()
     return kIters / s;
 }
 
-/**
- * Batched counterpart of aesBlocksPerSec: 8 independent blocks per
- * encryptBlocks dispatch, chained dispatch to dispatch (in == out) so
- * the work cannot overlap across timing-loop iterations.
- */
-double
-aesBlocksPerSecBatch()
-{
-    const crypto::Aes aes = crypto::Aes::fromSeed(1);
-    std::array<crypto::Block128, 8> b;
-    for (unsigned i = 0; i < 8; ++i)
-        b[i] = crypto::makeBlock(1, i + 2);
-    constexpr int kIters = 250000; // x8 blocks = 2M blocks
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kIters; ++i)
-        aes.encryptBlocks(b.data(), b.data(), b.size());
-    const double s = secondsSince(t0);
-    volatile std::uint8_t sink = b[0][0];
-    (void)sink;
-    return kIters * 8.0 / s;
-}
-
-/** Batched counterpart of clmulOpsPerSec: 8 pairs per dispatch. */
-double
-clmulOpsPerSecBatch()
-{
-    std::array<crypto::Block128, 8> a;
-    std::array<crypto::Block128, 8> b;
-    for (unsigned i = 0; i < 8; ++i) {
-        a[i] = crypto::makeBlock(0x0123456789abcdefULL + i,
-                                 0xfedcba9876543210ULL);
-        b[i] = crypto::makeBlock(0xdeadbeefULL, 0xcafebabeULL + i);
-    }
-    std::array<crypto::U256, 8> p;
-    constexpr int kIters = 250000;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kIters; ++i) {
-        crypto::clmul128Batch(a.data(), b.data(), p.data(), a.size());
-        a[0][0] ^= static_cast<std::uint8_t>(p[0].limb[0]);
-    }
-    const double s = secondsSince(t0);
-    volatile std::uint8_t sink = a[0][0];
-    (void)sink;
-    return kIters * 8.0 / s;
-}
-
 /** Re-route the crypto dispatch to `impl` for the current process. */
 void
 forceImpl(const char *impl)
 {
     setenv("RMCC_CRYPTO_IMPL", impl, 1);
-    crypto::reresolveCryptoDispatch();
-}
-
-/** Force RMCC_CRYPTO_BATCH for the current process (or unset). */
-void
-forceBatch(const char *batch)
-{
-    if (batch)
-        setenv("RMCC_CRYPTO_BATCH", batch, 1);
-    else
-        unsetenv("RMCC_CRYPTO_BATCH");
     crypto::reresolveCryptoDispatch();
 }
 
@@ -280,37 +218,9 @@ main(int argc, char **argv)
         rps_baseline / static_cast<double>(trace.size()) *
         mc_blocks_per_run;
 
-    // --- Legacy replay path: pipelined crypto kernels and the AVX2 way
-    // scan forced off, measured in the same process so the CI regression
-    // gate compares batched-vs-scalar on identical hardware instead of
-    // against a runner-dependent absolute number.
-    const auto orig_batch = util::envString("RMCC_CRYPTO_BATCH");
-    const auto setLegacyPath = [&](bool legacy) {
-        if (legacy) {
-            forceBatch("off");
-            cache::SetAssocCache::setSimdProbes(false);
-        } else {
-            forceBatch(orig_batch ? orig_batch->c_str() : nullptr);
-            cache::SetAssocCache::setSimdProbes(
-                crypto::detectCpuFeatures().avx2);
-        }
-    };
-    const int pairs = std::max(reps, 7);
-    const double legacy_ratio = pairedRatio(
-        [&] {
-            setLegacyPath(false);
-            return replayRecordsPerSec(w.name, trace, nc.cfg, 3);
-        },
-        [&] {
-            setLegacyPath(true);
-            return replayRecordsPerSec(w.name, trace, nc.cfg, 3);
-        },
-        pairs);
-    setLegacyPath(false);
-    const double rps_legacy = rps_baseline * legacy_ratio;
-
     // --- Observability overhead: off must be within noise of baseline;
     // epochs/full show the cost of sampling and tracing.
+    const int pairs = std::max(reps, 7);
     const std::string obs_dir = "rmcc-obs-bench";
     double rps_base_i = 0.0, rps_off = 0.0;
     const double median_ratio = pairedRatio(
@@ -379,12 +289,8 @@ main(int argc, char **argv)
     const auto orig_impl = util::envString("RMCC_CRYPTO_IMPL");
     const bool hw_aes = crypto::hwAesActive();
     const bool hw_clmul = crypto::hwClmulActive();
-    const bool batch_aes = crypto::batchAesActive();
-    const bool batch_clmul = crypto::batchClmulActive();
     const double aes_active = aesBlocksPerSec();
     const double clmul_active = clmulOpsPerSec();
-    const double aes_batch = aesBlocksPerSecBatch();
-    const double clmul_batch = clmulOpsPerSecBatch();
     forceImpl("sw");
     const double aes_sw = aesBlocksPerSec();
     const double clmul_sw = clmulOpsPerSec();
@@ -397,10 +303,9 @@ main(int argc, char **argv)
     const double total_sec = secondsSince(bench_t0);
 
     std::printf("replay: workload=%s records=%zu reps=%d -> "
-                "%.0f records/sec, %.0f mc-blocks/sec "
-                "(legacy scalar path %.0f records/sec)\n",
+                "%.0f records/sec, %.0f mc-blocks/sec\n",
                 w.name.c_str(), trace.size(), reps, rps_baseline,
-                blocks_per_sec, rps_legacy);
+                blocks_per_sec);
     std::printf("obs:    off %.0f rec/s (%+.2f%% vs baseline), "
                 "epochs %.0f rec/s, full %.0f rec/s\n",
                 rps_off, -off_overhead_pct, rps_epochs, rps_full);
@@ -413,13 +318,6 @@ main(int argc, char **argv)
                 "clmul128 %.2fM op/s (active), %.2fM op/s (sw)\n",
                 aes_active / 1e6, hw_aes ? ", hw" : ", sw",
                 aes_sw / 1e6, clmul_active / 1e6, clmul_sw / 1e6);
-    std::printf("batch:  aes128 %.2fM blk/s (%s), clmul128 %.2fM op/s "
-                "(%s); simd probes %s\n",
-                aes_batch / 1e6, batch_aes ? "pipelined" : "scalar loop",
-                clmul_batch / 1e6,
-                batch_clmul ? "pipelined" : "scalar loop",
-                cache::SetAssocCache::simdProbesActive() ? "avx2"
-                                                         : "scalar");
     std::printf("suite wall-clock: %.3f s\n", total_sec);
 
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -435,7 +333,6 @@ main(int argc, char **argv)
                  "    \"records\": %zu,\n"
                  "    \"reps\": %d,\n"
                  "    \"records_per_sec\": %.1f,\n"
-                 "    \"records_per_sec_legacy\": %.1f,\n"
                  "    \"blocks_per_sec\": %.1f\n"
                  "  },\n"
                  "  \"obs\": {\n"
@@ -455,14 +352,6 @@ main(int argc, char **argv)
                  "    \"clmul128_ops_per_sec_active\": %.1f,\n"
                  "    \"clmul128_ops_per_sec_sw\": %.1f\n"
                  "  },\n"
-                 "  \"batch\": {\n"
-                 "    \"cpu_avx2\": %s,\n"
-                 "    \"aes_batch_active\": %s,\n"
-                 "    \"clmul_batch_active\": %s,\n"
-                 "    \"simd_probes_active\": %s,\n"
-                 "    \"aes128_blocks_per_sec_batch\": %.1f,\n"
-                 "    \"clmul128_ops_per_sec_batch\": %.1f\n"
-                 "  },\n"
                  "  \"spill\": {\n"
                  "    \"spilled\": %s,\n"
                  "    \"window_records\": %llu,\n"
@@ -474,18 +363,12 @@ main(int argc, char **argv)
                  "  \"suite_wall_clock_sec\": %.6f\n"
                  "}\n",
                  w.name.c_str(), trace.size(), reps, rps_baseline,
-                 rps_legacy, blocks_per_sec, rps_base_i, rps_off,
+                 blocks_per_sec, rps_base_i, rps_off,
                  rps_epochs, rps_full, off_overhead_pct,
                  cpu.aesni ? "true" : "false",
                  cpu.pclmul ? "true" : "false",
                  hw_aes ? "true" : "false", hw_clmul ? "true" : "false",
                  aes_active, aes_sw, clmul_active, clmul_sw,
-                 cpu.avx2 ? "true" : "false",
-                 batch_aes ? "true" : "false",
-                 batch_clmul ? "true" : "false",
-                 cache::SetAssocCache::simdProbesActive() ? "true"
-                                                          : "false",
-                 aes_batch, clmul_batch,
                  spilled.spilled() ? "true" : "false",
                  static_cast<unsigned long long>(window_records),
                  rps_spilled, spill_ratio, trace_file_bytes,

@@ -53,9 +53,7 @@ usage()
         "  RMCC_CRYPTO_IMPL=auto|hw|sw crypto kernels (default auto):\n"
         "    hw forces AES-NI/PCLMULQDQ (throws without CPU support),\n"
         "    sw forces the T-table/windowed software kernels\n"
-        "  RMCC_CRYPTO_BATCH=auto|on|off  multi-block crypto pipelining\n"
-        "    (default auto: batch when the hw kernels are active; on\n"
-        "    throws unless they are; results are identical either way)\n"
+        "    (results are identical either way)\n"
         "  RMCC_TRACE_SPILL=off|auto|on  out-of-core traces (default off):\n"
         "    on streams every trace to a checksummed file and replays it\n"
         "    through windowed mmap (bounded RSS, bit-identical results);\n"

@@ -1,101 +1,11 @@
 #include "cache/set_assoc.hpp"
 
-#include <atomic>
 #include <bit>
 
-#include "crypto/dispatch.hpp"
 #include "util/log.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
 
 namespace rmcc::cache
 {
-
-namespace
-{
-
-//! Process-wide AVX2 way-scan toggle: -1 unresolved, else 0/1.  Lazily
-//! seeded from CPUID so construction order never matters; atomic so the
-//! parallel suite runner's threads race benignly (TSan-clean).
-std::atomic<int> g_simd_probes{-1};
-
-#if defined(__x86_64__) || defined(__i386__)
-
-/**
- * Compare all ways against one tag, four per 256-bit vector; returns the
- * lowest matching way or -1.  Tags are unique within a set, so "lowest
- * match" only matters for agreeing with the scalar scan when the needle
- * is kInvalidTag (the victim invalid-way probe).
- */
-__attribute__((target("avx2"))) int
-findWayAvx2(const addr::Addr *tags, unsigned assoc, addr::Addr tag)
-{
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(tag));
-    for (unsigned w = 0; w < assoc; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const __m256i eq = _mm256_cmpeq_epi64(v, needle);
-        const int m = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        if (m)
-            return static_cast<int>(
-                w + static_cast<unsigned>(
-                        __builtin_ctz(static_cast<unsigned>(m))));
-    }
-    return -1;
-}
-
-/**
- * First way holding the minimum recency stamp.  Signed 64-bit compares
- * are safe: stamps are clock values far below 2^63.  The scalar loop
- * keeps the first occurrence of the minimum; scanning for the first way
- * equal to the vector minimum reproduces that tie-break exactly.
- */
-__attribute__((target("avx2"))) unsigned
-minLruWayAvx2(const std::uint64_t *lru, unsigned assoc)
-{
-    __m256i best = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(lru));
-    for (unsigned w = 4; w < assoc; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(lru + w));
-        const __m256i gt = _mm256_cmpgt_epi64(best, v);
-        best = _mm256_blendv_epi8(best, v, gt);
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), best);
-    std::uint64_t m = lanes[0];
-    for (int i = 1; i < 4; ++i)
-        if (lanes[i] < m)
-            m = lanes[i];
-    unsigned w = 0;
-    while (lru[w] != m)
-        ++w;
-    return w;
-}
-
-#endif // x86
-
-} // namespace
-
-void
-SetAssocCache::setSimdProbes(bool on)
-{
-    g_simd_probes.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-SetAssocCache::simdProbesActive()
-{
-    int v = g_simd_probes.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = crypto::detectCpuFeatures().avx2 ? 1 : 0;
-        g_simd_probes.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
-}
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                              unsigned assoc, unsigned line_bytes,
@@ -130,10 +40,6 @@ SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
     const addr::Addr *tags = &tags_[set * assoc_];
     if (tags[mru_[set]] == tag)
         return static_cast<int>(mru_[set]);
-#if defined(__x86_64__) || defined(__i386__)
-    if ((assoc_ & 3u) == 0 && simdProbesActive())
-        return findWayAvx2(tags, assoc_, tag);
-#endif
     // The hint way cannot match again, so rescanning it is one harmless
     // compare; keeping the loop branch-free lets it vectorize.
     for (unsigned w = 0; w < assoc_; ++w)
@@ -149,26 +55,12 @@ SetAssocCache::victimWay(std::uint64_t set) const
     // Invalid ways first; otherwise smallest recency (LRU) or insertion
     // order (FIFO — lru field records fill time in that mode).
     const std::uint64_t *lru = &lru_[set * assoc_];
-#if defined(__x86_64__) || defined(__i386__)
-    const bool simd = (assoc_ & 3u) == 0 && simdProbesActive();
-#endif
     if (filled_[set] < assoc_) {
         const addr::Addr *tags = &tags_[set * assoc_];
-#if defined(__x86_64__) || defined(__i386__)
-        if (simd) {
-            const int w = findWayAvx2(tags, assoc_, kInvalidTag);
-            if (w >= 0)
-                return static_cast<unsigned>(w);
-        }
-#endif
         for (unsigned w = 0; w < assoc_; ++w)
             if (tags[w] == kInvalidTag)
                 return w;
     }
-#if defined(__x86_64__) || defined(__i386__)
-    if (simd)
-        return minLruWayAvx2(lru, assoc_);
-#endif
     unsigned victim = 0;
     std::uint64_t best = ~0ULL;
     for (unsigned w = 0; w < assoc_; ++w) {

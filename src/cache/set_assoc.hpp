@@ -74,6 +74,12 @@ class SetAssocCache
     bool probe(addr::Addr a) const;
 
     /**
+     * Way holding the line, or -1 when absent.  Pure, like probe(); lets
+     * tests pin the victim choice (lowest invalid way, then LRU).
+     */
+    int wayOf(addr::Addr a) const { return findWay(setIndex(a), tagOf(a)); }
+
+    /**
      * Hint that the set holding address a is about to be scanned: issues
      * software prefetches for its tag and recency rows.  Pure — no state,
      * stat, or replacement decision changes — so callers may prefetch
@@ -86,18 +92,6 @@ class SetAssocCache
         __builtin_prefetch(&tags_[base]);
         __builtin_prefetch(&lru_[base]);
     }
-
-    /**
-     * Force the AVX2 way-scan on or off for every cache in the process
-     * (default: on iff the CPU reports AVX2).  The vector and scalar
-     * scans return identical ways — tags are unique within a set and
-     * both pick the lowest-index match / first minimum — so this is an
-     * A/B and test hook, not a behavior switch.
-     */
-    static void setSimdProbes(bool on);
-
-    /** True when way scans currently use the AVX2 tag compare. */
-    static bool simdProbesActive();
 
     /**
      * Number of valid lines whose base address lies in [lo, hi).  A full

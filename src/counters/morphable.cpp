@@ -1,15 +1,9 @@
 #include "counters/morphable.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
-#include "crypto/dispatch.hpp"
 #include "util/log.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
 
 namespace rmcc::ctr
 {
@@ -85,21 +79,14 @@ constexpr std::size_t kPayloadBase = kMajorBits + kFormatBits;
 // Block-scan kernels.  Every encodability decision reduces to two scans
 // over a block's contiguous logical values: a summary (max offset above
 // the major, non-zero count, >=8 count — exactly the facts the format
-// predicates test) and a min/max.  The AVX2 variants process four
-// counters per vector; counter values sit far below 2^63, so signed
-// 64-bit compares agree with the unsigned scalar ones.  Same gating
-// discipline as the cache way scans: CPUID-seeded process-wide toggle,
-// scalar kernels kept as the oracle (cross-checked in tests).
+// predicates test) and a min/max.
 // ---------------------------------------------------------------------------
-
-//! -1 unresolved, else 0/1; atomic so suite-runner threads race benignly.
-std::atomic<int> g_simd_scan{-1};
 
 /** Accumulate (max_off, nonzero, ge8) over values[0..n) minus major. */
 void
-summarizeSpanScalar(const addr::CounterValue *values, std::size_t n,
-                    addr::CounterValue major, std::uint64_t &max_off,
-                    unsigned &nonzero, unsigned &ge8)
+summarizeSpan(const addr::CounterValue *values, std::size_t n,
+              addr::CounterValue major, std::uint64_t &max_off,
+              unsigned &nonzero, unsigned &ge8)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t off = values[i] - major;
@@ -111,8 +98,8 @@ summarizeSpanScalar(const addr::CounterValue *values, std::size_t n,
 
 /** Fold values[0..n) into the running [lo, hi] envelope. */
 void
-minmaxSpanScalar(const addr::CounterValue *values, std::size_t n,
-                 addr::CounterValue &lo, addr::CounterValue &hi)
+minmaxSpan(const addr::CounterValue *values, std::size_t n,
+           addr::CounterValue &lo, addr::CounterValue &hi)
 {
     for (std::size_t i = 0; i < n; ++i) {
         lo = std::min(lo, values[i]);
@@ -120,118 +107,7 @@ minmaxSpanScalar(const addr::CounterValue *values, std::size_t n,
     }
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-
-__attribute__((target("avx2"))) void
-summarizeSpanAvx2(const addr::CounterValue *values, std::size_t n,
-                  addr::CounterValue major, std::uint64_t &max_off,
-                  unsigned &nonzero, unsigned &ge8)
-{
-    const __m256i maj =
-        _mm256_set1_epi64x(static_cast<long long>(major));
-    const __m256i seven = _mm256_set1_epi64x(7);
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i vmax = zero;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        const __m256i off = _mm256_sub_epi64(x, maj);
-        const __m256i gt = _mm256_cmpgt_epi64(off, vmax);
-        vmax = _mm256_blendv_epi8(vmax, off, gt);
-        const int zmask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(off, zero)));
-        nonzero += 4u - static_cast<unsigned>(
-                            __builtin_popcount(static_cast<unsigned>(
-                                zmask)));
-        const int gmask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpgt_epi64(off, seven)));
-        ge8 += static_cast<unsigned>(
-            __builtin_popcount(static_cast<unsigned>(gmask)));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), vmax);
-    for (int k = 0; k < 4; ++k)
-        max_off = std::max(max_off, lanes[k]);
-    summarizeSpanScalar(values + i, n - i, major, max_off, nonzero, ge8);
-}
-
-__attribute__((target("avx2"))) void
-minmaxSpanAvx2(const addr::CounterValue *values, std::size_t n,
-               addr::CounterValue &lo, addr::CounterValue &hi)
-{
-    if (n < 4) {
-        minmaxSpanScalar(values, n, lo, hi);
-        return;
-    }
-    __m256i vlo = _mm256_set1_epi64x(static_cast<long long>(lo));
-    __m256i vhi = _mm256_set1_epi64x(static_cast<long long>(hi));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        vlo = _mm256_blendv_epi8(vlo, x, _mm256_cmpgt_epi64(vlo, x));
-        vhi = _mm256_blendv_epi8(vhi, x, _mm256_cmpgt_epi64(x, vhi));
-    }
-    alignas(32) std::uint64_t los[4], his[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(los), vlo);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(his), vhi);
-    for (int k = 0; k < 4; ++k) {
-        lo = std::min(lo, los[k]);
-        hi = std::max(hi, his[k]);
-    }
-    minmaxSpanScalar(values + i, n - i, lo, hi);
-}
-
-#endif // x86
-
-/** Dispatching summarize: AVX2 when enabled, scalar oracle otherwise. */
-void
-summarizeSpan(const addr::CounterValue *values, std::size_t n,
-              addr::CounterValue major, std::uint64_t &max_off,
-              unsigned &nonzero, unsigned &ge8)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    if (MorphableScheme::simdScanActive()) {
-        summarizeSpanAvx2(values, n, major, max_off, nonzero, ge8);
-        return;
-    }
-#endif
-    summarizeSpanScalar(values, n, major, max_off, nonzero, ge8);
-}
-
-/** Dispatching min/max envelope fold. */
-void
-minmaxSpan(const addr::CounterValue *values, std::size_t n,
-           addr::CounterValue &lo, addr::CounterValue &hi)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    if (MorphableScheme::simdScanActive()) {
-        minmaxSpanAvx2(values, n, lo, hi);
-        return;
-    }
-#endif
-    minmaxSpanScalar(values, n, lo, hi);
-}
-
 } // namespace
-
-void
-MorphableScheme::setSimdScan(bool on)
-{
-    g_simd_scan.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-MorphableScheme::simdScanActive()
-{
-    int v = g_simd_scan.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = crypto::detectCpuFeatures().avx2 ? 1 : 0;
-        g_simd_scan.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
-}
 
 std::optional<MorphFormat>
 MorphableScheme::chooseFormat(const std::uint64_t *offsets, std::size_t n)

@@ -127,16 +127,6 @@ class MorphableScheme : public CounterScheme
     static std::optional<MorphFormat>
     chooseFormat(const std::vector<std::uint64_t> &offsets);
 
-    /**
-     * Force the AVX2 block-scan kernels on/off (tests cross-check the
-     * vector kernels against the scalar oracle).  Process-wide, like
-     * cache::SetAssocCache::setSimdProbes.
-     */
-    static void setSimdScan(bool on);
-
-    /** Are the AVX2 block scans active (CPUID-seeded by default)? */
-    static bool simdScanActive();
-
   private:
     /**
      * Per-block digest of the offset distribution — exactly the facts the

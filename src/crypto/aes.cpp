@@ -242,29 +242,6 @@ Aes::encrypt(const Block128 &plaintext) const
     return encryptSw(plaintext);
 }
 
-void
-Aes::encryptBlocks(const Block128 *in, Block128 *out, std::size_t n) const
-{
-    assert(rounds_ == 10 || rounds_ == 14);
-    const detail::DispatchState &st = detail::dispatchState();
-    if (st.hw_aes) {
-        const bool batched = st.batch_aes && n > 1;
-        detail::countAesN(true, n, batched);
-        if (batched) {
-            detail::aesEncryptHwBatch(round_key_bytes_.data(), rounds_,
-                                      in, out, n);
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = detail::aesEncryptHw(round_key_bytes_.data(),
-                                          rounds_, in[i]);
-        return;
-    }
-    detail::countAesN(false, n, false);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = encryptSw(in[i]);
-}
-
 Block128
 Aes::encryptSw(const Block128 &plaintext) const
 {

@@ -66,17 +66,6 @@ class Aes
     Block128 encrypt(const Block128 &plaintext) const;
 
     /**
-     * Encrypt n independent blocks under this key schedule in one
-     * dispatch.  With the hardware path and batching active
-     * (RMCC_CRYPTO_BATCH, see crypto/dispatch.hpp) the blocks pipeline
-     * through the interleaved AES-NI kernel 4-8 streams at a time;
-     * otherwise each block runs the scalar kernel in a loop, so results
-     * are bit-identical in every mode.  in == out aliasing is allowed.
-     */
-    void encryptBlocks(const Block128 *in, Block128 *out,
-                       std::size_t n) const;
-
-    /**
      * Encrypt one block with the byte-wise FIPS-197 reference rounds
      * (the original implementation).  Kept as the oracle the T-table
      * path and its startup-generated tables are verified against.
@@ -101,7 +90,7 @@ class Aes
     void expandKey(const std::uint8_t *key, std::size_t key_words);
 
     /** The T-table rounds with no dispatch or op counting (the software
-     *  body encrypt() and encryptBlocks() route to). */
+     *  body encrypt() routes to). */
     Block128 encryptSw(const Block128 &plaintext) const;
 
     /** Round keys as 4-byte words; 4 * (rounds + 1) words. */

@@ -1,7 +1,5 @@
 #include "crypto/clmul.hpp"
 
-#include <algorithm>
-
 #include "crypto/dispatch.hpp"
 
 namespace rmcc::crypto
@@ -99,27 +97,6 @@ clmul128(const Block128 &a, const Block128 &b)
     return clmul128Sw(a, b);
 }
 
-void
-clmul128Batch(const Block128 *a, const Block128 *b, U256 *out,
-              std::size_t n)
-{
-    const detail::DispatchState &st = detail::dispatchState();
-    if (st.hw_clmul) {
-        const bool batched = st.batch_clmul && n > 1;
-        detail::countClmulN(true, n, batched);
-        if (batched) {
-            detail::clmul128HwBatch(a, b, out, n);
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = detail::clmul128Hw(a[i], b[i]);
-        return;
-    }
-    detail::countClmulN(false, n, false);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = clmul128Sw(a[i], b[i]);
-}
-
 Block128
 truncmulMiddle(const Block128 &a, const Block128 &b)
 {
@@ -128,30 +105,10 @@ truncmulMiddle(const Block128 &a, const Block128 &b)
     return makeBlock(p.limb[2], p.limb[1]);
 }
 
-void
-truncmulMiddleBatch(const Block128 *a, const Block128 *b, Block128 *out,
-                    std::size_t n)
-{
-    // Chunked so arbitrarily large n never heap-allocates for products.
-    constexpr std::size_t kChunk = 16;
-    U256 prods[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-        const std::size_t m = std::min(kChunk, n - base);
-        clmul128Batch(a + base, b + base, prods, m);
-        for (std::size_t i = 0; i < m; ++i)
-            out[base + i] = makeBlock(prods[i].limb[2], prods[i].limb[1]);
-    }
-}
-
 Block128
 gf128Mul(const Block128 &a, const Block128 &b)
 {
-    return gf128Reduce(clmul128(a, b));
-}
-
-Block128
-gf128Reduce(const U256 &p)
-{
+    const U256 p = clmul128(a, b);
     // Reduce the 256-bit product modulo x^128 + x^7 + x^2 + x + 1.
     // Folding a bit at position 128+i adds bits at i+7, i+2, i+1, i.
     std::uint64_t r[4] = {p.limb[0], p.limb[1], p.limb[2], p.limb[3]};

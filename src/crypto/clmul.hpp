@@ -53,16 +53,6 @@ std::pair<std::uint64_t, std::uint64_t> clmul64Reference(std::uint64_t a,
 U256 clmul128(const Block128 &a, const Block128 &b);
 
 /**
- * 128x128 -> 256 carry-less multiply of n independent (a, b) pairs in one
- * dispatch.  With the hardware path and batching active (RMCC_CRYPTO_BATCH,
- * see crypto/dispatch.hpp) pairs pipeline through the interleaved PCLMULQDQ
- * kernel; otherwise each pair runs the scalar kernel in a loop, so results
- * are limb-identical in every mode.
- */
-void clmul128Batch(const Block128 *a, const Block128 *b, U256 *out,
-                   std::size_t n);
-
-/**
  * RMCC's truncated multiply: the middle 128 bits (bits 64..191) of the
  * 256-bit carry-less product.  Cutting 64 bits from each end discards 128
  * bits of information, which is what makes the combine non-invertible
@@ -70,20 +60,8 @@ void clmul128Batch(const Block128 *a, const Block128 *b, U256 *out,
  */
 Block128 truncmulMiddle(const Block128 &a, const Block128 &b);
 
-/** Batched truncmulMiddle over n independent pairs (one clmul dispatch). */
-void truncmulMiddleBatch(const Block128 *a, const Block128 *b,
-                         Block128 *out, std::size_t n);
-
 /** GF(2^128) multiply with reduction modulo x^128 + x^7 + x^2 + x + 1. */
 Block128 gf128Mul(const Block128 &a, const Block128 &b);
-
-/**
- * Reduce a 256-bit carry-less product modulo x^128 + x^7 + x^2 + x + 1.
- * gf128Mul(a, b) == gf128Reduce(clmul128(a, b)); exposed so batched MAC
- * dot products can run all multiplies in one dispatch and reduce each
- * partial product afterwards.
- */
-Block128 gf128Reduce(const U256 &p);
 
 } // namespace rmcc::crypto
 

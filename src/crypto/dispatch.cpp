@@ -21,7 +21,6 @@ detectCpuFeatures()
 #ifdef RMCC_CRYPTO_X86
     f.aesni = __builtin_cpu_supports("aes");
     f.pclmul = __builtin_cpu_supports("pclmul");
-    f.avx2 = __builtin_cpu_supports("avx2");
 #endif
     return f;
 }
@@ -38,19 +37,6 @@ configuredCryptoImpl()
     return CryptoImpl::Auto;
 }
 
-CryptoBatch
-configuredCryptoBatch()
-{
-    const std::string v =
-        util::envChoice("RMCC_CRYPTO_BATCH", {"auto", "on", "off"},
-                        "auto");
-    if (v == "on")
-        return CryptoBatch::On;
-    if (v == "off")
-        return CryptoBatch::Off;
-    return CryptoBatch::Auto;
-}
-
 CryptoOpCounts
 cryptoOpCounts()
 {
@@ -59,10 +45,6 @@ cryptoOpCounts()
     c.aes_sw = detail::g_aes_sw.load(std::memory_order_relaxed);
     c.clmul_hw = detail::g_clmul_hw.load(std::memory_order_relaxed);
     c.clmul_sw = detail::g_clmul_sw.load(std::memory_order_relaxed);
-    c.aes_batch_calls =
-        detail::g_aes_batch_calls.load(std::memory_order_relaxed);
-    c.clmul_batch_calls =
-        detail::g_clmul_batch_calls.load(std::memory_order_relaxed);
     return c;
 }
 
@@ -86,8 +68,6 @@ std::atomic<std::uint64_t> g_aes_hw{0};
 std::atomic<std::uint64_t> g_aes_sw{0};
 std::atomic<std::uint64_t> g_clmul_hw{0};
 std::atomic<std::uint64_t> g_clmul_sw{0};
-std::atomic<std::uint64_t> g_aes_batch_calls{0};
-std::atomic<std::uint64_t> g_clmul_batch_calls{0};
 
 namespace
 {
@@ -97,7 +77,6 @@ resolveFromEnv()
 {
     DispatchState s;
     s.mode = configuredCryptoImpl();
-    s.batch_mode = configuredCryptoBatch();
     if (s.mode != CryptoImpl::Sw) {
         const CpuFeatures f = detectCpuFeatures();
         if (s.mode == CryptoImpl::Hw) {
@@ -111,24 +90,6 @@ resolveFromEnv()
             s.hw_aes = f.aesni;
             s.hw_clmul = f.pclmul;
         }
-    }
-    // The pipelined kernels exist only for the hardware paths; batching
-    // the software T-table loop would just be the loop it already is.
-    switch (s.batch_mode) {
-    case CryptoBatch::Off:
-        break;
-    case CryptoBatch::On:
-        if (!s.hw_aes || !s.hw_clmul)
-            throw std::runtime_error(
-                "RMCC_CRYPTO_BATCH=on requires the hardware crypto "
-                "kernels (CPU support and RMCC_CRYPTO_IMPL != sw)");
-        s.batch_aes = true;
-        s.batch_clmul = true;
-        break;
-    case CryptoBatch::Auto:
-        s.batch_aes = s.hw_aes;
-        s.batch_clmul = s.hw_clmul;
-        break;
     }
     return s;
 }
@@ -167,69 +128,6 @@ aesEncryptHw(const std::uint8_t *round_key_bytes, int rounds,
     return out;
 }
 
-// rmcc-lint: hot-path
-__attribute__((target("aes,sse2"))) void
-aesEncryptHwBatch(const std::uint8_t *round_key_bytes, int rounds,
-                  const Block128 *in, Block128 *out, std::size_t n)
-{
-    const auto *rk =
-        reinterpret_cast<const __m128i *>(round_key_bytes);
-    // Hoist the schedule into registers once per call: every stream of
-    // every group reuses it, and 15 __m128i values fit alongside the
-    // stream states on x86-64's 16 XMM registers with spills the
-    // compiler schedules far better than per-round reloads.
-    std::size_t i = 0;
-
-    // Main pipeline: 8 independent streams advance one round at a time,
-    // so 8 AESENCs are in flight per round instead of one block's
-    // serialized round chain.
-    for (; i + 8 <= n; i += 8) {
-        __m128i s[8];
-        const __m128i k0 = _mm_loadu_si128(rk);
-        for (int j = 0; j < 8; ++j) {
-            s[j] = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(in[i + j].data()));
-            s[j] = _mm_xor_si128(s[j], k0);
-        }
-        for (int r = 1; r < rounds; ++r) {
-            const __m128i k = _mm_loadu_si128(rk + r);
-            for (int j = 0; j < 8; ++j)
-                s[j] = _mm_aesenc_si128(s[j], k);
-        }
-        const __m128i kl = _mm_loadu_si128(rk + rounds);
-        for (int j = 0; j < 8; ++j) {
-            s[j] = _mm_aesenclast_si128(s[j], kl);
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out[i + j].data()), s[j]);
-        }
-    }
-
-    // 4-stream group for the common one-cache-line tail (4 words).
-    for (; i + 4 <= n; i += 4) {
-        __m128i s[4];
-        const __m128i k0 = _mm_loadu_si128(rk);
-        for (int j = 0; j < 4; ++j) {
-            s[j] = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(in[i + j].data()));
-            s[j] = _mm_xor_si128(s[j], k0);
-        }
-        for (int r = 1; r < rounds; ++r) {
-            const __m128i k = _mm_loadu_si128(rk + r);
-            for (int j = 0; j < 4; ++j)
-                s[j] = _mm_aesenc_si128(s[j], k);
-        }
-        const __m128i kl = _mm_loadu_si128(rk + rounds);
-        for (int j = 0; j < 4; ++j) {
-            s[j] = _mm_aesenclast_si128(s[j], kl);
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(out[i + j].data()), s[j]);
-        }
-    }
-
-    for (; i < n; ++i)
-        out[i] = aesEncryptHw(round_key_bytes, rounds, in[i]);
-}
-
 __attribute__((target("pclmul,sse2"))) U256
 clmul128Hw(const Block128 &a, const Block128 &b)
 {
@@ -260,54 +158,6 @@ clmul128Hw(const Block128 &a, const Block128 &b)
     return out;
 }
 
-namespace
-{
-
-/** One pipelined pair of clmul128HwBatch; always inlined into the batch
- *  loop so adjacent pairs' eight PCLMULQDQs interleave in the schedule. */
-__attribute__((target("pclmul,sse2"), always_inline)) inline void
-clmulPairHw(const Block128 &pa, const Block128 &pb, U256 &po)
-{
-    const auto [a_hi, a_lo] = splitBlock(pa);
-    const auto [b_hi, b_lo] = splitBlock(pb);
-    const __m128i va = _mm_set_epi64x(static_cast<long long>(a_hi),
-                                      static_cast<long long>(a_lo));
-    const __m128i vb = _mm_set_epi64x(static_cast<long long>(b_hi),
-                                      static_cast<long long>(b_lo));
-    const __m128i ll = _mm_clmulepi64_si128(va, vb, 0x00);
-    const __m128i hh = _mm_clmulepi64_si128(va, vb, 0x11);
-    const __m128i lh = _mm_clmulepi64_si128(va, vb, 0x10);
-    const __m128i hl = _mm_clmulepi64_si128(va, vb, 0x01);
-    const __m128i mid = _mm_xor_si128(lh, hl);
-    std::uint64_t w_ll[2], w_hh[2], w_mid[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(w_ll), ll);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(w_hh), hh);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(w_mid), mid);
-    po.limb[0] = w_ll[0];
-    po.limb[1] = w_ll[1] ^ w_mid[0];
-    po.limb[2] = w_hh[0] ^ w_mid[1];
-    po.limb[3] = w_hh[1];
-}
-
-} // namespace
-
-// rmcc-lint: hot-path
-__attribute__((target("pclmul,sse2"))) void
-clmul128HwBatch(const Block128 *a, const Block128 *b, U256 *out,
-                std::size_t n)
-{
-    // Two pairs per step: eight PCLMULQDQs issue back to back, covering
-    // the instruction's multi-cycle latency with independent work.  The
-    // recombination is limb-for-limb the clmul128Hw/software layout.
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        clmulPairHw(a[i], b[i], out[i]);
-        clmulPairHw(a[i + 1], b[i + 1], out[i + 1]);
-    }
-    if (i < n)
-        clmulPairHw(a[i], b[i], out[i]);
-}
-
 #else // !RMCC_CRYPTO_X86
 
 // Non-x86 builds never resolve hw_aes/hw_clmul to true, so these bodies
@@ -318,21 +168,8 @@ aesEncryptHw(const std::uint8_t *, int, const Block128 &)
     std::abort();
 }
 
-void
-aesEncryptHwBatch(const std::uint8_t *, int, const Block128 *, Block128 *,
-                  std::size_t)
-{
-    std::abort();
-}
-
 U256
 clmul128Hw(const Block128 &, const Block128 &)
-{
-    std::abort();
-}
-
-void
-clmul128HwBatch(const Block128 *, const Block128 *, U256 *, std::size_t)
 {
     std::abort();
 }
@@ -351,18 +188,6 @@ bool
 hwClmulActive()
 {
     return detail::dispatchState().hw_clmul;
-}
-
-bool
-batchAesActive()
-{
-    return detail::dispatchState().batch_aes;
-}
-
-bool
-batchClmulActive()
-{
-    return detail::dispatchState().batch_clmul;
 }
 
 void

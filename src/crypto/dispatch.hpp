@@ -13,18 +13,7 @@
  *   hw              require hardware kernels; throw if the CPU cannot
  *   sw              force the portable software kernels
  *
- * A second knob, RMCC_CRYPTO_BATCH, controls whether the block-batch
- * entry points (Aes::encryptBlocks, clmul128Batch) pipeline independent
- * blocks through the interleaved AES-NI / PCLMULQDQ kernels or fall back
- * to a per-block loop over the scalar kernels:
- *
- *   auto (default)  pipeline iff the hardware kernels are active
- *   on              require the pipelined kernels; throw without them
- *   off             per-block scalar loop (bit-identical, for A/B tests)
- *
- * Batching never changes results — the pipelined kernels run the same
- * per-block function on independent blocks — so every simulator output is
- * bit-identical across all four {impl} x {batch} combinations.
+ * Every simulator output is bit-identical under all three policies.
  *
  * Invalid values throw via util::envChoice's strict parsing.
  */
@@ -47,20 +36,11 @@ enum class CryptoImpl
     Sw,   //!< Software forced.
 };
 
-/** The three RMCC_CRYPTO_BATCH policies. */
-enum class CryptoBatch
-{
-    Auto, //!< Pipelined kernels when hardware is active (default).
-    On,   //!< Pipelined kernels required; resolution throws without them.
-    Off,  //!< Per-block scalar loops forced.
-};
-
 /** CPUID-derived instruction-set support. */
 struct CpuFeatures
 {
     bool aesni = false;  //!< AESENC/AESENCLAST available.
     bool pclmul = false; //!< PCLMULQDQ available.
-    bool avx2 = false;   //!< 256-bit integer SIMD (cache tag probes).
 };
 
 /** Probe the running CPU (all-false on non-x86 builds). */
@@ -69,28 +49,18 @@ CpuFeatures detectCpuFeatures();
 /** The policy parsed from RMCC_CRYPTO_IMPL ("auto" when unset). */
 CryptoImpl configuredCryptoImpl();
 
-/** The policy parsed from RMCC_CRYPTO_BATCH ("auto" when unset). */
-CryptoBatch configuredCryptoBatch();
-
 /** True when AES encryption is currently routed to AES-NI. */
 bool hwAesActive();
 
 /** True when clmul128 is currently routed to PCLMULQDQ. */
 bool hwClmulActive();
 
-/** True when Aes::encryptBlocks pipelines via the interleaved kernel. */
-bool batchAesActive();
-
-/** True when clmul128Batch pipelines via the interleaved kernel. */
-bool batchClmulActive();
-
 /**
- * Re-read RMCC_CRYPTO_IMPL and RMCC_CRYPTO_BATCH and recompute the
- * routing.  Test hook: lets a test force =sw and =hw (and batch on/off)
- * in one process and compare the kernels.  Throws (leaving the previous
- * routing in place) on an invalid value, on =hw without CPU support, or
- * on batch=on without active hardware kernels.  Not thread-safe; call
- * only while no other thread is inside a crypto kernel.
+ * Re-read RMCC_CRYPTO_IMPL and recompute the routing.  Test hook: lets a
+ * test force =sw and =hw in one process and compare the kernels.  Throws
+ * (leaving the previous routing in place) on an invalid value or on =hw
+ * without CPU support.  Not thread-safe; call only while no other thread
+ * is inside a crypto kernel.
  */
 void reresolveCryptoDispatch();
 
@@ -107,12 +77,6 @@ struct CryptoOpCounts
     std::uint64_t aes_sw = 0;   //!< AES block encryptions in software.
     std::uint64_t clmul_hw = 0; //!< 128-bit clmuls via PCLMULQDQ.
     std::uint64_t clmul_sw = 0; //!< 128-bit clmuls in software.
-    //! Dispatches through the pipelined multi-block AES kernel.  Each
-    //! batched call also adds its per-block count to aes_hw, so hw + sw
-    //! always totals the blocks processed regardless of batching.
-    std::uint64_t aes_batch_calls = 0;
-    //! Dispatches through the pipelined multi-block CLMUL kernel.
-    std::uint64_t clmul_batch_calls = 0;
 };
 
 /** Snapshot the global counters (all zero until counting is enabled). */
@@ -134,8 +98,6 @@ extern std::atomic<std::uint64_t> g_aes_hw;
 extern std::atomic<std::uint64_t> g_aes_sw;
 extern std::atomic<std::uint64_t> g_clmul_hw;
 extern std::atomic<std::uint64_t> g_clmul_sw;
-extern std::atomic<std::uint64_t> g_aes_batch_calls;
-extern std::atomic<std::uint64_t> g_clmul_batch_calls;
 
 inline void
 countAes(bool hw)
@@ -152,38 +114,12 @@ countClmul(bool hw)
             .fetch_add(1, std::memory_order_relaxed);
 }
 
-/** Count n AES block encryptions from one batch entry-point call. */
-inline void
-countAesN(bool hw, std::uint64_t n, bool batched)
-{
-    if (!g_count_ops.load(std::memory_order_relaxed))
-        return;
-    (hw ? g_aes_hw : g_aes_sw).fetch_add(n, std::memory_order_relaxed);
-    if (batched)
-        g_aes_batch_calls.fetch_add(1, std::memory_order_relaxed);
-}
-
-/** Count n 128-bit clmuls from one batch entry-point call. */
-inline void
-countClmulN(bool hw, std::uint64_t n, bool batched)
-{
-    if (!g_count_ops.load(std::memory_order_relaxed))
-        return;
-    (hw ? g_clmul_hw : g_clmul_sw)
-        .fetch_add(n, std::memory_order_relaxed);
-    if (batched)
-        g_clmul_batch_calls.fetch_add(1, std::memory_order_relaxed);
-}
-
 /** Resolved routing; read per call by the dispatching entry points. */
 struct DispatchState
 {
     CryptoImpl mode = CryptoImpl::Auto;
-    CryptoBatch batch_mode = CryptoBatch::Auto;
     bool hw_aes = false;
     bool hw_clmul = false;
-    bool batch_aes = false;
-    bool batch_clmul = false;
 };
 
 /** The process-wide routing, resolved from the env on first use. */
@@ -200,25 +136,6 @@ Block128 aesEncryptHw(const std::uint8_t *round_key_bytes, int rounds,
 
 /** PCLMULQDQ 128x128 -> 256 carry-less multiply; same contract. */
 U256 clmul128Hw(const Block128 &a, const Block128 &b);
-
-/**
- * Pipelined AES-NI encryption of n independent blocks under one key
- * schedule: up to 8 block streams advance round-by-round so the
- * multi-cycle AESENC units stay full instead of serializing on each
- * block's round chain.  in == out aliasing is allowed (each block is
- * loaded before any block of its group is stored); other overlaps are
- * not.  Same routing contract as aesEncryptHw.
- */
-void aesEncryptHwBatch(const std::uint8_t *round_key_bytes, int rounds,
-                       const Block128 *in, Block128 *out, std::size_t n);
-
-/**
- * Pipelined PCLMULQDQ multiply of n independent (a, b) pairs; partial
- * products of adjacent pairs interleave to cover the instruction's
- * latency.  Results are limb-identical to clmul128Hw per pair.
- */
-void clmul128HwBatch(const Block128 *a, const Block128 *b, U256 *out,
-                     std::size_t n);
 
 } // namespace detail
 

@@ -20,15 +20,9 @@ MacEngine::MacEngine(const std::array<Block128, kWordsPerBlock> &keys)
 Block128
 MacEngine::dotProduct(const DataBlock &block) const
 {
-    // All four word x key multiplies in one batched clmul dispatch; each
-    // partial product reduces exactly as gf128Mul would, so the result is
-    // bit-identical to the per-word loop.
-    std::array<U256, kWordsPerBlock> prods;
-    clmul128Batch(block.data(), keys_.data(), prods.data(),
-                  kWordsPerBlock);
     Block128 acc{};
     for (unsigned w = 0; w < kWordsPerBlock; ++w)
-        acc = acc ^ gf128Reduce(prods[w]);
+        acc = acc ^ gf128Mul(block[w], keys_[w]);
     return acc;
 }
 

@@ -1,7 +1,5 @@
 #include "crypto/otp.hpp"
 
-#include <algorithm>
-
 namespace rmcc::crypto
 {
 
@@ -64,15 +62,6 @@ OtpEngine::encryptionOtps(std::uint64_t address, std::uint64_t counter) const
     return pads;
 }
 
-void
-OtpEngine::macOtps(const std::uint64_t *addresses,
-                   const std::uint64_t *counters, Block128 *out,
-                   std::size_t n) const
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = macOtp(addresses[i], counters[i]);
-}
-
 BaselineOtpEngine::BaselineOtpEngine(const Aes &enc_key, const Aes &mac_key)
     : enc_key_(enc_key), mac_key_(mac_key)
 {
@@ -89,35 +78,6 @@ Block128
 BaselineOtpEngine::macOtp(std::uint64_t address, std::uint64_t counter) const
 {
     return mac_key_.encrypt(baselineInput(kMuMac, address, 0, counter));
-}
-
-std::array<Block128, 4>
-BaselineOtpEngine::encryptionOtps(std::uint64_t address,
-                                  std::uint64_t counter) const
-{
-    std::array<Block128, 4> in;
-    for (unsigned w = 0; w < kWordsPerBlock; ++w)
-        in[w] = baselineInput(kMuEncrypt, address, w, counter);
-    std::array<Block128, 4> pads;
-    enc_key_.encryptBlocks(in.data(), pads.data(), kWordsPerBlock);
-    return pads;
-}
-
-void
-BaselineOtpEngine::macOtps(const std::uint64_t *addresses,
-                           const std::uint64_t *counters, Block128 *out,
-                           std::size_t n) const
-{
-    // Chunked so arbitrarily large n never heap-allocates for inputs.
-    constexpr std::size_t kChunk = 16;
-    Block128 in[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-        const std::size_t m = std::min(kChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i)
-            in[i] = baselineInput(kMuMac, addresses[base + i], 0,
-                                  counters[base + i]);
-        mac_key_.encryptBlocks(in, out + base, m);
-    }
 }
 
 RmccOtpEngine::RmccOtpEngine(const Aes &enc_key, const Aes &mac_key)
@@ -178,46 +138,11 @@ std::array<Block128, 4>
 RmccOtpEngine::encryptionOtps(std::uint64_t address,
                               std::uint64_t counter) const
 {
-    // One 5-block AES dispatch: the shared counter-only input plus the
-    // four per-word address-only inputs, all under the encryption key.
-    std::array<Block128, 5> in;
-    in[0] = makeBlock(0, counter & kCounterMask);
-    for (unsigned w = 0; w < kWordsPerBlock; ++w)
-        in[1 + w] = makeBlock((kMuEncrypt << 56) |
-                                  ((address & kAddrMask) << 8) | w,
-                              0);
-    std::array<Block128, 5> enc;
-    enc_key_.encryptBlocks(in.data(), enc.data(), in.size());
-
-    const std::array<Block128, 4> ctr_only = {enc[0], enc[0], enc[0],
-                                              enc[0]};
+    const Block128 ctr_only = counterOnlyEnc(counter);
     std::array<Block128, 4> pads;
-    truncmulMiddleBatch(ctr_only.data(), enc.data() + 1, pads.data(),
-                        kWordsPerBlock);
+    for (unsigned w = 0; w < kWordsPerBlock; ++w)
+        pads[w] = combine(ctr_only, addressOnlyEnc(address, w));
     return pads;
-}
-
-void
-RmccOtpEngine::macOtps(const std::uint64_t *addresses,
-                       const std::uint64_t *counters, Block128 *out,
-                       std::size_t n) const
-{
-    // Chunked: 2m AES inputs (m counter-only, m address-only) share one
-    // dispatch under the MAC key, then one batched combine.
-    constexpr std::size_t kChunk = 8;
-    Block128 in[2 * kChunk];
-    Block128 enc[2 * kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-        const std::size_t m = std::min(kChunk, n - base);
-        for (std::size_t i = 0; i < m; ++i) {
-            in[i] = makeBlock(0, counters[base + i] & kCounterMask);
-            in[m + i] = makeBlock(
-                (kMuMac << 56) | ((addresses[base + i] & kAddrMask) << 8),
-                0);
-        }
-        mac_key_.encryptBlocks(in, enc, 2 * m);
-        truncmulMiddleBatch(enc, enc + m, out + base, m);
-    }
 }
 
 DataBlock

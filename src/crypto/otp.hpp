@@ -64,25 +64,10 @@ class OtpEngine
      * All four per-word encryption OTPs of one 64 B block.  The default
      * calls encryptionOtp() per word; engines with shareable per-block
      * state (RMCC's counter-only AES result) override it so that state
-     * is computed once per block instead of once per word.  Both concrete
-     * engines also batch the block's AES inputs through a single
-     * Aes::encryptBlocks dispatch so independent words pipeline through
-     * AES-NI (see crypto/dispatch.hpp); results are bit-identical to the
-     * per-word path in every mode.
+     * is computed once per block instead of once per word.
      */
     virtual std::array<Block128, 4>
     encryptionOtps(std::uint64_t address, std::uint64_t counter) const;
-
-    /**
-     * MAC OTPs for n independent (address, counter) pairs in one call.
-     * The default loops over macOtp(); the concrete engines batch all n
-     * AES inputs through one Aes::encryptBlocks dispatch so independent
-     * in-flight reads (e.g. the integrity chain levels of one verify)
-     * pipeline through AES-NI.  Bit-identical to per-call macOtp().
-     */
-    virtual void macOtps(const std::uint64_t *addresses,
-                         const std::uint64_t *counters, Block128 *out,
-                         std::size_t n) const;
 };
 
 /** SGX-style single-AES OTP (paper Fig 2). */
@@ -96,16 +81,6 @@ class BaselineOtpEngine : public OtpEngine
                            std::uint64_t counter) const override;
     Block128 macOtp(std::uint64_t address,
                     std::uint64_t counter) const override;
-
-    /** All four word OTPs via one batched AES dispatch. */
-    std::array<Block128, 4>
-    encryptionOtps(std::uint64_t address,
-                   std::uint64_t counter) const override;
-
-    /** n MAC OTPs via one batched AES dispatch. */
-    void macOtps(const std::uint64_t *addresses,
-                 const std::uint64_t *counters, Block128 *out,
-                 std::size_t n) const override;
 
   private:
     Aes enc_key_;
@@ -150,22 +125,11 @@ class RmccOtpEngine : public OtpEngine
      * Per-block fast path: the counter-only AES result is shared by all
      * four words of a block, so compute it once and run only the four
      * address-only AES calls plus combines (5 AES calls per block
-     * instead of 8).  All five AES inputs go through one batched
-     * encryptBlocks dispatch and the four combines through one batched
-     * truncmulMiddle dispatch.
+     * instead of 8).
      */
     std::array<Block128, 4>
     encryptionOtps(std::uint64_t address,
                    std::uint64_t counter) const override;
-
-    /**
-     * n MAC OTPs in one call: the n counter-only and n address-only AES
-     * inputs share a single 2n-block encryptBlocks dispatch, then one
-     * batched truncmulMiddle combines them.
-     */
-    void macOtps(const std::uint64_t *addresses,
-                 const std::uint64_t *counters, Block128 *out,
-                 std::size_t n) const override;
 
   private:
     Aes enc_key_;

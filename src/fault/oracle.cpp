@@ -362,15 +362,14 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         refreshNode(k, path[k]);
     refreshData(blk);
 
-    // Every MAC OTP the chain walk below needs is determined by the
-    // refreshed stored state, so gather all (address, counter) pairs —
-    // one per tree level plus the data block — and run them through a
-    // single batched dispatch.  The independent AES streams of the whole
-    // verify then pipeline through AES-NI instead of serializing level
-    // by level.
-    std::vector<std::uint64_t> otp_addrs(levels + 1);
-    std::vector<std::uint64_t> otp_ctrs(levels + 1);
-    for (unsigned ku = 0; ku < levels; ++ku) {
+    // MAC chain, trust anchor downward: every node's tag is recomputed
+    // over its *stored* values under the value its *stored* parent holds
+    // (the on-chip root above the top level is incorruptible truth).  A
+    // rollback or replay at level k either fails its own tag check or
+    // surfaces one level down, where the child's tag no longer matches
+    // under the perturbed parent value.
+    for (int k = static_cast<int>(levels) - 1; k >= 0; --k) {
+        const auto ku = static_cast<unsigned>(k);
         addr::CounterValue parent_used;
         if (ku + 1 < levels) {
             const NodeEntry &pn = nodes_.at(nodeKey(ku + 1, path[ku + 1]));
@@ -381,8 +380,14 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         } else {
             parent_used = parentTruth(ku, path[ku]);
         }
-        otp_addrs[ku] = tree_.blockAddr(ku, path[ku]);
-        otp_ctrs[ku] = parent_used & crypto::kCounterMask;
+        const NodeEntry &n = nodes_.at(nodeKey(ku, path[ku]));
+        if (macDiffers(nodeMac(ku, path[ku], n.cur.values, parent_used),
+                       n.cur.tag)) {
+            v.pass = false;
+            v.correct = false;
+            v.fail_level = k;
+            return v;
+        }
     }
 
     // Counter the controller would use for the data block: the stored L0
@@ -394,42 +399,9 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         slot0 < n0.cur.values.size() ? n0.cur.values[slot0] : 0;
     if (memo_fault_ && memo_hit && ctr_used == memo_fault_->first)
         ctr_used = memo_fault_->second;
-    otp_addrs[levels] = addr::blockBase(blk);
-    otp_ctrs[levels] = ctr_used & crypto::kCounterMask;
-
-    std::vector<crypto::Block128> otps(levels + 1);
-    if (cfg_.key_domain_shift == 0) {
-        otp_->macOtps(otp_addrs.data(), otp_ctrs.data(), otps.data(),
-                      levels + 1);
-    } else {
-        // Node MACs stay on the platform keys; the data slot's OTP comes
-        // from the block's tenant key domain and cannot share the batch.
-        otp_->macOtps(otp_addrs.data(), otp_ctrs.data(), otps.data(),
-                      levels);
-        otps[levels] = dataEngine(blk).macOtp(otp_addrs[levels],
-                                              otp_ctrs[levels]);
-    }
-
-    // MAC chain, trust anchor downward: every node's tag is recomputed
-    // over its *stored* values under the value its *stored* parent holds
-    // (the on-chip root above the top level is incorruptible truth).  A
-    // rollback or replay at level k either fails its own tag check or
-    // surfaces one level down, where the child's tag no longer matches
-    // under the perturbed parent value.
-    for (int k = static_cast<int>(levels) - 1; k >= 0; --k) {
-        const auto ku = static_cast<unsigned>(k);
-        const NodeEntry &n = nodes_.at(nodeKey(ku, path[ku]));
-        const crypto::DataBlock img = serializeValues(n.cur.values);
-        if (macDiffers(mac_.mac(img, otps[ku]), n.cur.tag)) {
-            v.pass = false;
-            v.correct = false;
-            v.fail_level = k;
-            return v;
-        }
-    }
 
     const DataEntry &de = dit->second;
-    if (macDiffers(mac_.mac(de.cur.ct, otps[levels]), de.cur.tag)) {
+    if (macDiffers(dataMac(blk, de.cur.ct, ctr_used), de.cur.tag)) {
         v.pass = false;
         v.correct = false;
         v.fail_level = -1;

@@ -256,7 +256,7 @@ runSuite(const std::vector<NamedConfig> &configs, const ProgressFn &progress)
 {
     validateTraceShape(configs);
     obs::session(); // strict RMCC_OBS* parsing fails loudly up front
-    crypto::hwAesActive();      // same for RMCC_CRYPTO_IMPL/BATCH
+    crypto::hwAesActive();      // same for RMCC_CRYPTO_IMPL
     mc::recoveryConfigFromEnv(); // and for RMCC_RECOVERY*
 
     const std::vector<wl::Workload> &suite = wl::workloadSuite();

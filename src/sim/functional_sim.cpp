@@ -44,9 +44,8 @@ runFunctional(const std::string &workload_name,
 
     // The drive walks the source's windows (one covering the whole
     // vector for in-RAM traces; mmap'd spans with next-window prefetch
-    // for spilled ones) and pre-warms the page mapper per window from
-    // the planning pass — both invisible to the simulated state.
-    detail::TraceDrive drive(trace, rig.mapper, obs.get());
+    // for spilled ones), invisible to the simulated state.
+    detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
         detail::registerRigProbes(*obs, rig, trace,

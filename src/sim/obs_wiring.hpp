@@ -164,15 +164,6 @@ registerRigProbes(obs::Registry &o, SimRig &rig,
                [] { return double(crypto::cryptoOpCounts().clmul_hw); });
     o.addProbe("crypto.clmul_sw",
                [] { return double(crypto::cryptoOpCounts().clmul_sw); });
-    // Pipelined multi-block dispatches (zero when RMCC_CRYPTO_BATCH is
-    // off or the sw kernels are active); block totals stay in the hw/sw
-    // counters above regardless of batching.
-    o.addProbe("crypto.aes_batch_calls", [] {
-        return double(crypto::cryptoOpCounts().aes_batch_calls);
-    });
-    o.addProbe("crypto.clmul_batch_calls", [] {
-        return double(crypto::cryptoOpCounts().clmul_batch_calls);
-    });
 
     // Recovery datapath (zero-cost when RMCC_RECOVERY=off: no probes).
     const mc::RecoveryPolicy &rp = rig.mc.recovery();

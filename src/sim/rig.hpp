@@ -72,7 +72,7 @@ struct SimRig
           init_max(0)
     {
         // The timing model charges latencies instead of running crypto,
-        // so a garbage RMCC_CRYPTO_IMPL/BATCH would otherwise never be
+        // so a garbage RMCC_CRYPTO_IMPL would otherwise never be
         // parsed.  Resolve the dispatch up front: runner knobs are
         // caller contract and must abort loudly (same policy as the
         // other strict RMCC_* vars).
@@ -128,10 +128,7 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     // produce — without pre-warming the measured caches.
     cache::Hierarchy scratch(cfg.l1, cfg.l2, cfg.llc);
     std::uint64_t polled = 0;
-    // This pass runs first, so with a spilled source its window-boundary
-    // pre-warm (TraceDrive) establishes the mapper's first-touch frame
-    // order; the measured loop's pre-warms then all no-op.
-    TraceDrive drive(trace, rig.mapper, nullptr);
+    TraceDrive drive(trace, nullptr);
     while (drive.advance()) {
         const trace::TraceWindow &w = drive.window();
         for (std::size_t k = 0; k < w.count; ++k) {

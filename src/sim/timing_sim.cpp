@@ -19,9 +19,9 @@ runTiming(const std::string &workload_name,
     std::unique_ptr<obs::Registry> obs =
         obs::makeRunRegistry(detail::cellName(workload_name, cfg));
 
-    // Windowed iteration + per-window mapper pre-warm (see TraceDrive);
-    // invisible to the simulated state.
-    detail::TraceDrive drive(trace, rig.mapper, obs.get());
+    // Windowed iteration (see TraceDrive); invisible to the simulated
+    // state.
+    detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
         detail::registerRigProbes(*obs, rig, trace,

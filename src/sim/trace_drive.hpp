@@ -3,15 +3,10 @@
  * Internal: windowed trace iteration shared by both simulators and the
  * precondition pass.
  *
- * TraceDrive walks a TraceSource's windows, and at every window boundary
- *
- *  1. pre-warms the page mapper from the planning pass (translating the
- *     pages first touched in the incoming window, in first-touch order —
- *     frame assignment is identical to lazy demand allocation, so
- *     results stay bit-identical; see trace_plan.hpp), and
- *  2. records the host time the advance blocked on trace I/O into the
- *     TraceIo latency histogram (spilled sources only — the in-RAM
- *     cursor has no I/O and registers nothing).
+ * TraceDrive walks a TraceSource's windows and records the host time
+ * each advance blocked on trace I/O into the TraceIo latency histogram
+ * (spilled sources only — the in-RAM cursor has no I/O and registers
+ * nothing).
  *
  * The per-record inner loops stay in the simulators; all window
  * bookkeeping lives here so the three replay sites cannot drift apart.
@@ -21,9 +16,7 @@
 
 #include <chrono>
 
-#include "address/page_mapper.hpp"
 #include "obs/registry.hpp"
-#include "trace/trace_plan.hpp"
 #include "trace/trace_source.hpp"
 
 namespace rmcc::sim::detail
@@ -34,14 +27,10 @@ class TraceDrive
   public:
     /**
      * @param src trace to replay (borrowed).
-     * @param mapper the rig's page mapper, pre-warmed per window when
-     *        the source carries a plan.
      * @param obs run registry for the TraceIo histogram; may be null.
      */
-    TraceDrive(const trace::TraceSource &src, addr::PageMapper &mapper,
-               obs::Registry *obs)
-        : mapper_(mapper), obs_(obs), plan_(src.plan()),
-          cur_(src.cursor())
+    TraceDrive(const trace::TraceSource &src, obs::Registry *obs)
+        : obs_(obs), cur_(src.cursor())
     {
     }
 
@@ -54,14 +43,6 @@ class TraceDrive
         w_ = cur_->next();
         if (w_.count == 0)
             return false;
-        if (plan_ != nullptr) {
-            const std::size_t wi = plan_->windowIndexOf(w_.first);
-            const auto span = plan_->pageSpan(wi);
-            // translate() allocates only on first touch, so re-listing
-            // a page the lookahead already crossed into is a no-op.
-            for (std::size_t k = 0; k < span.second; ++k)
-                mapper_.translate(span.first[k]);
-        }
         if (timed)
             obs_->recordLatency(
                 obs::LatencyHist::TraceIo,
@@ -79,9 +60,7 @@ class TraceDrive
     const trace::TraceIoStats *ioStats() const { return cur_->ioStats(); }
 
   private:
-    addr::PageMapper &mapper_;
     obs::Registry *obs_;
-    const trace::TracePlan *plan_;
     std::unique_ptr<trace::TraceCursor> cur_;
     trace::TraceWindow w_;
 };

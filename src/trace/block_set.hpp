@@ -2,8 +2,8 @@
  * @file
  * Streaming distinct-key counting: an open-addressing uint64 hash set.
  *
- * Both TraceBuffer::distinctBlocks() and the trace planning pass need
- * "how many distinct blocks/pages does this record stream touch?" over
+ * Both TraceBuffer::distinctBlocks() and the trace file's totals pass
+ * need "how many distinct blocks does this record stream touch?" over
  * streams that may never fit in RAM at once.  A sort|unique over a
  * materialized copy (the pre-PR-8 implementation) is O(n log n) time and
  * O(n) extra space in the *record count*; this set is O(n) expected time
@@ -25,7 +25,7 @@ namespace rmcc::trace
  *
  * Any key value is accepted (the empty-slot sentinel is handled out of
  * band), capacity grows at ~0.7 load, and insert() reports whether the
- * key was new — the planner counts "first touches" with that bit.
+ * key was new.
  */
 class BlockSet
 {

@@ -3,81 +3,23 @@
 namespace rmcc::trace
 {
 
-TracePlanBuilder::TracePlanBuilder(std::uint64_t window_records)
-    : global_blocks_(1 << 12), global_pages_(1 << 10),
-      global_groups_(1 << 10)
-{
-    plan_.window_records = window_records;
-}
-
 void
-TracePlanBuilder::addWindow(const Record *data, std::uint64_t count)
+TracePlanBuilder::addSpan(const Record *data, std::uint64_t count)
 {
-    WindowPlan wp;
-    wp.first = plan_.total_records;
-    wp.records = count;
-    wp.page_list_off = plan_.first_touch_vaddrs.size();
-
-    BlockSet win_blocks(1 << 10);
-    BlockSet win_pages(1 << 8);
-    BlockSet win_groups(1 << 8);
     for (std::uint64_t i = 0; i < count; ++i) {
         const Record &r = data[i];
-        const addr::Addr vaddr = r.vaddr;
-        const std::uint64_t block = addr::blockOf(vaddr);
-        const std::uint64_t page4k = vaddr >> 12;
-        const std::uint64_t group = block >> 6;
-        wp.writes += r.is_write ? 1 : 0;
-        total_insts_ += 1 + r.inst_gap;
-        if (win_blocks.insert(block))
-            ++wp.distinct_blocks;
-        if (win_pages.insert(page4k))
-            ++wp.distinct_pages;
-        if (win_groups.insert(group))
-            ++wp.counter_groups;
-        global_blocks_.insert(block);
-        global_groups_.insert(group);
-        if (global_pages_.insert(page4k)) {
-            ++wp.new_pages;
-            plan_.first_touch_vaddrs.push_back(vaddr);
-        }
+        plan_.writes += r.is_write ? 1 : 0;
+        plan_.instructions += 1 + r.inst_gap;
+        blocks_.insert(addr::blockOf(r.vaddr));
     }
-    wp.page_list_len = plan_.first_touch_vaddrs.size() - wp.page_list_off;
-    total_writes_ += wp.writes;
-    plan_.total_records += count;
-    plan_.windows.push_back(wp);
-}
-
-std::uint64_t
-TracePlanBuilder::distinctBlocks() const
-{
-    return global_blocks_.size();
+    plan_.records += count;
 }
 
 TracePlan
 TracePlanBuilder::finish()
 {
-    plan_.distinct_blocks = global_blocks_.size();
-    plan_.distinct_pages = global_pages_.size();
-    plan_.counter_groups = global_groups_.size();
-    return std::move(plan_);
-}
-
-TracePlan
-buildTracePlan(const Record *records, std::uint64_t count,
-               std::uint64_t window_records)
-{
-    const std::uint64_t w =
-        window_records == 0 ? (count == 0 ? 1 : count) : window_records;
-    TracePlanBuilder b(w);
-    if (count == 0) {
-        b.addWindow(records, 0);
-    } else {
-        for (std::uint64_t start = 0; start < count; start += w)
-            b.addWindow(records + start,
-                        count - start < w ? count - start : w);
-    }
-    return b.finish();
+    plan_.distinct_blocks = blocks_.size();
+    return plan_;
 }
 
 } // namespace rmcc::trace

@@ -1,36 +1,17 @@
 /**
  * @file
- * Trace planning pass: one streaming read over a record span computing
- * per-window working sets before replay starts.
+ * Stream totals of a trace file, recomputed in one streaming pass at open.
  *
- * Our access streams are *oblivious* — the whole trace exists before
- * simulation begins (the property MAGE, OSDI 2021, exploits for
- * out-of-core execution) — so instead of letting the replay loop fault
- * pages and discover footprints reactively, a single pass computes, per
- * replay window:
- *
- *   - distinct 64 B blocks and distinct 4 KB pages touched,
- *   - the counter-group footprint (64-block groups, the L0 granularity
- *     of the 64-ary schemes; an upper bound for Morphable's 128),
- *   - the list of pages FIRST touched in that window, in first-touch
- *     order.
- *
- * The first-touch lists let replay pre-warm the demand-allocation page
- * mapper at each window boundary: PageMapper::translate() assigns frames
- * in first-touch order, and the concatenated per-window lists reproduce
- * exactly that order (a page's first 4 KB touch is also its first touch
- * at any coarser page size), so pre-warming changes *when* frames are
- * assigned but never *which* frame a page gets — replay results stay
- * bit-identical while page faults migrate out of the measured window
- * loop.  The same pass is the streaming replacement for the old
- * O(n log n) sort in distinctBlocks().
+ * The mmap reader feeds every record span through TracePlanBuilder while
+ * it validates the file, then checks the recomputed totals against the
+ * header's claims: a file whose header lies about its stream (e.g. one
+ * from a different generation) is rejected even when every chunk
+ * checksum passes.
  */
 #ifndef RMCC_TRACE_TRACE_PLAN_HPP
 #define RMCC_TRACE_TRACE_PLAN_HPP
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "trace/block_set.hpp"
 #include "trace/record.hpp"
@@ -38,97 +19,35 @@
 namespace rmcc::trace
 {
 
-/** Working set of one replay window. */
-struct WindowPlan
-{
-    std::uint64_t first = 0;           //!< Global index of first record.
-    std::uint64_t records = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t distinct_blocks = 0; //!< Distinct blocks in window.
-    std::uint64_t distinct_pages = 0;  //!< Distinct 4 KB pages in window.
-    std::uint64_t counter_groups = 0;  //!< Distinct 64-block groups.
-    std::uint64_t new_pages = 0;       //!< Pages first touched here.
-    //! Slice of TracePlan::first_touch_vaddrs for this window.
-    std::uint64_t page_list_off = 0;
-    std::uint64_t page_list_len = 0;
-};
-
-/** Whole-trace plan: per-window working sets + global totals. */
+/** Whole-trace totals, in the units of the file header. */
 struct TracePlan
 {
-    std::uint64_t window_records = 0;
-    std::uint64_t total_records = 0;
-    std::uint64_t distinct_blocks = 0;
-    std::uint64_t distinct_pages = 0;
-    std::uint64_t counter_groups = 0;
-    std::vector<WindowPlan> windows;
-    //! One representative vaddr per 4 KB page, in global first-touch
-    //! order; windows slice it via page_list_off/len.
-    std::vector<addr::Addr> first_touch_vaddrs;
-
-    /** First-touch vaddr list of the window containing global record
-     *  index `first` (as reported in TraceWindow::first). */
-    const std::vector<WindowPlan> &windowPlans() const { return windows; }
-
-    /** Slice of first-touch vaddrs for window index w. */
-    std::pair<const addr::Addr *, std::size_t>
-    pageSpan(std::size_t w) const
-    {
-        if (w >= windows.size())
-            return {nullptr, 0};
-        const WindowPlan &wp = windows[w];
-        return {first_touch_vaddrs.data() + wp.page_list_off,
-                static_cast<std::size_t>(wp.page_list_len)};
-    }
-
-    /** Window index of the window whose first record is `first`. */
-    std::size_t windowIndexOf(std::uint64_t first) const
-    {
-        return window_records == 0
-                   ? 0
-                   : static_cast<std::size_t>(first / window_records);
-    }
+    std::uint64_t records = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t instructions = 0;    //!< Memory ops plus gaps.
+    std::uint64_t distinct_blocks = 0; //!< Distinct 64 B blocks.
 };
 
 /**
- * Incremental plan construction: the mmap reader feeds one window-sized
- * span at a time so it can madvise(DONTNEED) each span right after
- * scanning it — the planning pass itself then never holds more than one
- * window resident, the same bound the replay loop honors.
+ * Incremental totals: the mmap reader feeds one span at a time so it can
+ * madvise(DONTNEED) each span right after scanning it, and the pass
+ * never holds more than one span resident.
  */
 class TracePlanBuilder
 {
   public:
-    explicit TracePlanBuilder(std::uint64_t window_records);
+    TracePlanBuilder() : blocks_(1 << 12) {}
 
-    /** Scan the next window span (spans must arrive in trace order). */
-    void addWindow(const Record *data, std::uint64_t count);
+    /** Scan the next span (spans must arrive in trace order). */
+    void addSpan(const Record *data, std::uint64_t count);
 
-    /** Totals accumulated so far (for validation against a header). */
-    std::uint64_t records() const { return plan_.total_records; }
-    std::uint64_t writes() const { return total_writes_; }
-    std::uint64_t totalInstructions() const { return total_insts_; }
-    std::uint64_t distinctBlocks() const;
-
-    /** Finish and take the plan; the builder is spent afterwards. */
+    /** Finish and take the totals; the builder is spent afterwards. */
     TracePlan finish();
 
   private:
     TracePlan plan_;
-    std::uint64_t total_writes_ = 0;
-    std::uint64_t total_insts_ = 0;
-    BlockSet global_blocks_;
-    BlockSet global_pages_;
-    BlockSet global_groups_;
+    BlockSet blocks_;
 };
-
-/**
- * Build a plan over a contiguous record span (one streaming pass).
- * Used over in-RAM vectors for tests and benchmarks; the mmap reader
- * uses TracePlanBuilder window by window instead.
- */
-TracePlan buildTracePlan(const Record *records, std::uint64_t count,
-                         std::uint64_t window_records);
 
 } // namespace rmcc::trace
 

@@ -175,8 +175,10 @@ TraceFileReader::validateAndPlan()
         index_sum_stored)
         fail(path_, "checksum index corrupt");
 
-    // Pass 1 — chunk integrity.  Stream in chunk spans, dropping each
-    // behind us so validation itself stays within the RSS bound.
+    // Single streaming pass: per-chunk checksum, then the stream totals
+    // over the same span, dropping each span behind us so validation
+    // itself stays within the RSS bound.
+    TracePlanBuilder builder;
     for (std::uint64_t c = 0; c < n_chunks; ++c) {
         const std::uint64_t first = c * chunk;
         const std::uint64_t count = n - first < chunk ? n - first : chunk;
@@ -185,33 +187,11 @@ TraceFileReader::validateAndPlan()
         if (sum != index[c])
             fail(path_, "chunk " + std::to_string(c) +
                             " checksum mismatch (corrupt records)");
+        builder.addSpan(recordAt(first), count);
         adviseRecords(first, count, MADV_DONTNEED);
     }
-
-    // Pass 2 — planning.  Same streaming discipline, window spans.
-    TracePlanBuilder builder(window_records_);
-    if (n == 0) {
-        builder.addWindow(recordAt(0), 0);
-    } else {
-        for (std::uint64_t start = 0; start < n;
-             start += window_records_) {
-            const std::uint64_t count = n - start < window_records_
-                                            ? n - start
-                                            : window_records_;
-            builder.addWindow(recordAt(start), count);
-            adviseRecords(start, count, MADV_DONTNEED);
-        }
-    }
-
-    // The recomputed totals must match the header's claims: a mismatch
-    // means the file lies about itself even though per-chunk checksums
-    // passed (e.g. a header from a different generation).
-    if (builder.records() != header_.record_count ||
-        builder.totalInstructions() != header_.total_insts ||
-        builder.writes() != header_.writes ||
-        builder.distinctBlocks() != header_.distinct_blocks)
-        fail(path_, "stream totals disagree with header");
     plan_ = builder.finish();
+    checkTotals();
 
     logOpened();
 }
@@ -244,11 +224,9 @@ TraceFileReader::validateAndPlanDelta()
         fail(path_, "chunk byte lengths disagree with file length");
 
     // Single streaming pass: per-chunk checksum over the encoded bytes,
-    // decode into a scratch window, feed the plan, drop the span behind.
+    // decode into a scratch window, feed the totals, drop the span behind.
     std::vector<Record> scratch(chunk ? chunk : 1);
-    TracePlanBuilder builder(window_records_);
-    if (n == 0)
-        builder.addWindow(scratch.data(), 0);
+    TracePlanBuilder builder;
     for (std::uint64_t c = 0; c < n_chunks; ++c) {
         const std::uint64_t len = chunk_off_[c + 1] - chunk_off_[c];
         const auto *data = reinterpret_cast<const std::uint8_t *>(
@@ -269,18 +247,26 @@ TraceFileReader::validateAndPlanDelta()
             fail(path_, "chunk " + std::to_string(c) + " decodes to " +
                             std::to_string(got) + " records, expected " +
                             std::to_string(want));
-        builder.addWindow(scratch.data(), want);
+        builder.addSpan(scratch.data(), want);
         adviseBytes(chunk_off_[c], chunk_off_[c + 1], MADV_DONTNEED);
     }
-
-    if (builder.records() != header_.record_count ||
-        builder.totalInstructions() != header_.total_insts ||
-        builder.writes() != header_.writes ||
-        builder.distinctBlocks() != header_.distinct_blocks)
-        fail(path_, "stream totals disagree with header");
     plan_ = builder.finish();
+    checkTotals();
 
     logOpened();
+}
+
+void
+TraceFileReader::checkTotals() const
+{
+    // The recomputed totals must match the header's claims: a mismatch
+    // means the file lies about itself even though per-chunk checksums
+    // passed (e.g. a header from a different generation).
+    if (plan_.records != header_.record_count ||
+        plan_.instructions != header_.total_insts ||
+        plan_.writes != header_.writes ||
+        plan_.distinct_blocks != header_.distinct_blocks)
+        fail(path_, "stream totals disagree with header");
 }
 
 void

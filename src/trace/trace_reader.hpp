@@ -3,7 +3,7 @@
  * Windowed mmap replay reader for spilled trace files.
  *
  * The whole file is mapped read-only, but only ~one replay window of it
- * is ever resident: the opening validation + planning pass streams
+ * is ever resident: the opening validation pass streams
  * through the mapping dropping each span behind itself
  * (madvise(MADV_DONTNEED)), and a replay cursor serving window w
  * prefetches window w+1 (madvise(MADV_WILLNEED), so the kernel reads it
@@ -16,7 +16,7 @@
  * header magic/version/endianness/checksum, file size against the
  * declared geometry, every chunk checksum, and the stream totals
  * (records, instructions, writes, distinct blocks) recomputed by the
- * planning pass against the header's claims.  A truncated, torn, or
+ * validation pass against the header's claims.  A truncated, torn, or
  * bit-flipped file throws std::runtime_error; the spill cache reacts by
  * regenerating.
  */
@@ -41,7 +41,7 @@ class TraceFileReader final : public TraceSource
 {
   public:
     /**
-     * Open, validate, and plan.
+     * Open and validate.
      *
      * @param path finalized trace file.
      * @param window_records replay window size (records); 0 means the
@@ -102,6 +102,8 @@ class TraceFileReader final : public TraceSource
     const Record *recordAt(std::uint64_t i) const;
     void validateAndPlan();
     void validateAndPlanDelta();
+    /** Throw unless plan_'s recomputed totals match the header. */
+    void checkTotals() const;
     void logOpened() const;
     /** madvise over the byte span of records [first, first+count). */
     void adviseRecords(std::uint64_t first, std::uint64_t count,

@@ -98,7 +98,7 @@ class TraceCursor
  * A finished trace the simulators can replay.  The summary statistics
  * are totals over the whole stream (used by trace-shape validation and
  * reporting) and must be O(1) — sources compute them during generation
- * or during the planning pass, never by re-reading records.
+ * or while validating a file at open, never by re-reading records.
  */
 class TraceSource
 {
@@ -124,10 +124,8 @@ class TraceSource
     virtual std::unique_ptr<TraceCursor> cursor() const = 0;
 
     /**
-     * Per-window working sets from the planning pass, when the source
-     * ran one (the spilling reader does at open; in-RAM sources return
-     * nullptr).  Replay uses it to pre-warm the page mapper at window
-     * boundaries — see trace_plan.hpp for why that is bit-identical.
+     * Stream totals recomputed at open, when the source ran that pass
+     * (the spilling reader does; in-RAM sources return nullptr).
      */
     virtual const TracePlan *plan() const { return nullptr; }
 };

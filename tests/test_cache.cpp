@@ -5,32 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/hierarchy.hpp"
 #include "cache/set_assoc.hpp"
 #include "cache/tlb.hpp"
-#include "crypto/dispatch.hpp"
 
 using namespace rmcc::cache;
 using rmcc::addr::Addr;
-
-namespace
-{
-
-/** Scoped SIMD-probe override; restores the CPU-derived default. */
-struct ScopedSimdProbes
-{
-    explicit ScopedSimdProbes(bool on)
-    {
-        SetAssocCache::setSimdProbes(on);
-    }
-    ~ScopedSimdProbes()
-    {
-        SetAssocCache::setSimdProbes(
-            rmcc::crypto::detectCpuFeatures().avx2);
-    }
-};
-
-} // namespace
 
 TEST(SetAssoc, HitAfterMiss)
 {
@@ -135,44 +117,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, unsigned>{32768, 8},
                       std::pair<std::uint64_t, unsigned>{131072, 32}));
 
-TEST(SetAssoc, SimdProbesMatchScalarProbes)
+TEST(SetAssoc, VictimIsLowestInvalidWayThenLru)
 {
-    // The AVX2 tag-compare and LRU-min scan must pick the same ways as
-    // the scalar loops for every access of the same random sequence —
-    // hits, victims, writebacks, and eviction addresses all agree.
-    // Sweep geometries where SIMD engages (assoc % 4 == 0) and one where
-    // it cannot (assoc 2, scalar both times).
-    for (const auto &[size, assoc] :
-         {std::pair<std::uint64_t, unsigned>{8192, 4},
-          std::pair<std::uint64_t, unsigned>{32768, 8},
-          std::pair<std::uint64_t, unsigned>{131072, 16},
-          std::pair<std::uint64_t, unsigned>{4096, 2}}) {
-        SetAssocCache simd("s", size, assoc);
-        SetAssocCache scalar("c", size, assoc);
-        std::uint64_t x = 0x9e3779b97f4a7c15ULL;
-        for (int i = 0; i < 30000; ++i) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            const Addr a = (x % (size * 8)) & ~63ULL;
-            const bool write = (x & 2) != 0;
-            AccessResult rs, rc;
-            {
-                ScopedSimdProbes on(true);
-                rs = simd.access(a, write);
-            }
-            {
-                ScopedSimdProbes off(false);
-                rc = scalar.access(a, write);
-            }
-            ASSERT_EQ(rs.hit, rc.hit) << "assoc=" << assoc << " i=" << i;
-            ASSERT_EQ(rs.evicted, rc.evicted);
-            ASSERT_EQ(rs.writeback, rc.writeback);
-            ASSERT_EQ(rs.victim_addr, rc.victim_addr);
+    // One set per cache, so line i is address i * 64 and every access
+    // competes for the same ways.
+    for (const unsigned assoc : {4u, 8u, 16u}) {
+        SetAssocCache c("t", assoc * 64ULL, assoc);
+        const auto line = [](unsigned i) { return Addr{i} * 64; };
+        for (unsigned i = 0; i < assoc; ++i) {
+            EXPECT_FALSE(c.access(line(i), false).evicted);
+            EXPECT_EQ(c.wayOf(line(i)), static_cast<int>(i));
         }
-        EXPECT_EQ(simd.hits(), scalar.hits()) << "assoc=" << assoc;
-        EXPECT_EQ(simd.misses(), scalar.misses());
-        EXPECT_EQ(simd.writebacks(), scalar.writebacks());
+
+        // Invalidate the higher way first: the choice must not depend on
+        // invalidation order.  Refills take the lowest invalid way.
+        const unsigned lo = 1, hi = assoc - 2;
+        c.invalidate(line(hi));
+        c.invalidate(line(lo));
+        EXPECT_FALSE(c.access(line(assoc), false).evicted);
+        EXPECT_EQ(c.wayOf(line(assoc)), static_cast<int>(lo))
+            << "assoc=" << assoc;
+        EXPECT_FALSE(c.access(line(assoc + 1), false).evicted);
+        EXPECT_EQ(c.wayOf(line(assoc + 1)), static_cast<int>(hi))
+            << "assoc=" << assoc;
+
+        // Refresh line 0, then every further miss evicts the exact LRU
+        // line, and the newcomer takes the victim's way.
+        EXPECT_TRUE(c.access(line(0), false).hit);
+        std::vector<unsigned> lru_order;
+        for (unsigned i = 1; i < assoc; ++i)
+            if (i != lo && i != hi)
+                lru_order.push_back(i);
+        lru_order.push_back(assoc);
+        lru_order.push_back(assoc + 1);
+        lru_order.push_back(0);
+        ASSERT_EQ(lru_order.size(), assoc);
+        for (unsigned k = 0; k < assoc; ++k) {
+            const unsigned victim = lru_order[k];
+            const int way = c.wayOf(line(victim));
+            const AccessResult r = c.access(line(100 + k), false);
+            ASSERT_TRUE(r.evicted) << "assoc=" << assoc << " k=" << k;
+            EXPECT_EQ(r.victim_addr, line(victim))
+                << "assoc=" << assoc << " k=" << k;
+            EXPECT_EQ(c.wayOf(line(100 + k)), way);
+            EXPECT_EQ(c.wayOf(line(victim)), -1);
+        }
     }
 }
 

@@ -245,62 +245,6 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeInvariants,
                                            SchemeKind::SC64,
                                            SchemeKind::Morphable));
 
-// The AVX2 block-scan kernels must agree with the scalar oracle on every
-// observable decision: drive two identically-seeded schemes through the
-// same mixed write/query workload with the vector kernels forced on in
-// one and off in the other, comparing every result and the full final
-// state.  (On hosts without AVX2 both sides take the scalar path and the
-// test degenerates to a determinism check — still valid, never failing.)
-TEST(Morphable, SimdScanMatchesScalarOracle)
-{
-    const bool prior = MorphableScheme::simdScanActive();
-    MorphableScheme simd(4096), scalar(4096);
-    {
-        rmcc::util::Rng r1(99), r2(99);
-        MorphableScheme::setSimdScan(true);
-        simd.randomInit(r1, 50000);
-        MorphableScheme::setSimdScan(false);
-        scalar.randomInit(r2, 50000);
-    }
-    rmcc::util::Rng rng(1234);
-    for (int step = 0; step < 30000; ++step) {
-        const std::uint64_t idx = rng.nextBelow(4096);
-        // Mix small drifts (dense-path summaries), medium jumps
-        // (min-shift scans), and rare large jumps (rebase scans).
-        const std::uint64_t bump =
-            1 + rng.nextBelow(step % 97 == 0 ? 5000 : 12);
-        const CounterValue v = simd.read(idx) + bump;
-
-        MorphableScheme::setSimdScan(true);
-        const bool enc_v = simd.encodable(idx, v);
-        const bool cheap_v = simd.cheaplyEncodable(idx, v);
-        MorphableScheme::setSimdScan(false);
-        const bool enc_s = scalar.encodable(idx, v);
-        const bool cheap_s = scalar.cheaplyEncodable(idx, v);
-        ASSERT_EQ(enc_v, enc_s) << "encodable diverged at step " << step;
-        ASSERT_EQ(cheap_v, cheap_s)
-            << "cheaplyEncodable diverged at step " << step;
-
-        MorphableScheme::setSimdScan(true);
-        const WriteResult w_v = simd.write(idx, v);
-        MorphableScheme::setSimdScan(false);
-        const WriteResult w_s = scalar.write(idx, v);
-        ASSERT_EQ(w_v.new_value, w_s.new_value) << "step " << step;
-        ASSERT_EQ(w_v.overflow, w_s.overflow) << "step " << step;
-        ASSERT_EQ(w_v.reencrypt_blocks, w_s.reencrypt_blocks)
-            << "step " << step;
-    }
-    ASSERT_EQ(simd.morphs(), scalar.morphs());
-    ASSERT_EQ(simd.observedMax(), scalar.observedMax());
-    for (std::uint64_t i = 0; i < 4096; ++i)
-        ASSERT_EQ(simd.read(i), scalar.read(i)) << "value " << i;
-    for (std::uint64_t cb = 0; cb < 4096 / 128; ++cb) {
-        ASSERT_EQ(simd.major(cb), scalar.major(cb)) << "block " << cb;
-        ASSERT_EQ(simd.format(cb), scalar.format(cb)) << "block " << cb;
-    }
-    MorphableScheme::setSimdScan(prior);
-}
-
 TEST(Tree, LevelsAndEntities)
 {
     IntegrityTree tree(SchemeKind::Morphable, 128 * 128 * 4);

@@ -527,222 +527,3 @@ TEST(Dispatch, RejectsUnknownImplValue)
     unsetenv("RMCC_CRYPTO_IMPL");
     rmcc::crypto::reresolveCryptoDispatch();
 }
-
-// ---------------------------------------------------------------------------
-// Batched kernels (RMCC_CRYPTO_BATCH): the pipelined multi-block AES-NI /
-// PCLMULQDQ paths must be bit-identical to the scalar kernels for every
-// length, including non-multiple-of-batch tails, in both directions.
-
-namespace
-{
-
-/** Scoped forced batch policy; restores the previous env + routing. */
-class ScopedBatch
-{
-  public:
-    explicit ScopedBatch(const char *batch)
-    {
-        const char *prev = std::getenv("RMCC_CRYPTO_BATCH");
-        had_prev_ = prev != nullptr;
-        if (had_prev_)
-            prev_ = prev;
-        setenv("RMCC_CRYPTO_BATCH", batch, 1);
-        rmcc::crypto::reresolveCryptoDispatch();
-    }
-
-    ~ScopedBatch()
-    {
-        if (had_prev_)
-            setenv("RMCC_CRYPTO_BATCH", prev_.c_str(), 1);
-        else
-            unsetenv("RMCC_CRYPTO_BATCH");
-        rmcc::crypto::reresolveCryptoDispatch();
-    }
-
-  private:
-    bool had_prev_ = false;
-    std::string prev_;
-};
-
-} // namespace
-
-TEST(Batch, ForcedOffUsesScalarLoops)
-{
-    ScopedBatch off("off");
-    EXPECT_FALSE(rmcc::crypto::batchAesActive());
-    EXPECT_FALSE(rmcc::crypto::batchClmulActive());
-}
-
-TEST(Batch, AutoFollowsHardwareRouting)
-{
-    ScopedBatch auto_batch("auto");
-    {
-        ScopedImpl sw("sw");
-        EXPECT_FALSE(rmcc::crypto::batchAesActive());
-        EXPECT_FALSE(rmcc::crypto::batchClmulActive());
-    }
-    if (hwAvailable()) {
-        ScopedImpl hw("hw");
-        EXPECT_TRUE(rmcc::crypto::batchAesActive());
-        EXPECT_TRUE(rmcc::crypto::batchClmulActive());
-    }
-}
-
-TEST(Batch, OnRequiresHardwareKernels)
-{
-    // batch=on with the software kernels forced can never be satisfied,
-    // whatever the CPU supports.
-    ScopedImpl sw("sw");
-    setenv("RMCC_CRYPTO_BATCH", "on", 1);
-    EXPECT_THROW(rmcc::crypto::reresolveCryptoDispatch(),
-                 std::runtime_error);
-    unsetenv("RMCC_CRYPTO_BATCH");
-    rmcc::crypto::reresolveCryptoDispatch();
-}
-
-TEST(Batch, RejectsUnknownBatchValue)
-{
-    setenv("RMCC_CRYPTO_BATCH", "turbo", 1);
-    EXPECT_THROW(rmcc::crypto::reresolveCryptoDispatch(),
-                 std::runtime_error);
-    unsetenv("RMCC_CRYPTO_BATCH");
-    rmcc::crypto::reresolveCryptoDispatch();
-}
-
-TEST(Batch, PipelinedKernelPassesNistVectors)
-{
-    if (!hwAvailable())
-        GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ";
-    ScopedImpl hw("hw");
-    ScopedBatch on("on");
-    ASSERT_TRUE(rmcc::crypto::batchAesActive());
-    // FIPS-197 Appendix C.1 replicated across a full 8-stream group plus
-    // a 4-stream group plus scalar tail (n = 13): every lane must produce
-    // the reference ciphertext.
-    std::array<std::uint8_t, 16> key;
-    for (int i = 0; i < 16; ++i)
-        key[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
-    const Aes aes = Aes::fromKey128(key);
-    const Block128 pt = hexBlock("00112233445566778899aabbccddeeff");
-    const Block128 expect = hexBlock("69c4e0d86a7b0430d8cdb78070b4c55a");
-    std::array<Block128, 13> in;
-    in.fill(pt);
-    std::array<Block128, 13> out;
-    aes.encryptBlocks(in.data(), out.data(), in.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], expect) << "lane " << i;
-    // In-place (in == out) aliasing contract.
-    aes.encryptBlocks(in.data(), in.data(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-        EXPECT_EQ(in[i], expect) << "aliased lane " << i;
-}
-
-TEST(Batch, BatchedMatchesScalarOnRandomBlocks)
-{
-    // >= 10k random blocks through encryptBlocks/clmul128Batch at lengths
-    // that exercise the 8-stream groups, the 4-stream group, and every
-    // scalar tail (n = 1..17), compared against the per-block kernels in
-    // both dispatch directions.
-    std::mt19937_64 rng(0xba7c4);
-    const std::vector<const char *> impls =
-        hwAvailable() ? std::vector<const char *>{"hw", "sw"}
-                      : std::vector<const char *>{"sw"};
-    for (const char *impl : impls) {
-        ScopedImpl scoped(impl);
-        std::size_t blocks_checked = 0;
-        for (int round = 0; blocks_checked < 10000; ++round) {
-            const std::size_t n =
-                static_cast<std::size_t>(round % 17) + 1;
-            const Aes aes = Aes::fromSeed(rng(), round % 2 == 0
-                                                     ? Aes::KeySize::k128
-                                                     : Aes::KeySize::k256);
-            std::vector<Block128> pts(n), a(n), b(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                pts[i] = makeBlock(rng(), rng());
-                a[i] = makeBlock(rng(), rng());
-                b[i] = makeBlock(rng(), rng());
-            }
-            std::vector<Block128> ct_batch(n), mid_batch(n);
-            std::vector<U256> p_batch(n);
-            {
-                // batch=on is rejected when the sw kernels are forced, so
-                // the sw leg runs under auto (scalar loops either way).
-                const bool hw_leg = impl[0] == 'h';
-                ScopedBatch on(hw_leg && hwAvailable() ? "on" : "auto");
-                aes.encryptBlocks(pts.data(), ct_batch.data(), n);
-                clmul128Batch(a.data(), b.data(), p_batch.data(), n);
-                truncmulMiddleBatch(a.data(), b.data(), mid_batch.data(),
-                                    n);
-            }
-            ScopedBatch off("off");
-            for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(ct_batch[i], aes.encrypt(pts[i]))
-                    << impl << " AES n=" << n << " lane " << i;
-                ASSERT_EQ(p_batch[i].limb, clmul128(a[i], b[i]).limb)
-                    << impl << " CLMUL n=" << n << " lane " << i;
-                ASSERT_EQ(mid_batch[i], truncmulMiddle(a[i], b[i]))
-                    << impl << " truncmul n=" << n << " lane " << i;
-            }
-            blocks_checked += n;
-        }
-    }
-}
-
-TEST(Batch, Gf128ReduceMatchesGf128Mul)
-{
-    std::mt19937_64 rng(0x6f128);
-    for (int trial = 0; trial < 2000; ++trial) {
-        const Block128 a = makeBlock(rng(), rng());
-        const Block128 b = makeBlock(rng(), rng());
-        EXPECT_EQ(gf128Mul(a, b), gf128Reduce(clmul128(a, b)));
-    }
-}
-
-TEST(Batch, EngineBatchApisMatchPerCallPaths)
-{
-    // encryptionOtps and macOtps of both engines must equal their
-    // per-word / per-call counterparts under every routing combination.
-    std::mt19937_64 rng(0x07b5);
-    const std::vector<const char *> impls =
-        hwAvailable() ? std::vector<const char *>{"hw", "sw"}
-                      : std::vector<const char *>{"sw"};
-    for (const char *impl : impls) {
-        ScopedImpl scoped(impl);
-        for (const char *batch : {"auto", "off"}) {
-            ScopedBatch scoped_batch(batch);
-            const BaselineOtpEngine baseline(Aes::fromSeed(11),
-                                             Aes::fromSeed(22));
-            const RmccOtpEngine rmcc_otp(Aes::fromSeed(33),
-                                         Aes::fromSeed(44));
-            const std::vector<const OtpEngine *> engines = {&baseline,
-                                                            &rmcc_otp};
-            for (const OtpEngine *eng : engines) {
-                for (int trial = 0; trial < 50; ++trial) {
-                    const std::uint64_t address = (rng() % 4096) * 64;
-                    const std::uint64_t counter = rng() % 100000;
-                    const auto pads =
-                        eng->encryptionOtps(address, counter);
-                    for (unsigned w = 0; w < kWordsPerBlock; ++w)
-                        ASSERT_EQ(pads[w],
-                                  eng->encryptionOtp(address, w, counter))
-                            << impl << "/" << batch << " word " << w;
-                }
-                // macOtps over lengths spanning chunk boundaries.
-                for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 20u}) {
-                    std::vector<std::uint64_t> addrs(n), ctrs(n);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        addrs[i] = (rng() % 4096) * 64;
-                        ctrs[i] = rng() % 100000;
-                    }
-                    std::vector<Block128> otps(n);
-                    eng->macOtps(addrs.data(), ctrs.data(), otps.data(),
-                                 n);
-                    for (std::size_t i = 0; i < n; ++i)
-                        ASSERT_EQ(otps[i], eng->macOtp(addrs[i], ctrs[i]))
-                            << impl << "/" << batch << " n=" << n
-                            << " lane " << i;
-                }
-            }
-        }
-    }
-}

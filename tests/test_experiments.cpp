@@ -13,8 +13,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cache/set_assoc.hpp"
-#include "crypto/dispatch.hpp"
 #include "sim/experiments.hpp"
 #include "util/cancel.hpp"
 
@@ -163,50 +161,6 @@ TEST(SuiteRunner, ParallelMatchesSerialBitForBit)
             EXPECT_EQ(p.stats.all(), s.stats.all())
                 << parallel[w].workload << " / " << p.config_label;
         }
-    }
-}
-
-TEST(SuiteRunner, BatchAndSimdPathsAreBitIdentical)
-{
-    // The guard behind every fig03-fig22 / secIV CSV: the batched crypto
-    // pipeline and the AVX2 cache probes are throughput-only — the same
-    // cells replayed with both accelerations disabled must produce every
-    // stat, instruction count, and cycle count bit for bit.
-    std::vector<NamedConfig> configs = {
-        nonSecureConfig(SimMode::Timing),
-        rmccConfig(SimMode::Timing),
-    };
-    for (auto &nc : configs) {
-        nc.cfg.trace_records = 20000;
-        nc.cfg.warmup_records = 10000;
-    }
-    const auto *w = wl::findWorkload("omnetpp");
-
-    const char *prev_batch = std::getenv("RMCC_CRYPTO_BATCH");
-    const std::string saved = prev_batch != nullptr ? prev_batch : "";
-
-    setenv("RMCC_CRYPTO_BATCH", "off", 1);
-    crypto::reresolveCryptoDispatch();
-    cache::SetAssocCache::setSimdProbes(false);
-    const SuiteRow scalar = runWorkload(*w, configs);
-
-    if (prev_batch != nullptr)
-        setenv("RMCC_CRYPTO_BATCH", saved.c_str(), 1);
-    else
-        unsetenv("RMCC_CRYPTO_BATCH");
-    crypto::reresolveCryptoDispatch();
-    cache::SetAssocCache::setSimdProbes(
-        crypto::detectCpuFeatures().avx2);
-    const SuiteRow fast = runWorkload(*w, configs);
-
-    ASSERT_EQ(fast.results.size(), scalar.results.size());
-    for (std::size_t c = 0; c < scalar.results.size(); ++c) {
-        const SimResult &f = fast.results[c];
-        const SimResult &s = scalar.results[c];
-        EXPECT_EQ(f.config_label, s.config_label);
-        EXPECT_EQ(f.instructions, s.instructions);
-        EXPECT_EQ(f.elapsed_ns, s.elapsed_ns);
-        EXPECT_EQ(f.stats.all(), s.stats.all()) << f.config_label;
     }
 }
 

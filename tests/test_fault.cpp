@@ -311,10 +311,9 @@ TEST(FaultSweep, FunctionalSimIntegration)
 TEST(FaultSweep, HwBatchCryptoClassifiesMatrixIdentically)
 {
     // Detection verdicts are a crypto-functional property: routing the
-    // MAC/OTP kernels through the pipelined AES-NI / PCLMULQDQ batch
-    // path must classify the injection matrix cell for cell like the
-    // scalar software kernels — same (site, kind, outcome) counts, not
-    // just the same aggregates.
+    // MAC/OTP kernels through AES-NI / PCLMULQDQ must classify the
+    // injection matrix cell for cell like the software kernels — same
+    // (site, kind, outcome) counts, not just the same aggregates.
     const crypto::CpuFeatures feat = crypto::detectCpuFeatures();
     if (!feat.aesni || !feat.pclmul)
         GTEST_SKIP() << "no AES-NI/PCLMULQDQ on this host";
@@ -327,17 +326,13 @@ TEST(FaultSweep, HwBatchCryptoClassifiesMatrixIdentically)
     cfg.seed = 23;
 
     const char *prev_impl = std::getenv("RMCC_CRYPTO_IMPL");
-    const char *prev_batch = std::getenv("RMCC_CRYPTO_BATCH");
     const std::string saved_impl = prev_impl != nullptr ? prev_impl : "";
-    const std::string saved_batch = prev_batch != nullptr ? prev_batch : "";
 
     setenv("RMCC_CRYPTO_IMPL", "sw", 1);
-    setenv("RMCC_CRYPTO_BATCH", "off", 1);
     crypto::reresolveCryptoDispatch();
     const FaultStats scalar = runFaultSweep(plan, cfg);
 
     setenv("RMCC_CRYPTO_IMPL", "hw", 1);
-    setenv("RMCC_CRYPTO_BATCH", "on", 1);
     crypto::reresolveCryptoDispatch();
     const FaultStats hw = runFaultSweep(plan, cfg);
 
@@ -345,10 +340,6 @@ TEST(FaultSweep, HwBatchCryptoClassifiesMatrixIdentically)
         setenv("RMCC_CRYPTO_IMPL", saved_impl.c_str(), 1);
     else
         unsetenv("RMCC_CRYPTO_IMPL");
-    if (prev_batch != nullptr)
-        setenv("RMCC_CRYPTO_BATCH", saved_batch.c_str(), 1);
-    else
-        unsetenv("RMCC_CRYPTO_BATCH");
     crypto::reresolveCryptoDispatch();
 
     EXPECT_EQ(hw.injected, scalar.injected);

@@ -302,21 +302,11 @@ TEST(TraceFile, PlanTotalsMatchStreamTotals)
     const trace::TraceFileReader reader(path, kWindow);
     const trace::TracePlan *plan = reader.plan();
     ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(plan->total_records, kRecords);
-    EXPECT_EQ(plan->window_records, kWindow);
+    EXPECT_EQ(plan->records, kRecords);
+    EXPECT_EQ(plan->records, reader.size());
+    EXPECT_EQ(plan->writes, reader.writes());
+    EXPECT_EQ(plan->instructions, reader.totalInstructions());
     EXPECT_EQ(plan->distinct_blocks, reader.distinctBlocks());
-    ASSERT_EQ(plan->windows.size(), reader.windowCount());
-
-    // The per-window first-touch lists partition the global page set.
-    std::uint64_t new_pages = 0, list_len = 0;
-    for (const trace::WindowPlan &wp : plan->windows) {
-        EXPECT_EQ(wp.new_pages, wp.page_list_len);
-        EXPECT_EQ(wp.page_list_off, list_len);
-        new_pages += wp.new_pages;
-        list_len += wp.page_list_len;
-    }
-    EXPECT_EQ(new_pages, plan->distinct_pages);
-    EXPECT_EQ(list_len, plan->first_touch_vaddrs.size());
     std::remove(path.c_str());
 }
 

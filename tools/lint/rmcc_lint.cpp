@@ -19,7 +19,7 @@
  *   hot-path     no new/malloc/std::string construction/std::cout|cerr
  *                inside a function whose definition is preceded by a
  *                `// rmcc-lint: hot-path` marker line (replay loops,
- *                cache probes, crypto batch kernels, SecureMc::read).
+ *                cache probes, SecureMc::read).
  *   mutex-guard  no naked std::mutex in src/ — concurrency state uses
  *                util::Mutex with RMCC_GUARDED_BY so Clang's
  *                -Wthread-safety can prove lock discipline.
