@@ -1,5 +1,7 @@
 #include "core/candidate_monitor.hpp"
 
+#include <algorithm>
+
 namespace rmcc::core
 {
 
@@ -19,19 +21,26 @@ CandidateMonitor::arm(addr::CounterValue max_in_table)
     // X+129+2^j for j = 4..17: exponential rungs reaching ~131 K above.
     for (unsigned j = 4; j <= 17; ++j)
         candidates_.push_back(max_in_table + 129 + (1ULL << j));
-    below_counts_.assign(candidates_.size(), 0);
+    hist_.fill(0);
     total_reads_ = 0;
     high_reads_ = 0;
 }
 
+// rmcc-lint: hot-path
 void
 CandidateMonitor::observeRead(addr::CounterValue v)
 {
     ++total_reads_;
-    if (v > armed_max_)
-        ++high_reads_;
-    for (std::size_t c = 0; c < candidates_.size(); ++c)
-        below_counts_[c] += v < candidates_[c] ? 1 : 0;
+    if (v <= armed_max_) {
+        ++hist_[0]; // below the first rung X+1, so below every rung
+        return;
+    }
+    ++high_reads_;
+    // The ladder ascends strictly: the read is below exactly the rungs
+    // from the first one above v onward.
+    ++hist_[static_cast<std::size_t>(
+        std::upper_bound(candidates_.begin(), candidates_.end(), v) -
+        candidates_.begin())];
 }
 
 std::optional<addr::CounterValue>
@@ -44,9 +53,12 @@ CandidateMonitor::takeSelection()
     // Smallest candidate covering >= 98% of observed reads; if even the
     // top rung falls short, take the top rung (the ladder re-arms higher
     // next time and ratchets up).
-    for (std::size_t c = 0; c < candidates_.size(); ++c)
-        if (static_cast<double>(below_counts_[c]) >= goal)
+    std::uint64_t below = 0;
+    for (std::size_t c = 0; c < candidates_.size(); ++c) {
+        below += hist_[c];
+        if (static_cast<double>(below) >= goal)
             return candidates_[c];
+    }
     return candidates_.back();
 }
 

@@ -9,10 +9,16 @@
  * used a counter value *below* it, and, once 2 K reads with counters above
  * X have accumulated, selects the smallest candidate that covers at least
  * 98% of the reads observed since arming.
+ *
+ * Each read adds to one bucket of a histogram over the ladder's gaps
+ * (a binary search per read instead of a compare per rung); the
+ * per-candidate "below" counts are its prefix sums, formed only once the
+ * trigger has fired.
  */
 #ifndef RMCC_CORE_CANDIDATE_MONITOR_HPP
 #define RMCC_CORE_CANDIDATE_MONITOR_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -63,10 +69,15 @@ class CandidateMonitor
     std::uint64_t highReads() const { return high_reads_; }
 
   private:
+    //! Rungs on the ladder: X+1+8i (17) and X+129+2^j (14).
+    static constexpr std::size_t kRungs = 17 + 14;
+
     MonitorConfig cfg_;
     addr::CounterValue armed_max_ = 0;
     std::vector<addr::CounterValue> candidates_;
-    std::vector<std::uint64_t> below_counts_;
+    //! hist_[b]: reads with exactly b rungs at or below their value, i.e.
+    //! below rung b and every rung after it.
+    std::array<std::uint64_t, kRungs + 1> hist_{};
     std::uint64_t total_reads_ = 0;
     std::uint64_t high_reads_ = 0;
 };

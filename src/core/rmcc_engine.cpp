@@ -1,7 +1,6 @@
 #include "core/rmcc_engine.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace rmcc::core
@@ -133,10 +132,9 @@ RmccEngine::averageCoverage(unsigned level) const
     const ctr::CounterScheme &scheme = tree_.level(level);
 
     // Covered values form [start, start + group_size) intervals; merge
-    // the (possibly overlapping) groups so the entity scan is a compare
-    // against a handful of sorted ranges instead of a hash probe per
-    // counter.
-    std::vector<std::pair<addr::CounterValue, addr::CounterValue>> ranges;
+    // the (possibly overlapping) groups into sorted disjoint ranges and
+    // let the scheme count the entities inside them.
+    std::vector<ctr::ValueRange> ranges;
     const unsigned group_size = tbl.config().group_size;
     for (const auto start : tbl.groupStarts())
         ranges.emplace_back(start, start + group_size);
@@ -155,37 +153,7 @@ RmccEngine::averageCoverage(unsigned level) const
     std::uint64_t distinct = 0;
     for (const auto &[lo, hi] : ranges)
         distinct += hi - lo;
-
-    std::uint64_t total = 0;
-    const std::uint64_t n = scheme.entities();
-    const addr::CounterValue *raw = scheme.rawValues();
-    if (raw != nullptr) {
-        // Dense store: sweep the whole array once per merged range with a
-        // branchless membership test ((v - lo) < span catches lo <= v < hi
-        // in one unsigned compare).  Ranges are disjoint after the merge,
-        // so indicator sums equal the per-value scan's count, and the
-        // branch-free inner loop vectorizes — this runs inside the timed
-        // region of every RMCC experiment.
-        for (const auto &[lo, hi] : ranges) {
-            const addr::CounterValue span = hi - lo;
-            std::uint64_t in = 0;
-            for (std::uint64_t i = 0; i < n; ++i)
-                in += (raw[i] - lo) < span ? 1u : 0u;
-            total += in;
-        }
-    } else {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const addr::CounterValue v = scheme.read(i);
-            for (const auto &[lo, hi] : ranges) {
-                if (v < lo)
-                    break;
-                if (v < hi) {
-                    ++total;
-                    break;
-                }
-            }
-        }
-    }
+    const std::uint64_t total = scheme.countInRanges(ranges);
     return static_cast<double>(total) / static_cast<double>(distinct);
 }
 

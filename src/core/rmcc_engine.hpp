@@ -111,7 +111,8 @@ class RmccEngine
 
     /**
      * Average number of entities currently covered by each memoized
-     * counter value at a level (paper Fig 15); O(entities) scan.
+     * counter value at a level (paper Fig 15), counted by
+     * CounterScheme::countInRanges over the merged memoized ranges.
      */
     double averageCoverage(unsigned level) const;
 

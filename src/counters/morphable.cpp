@@ -39,37 +39,6 @@ infoOf(MorphFormat f)
     return morphFormats()[static_cast<std::size_t>(f)];
 }
 
-/** Does a set of offsets fit one format? */
-bool
-fits(const MorphFormatInfo &fmt, const std::uint64_t *offsets,
-     std::size_t n)
-{
-    if (fmt.id == MorphFormat::Uniform3X) {
-        // Uniform 3-bit minors with up to kUniform3xSlots far-drifted
-        // exceptions below 2^13.
-        unsigned exceptions = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t o = offsets[i];
-            if (o >= (1ULL << 13))
-                return false;
-            if (o >= 8 && ++exceptions > kUniform3xSlots)
-                return false;
-        }
-        return true;
-    }
-    const std::uint64_t limit = 1ULL << fmt.minor_bits;
-    unsigned nonzero = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t o = offsets[i];
-        if (o >= limit)
-            return false;
-        nonzero += o != 0;
-    }
-    if (fmt.id == MorphFormat::Uniform3)
-        return true; // all minors stored, any may be non-zero
-    return nonzero <= fmt.max_nonzero;
-}
-
 /** Bit offsets of the packed layout. */
 constexpr std::size_t kMajorBits = 56;
 constexpr std::size_t kFormatBits = 8;
@@ -110,25 +79,14 @@ minmaxSpan(const addr::CounterValue *values, std::size_t n,
 } // namespace
 
 std::optional<MorphFormat>
-MorphableScheme::chooseFormat(const std::uint64_t *offsets, std::size_t n)
-{
-    for (const auto &fmt : morphFormats())
-        if (fits(fmt, offsets, n))
-            return fmt.id;
-    return std::nullopt;
-}
-
-std::optional<MorphFormat>
-MorphableScheme::chooseFormat(const std::vector<std::uint64_t> &offsets)
-{
-    return chooseFormat(offsets.data(), offsets.size());
-}
-
-std::optional<MorphFormat>
 MorphableScheme::formatFromSummary(const BlockSummary &s)
 {
-    // Mirrors fits(): each predicate only needs the block's max offset,
-    // non-zero count, and >=8 count, all of which the summary carries.
+    // First format in preference order whose predicates hold.  Each
+    // needs only the block's max offset, non-zero count and >=8 count:
+    // Uniform3X stores offsets < 2^13 with at most kUniform3xSlots of
+    // them >= 8; every other format stores offsets below 2^minor_bits,
+    // and all but Uniform3 (which stores every minor) cap the non-zero
+    // count at max_nonzero.
     for (const auto &fmt : morphFormats()) {
         if (fmt.id == MorphFormat::Uniform3X) {
             if (s.max_off < (1ULL << 13) && s.ge8 <= kUniform3xSlots)
@@ -188,6 +146,37 @@ MorphableScheme::blockMax(std::uint64_t idx) const
 {
     const addr::CounterBlockId cb = blockOf(idx);
     return majors_[cb] + summaries_[cb].max_off;
+}
+
+std::uint64_t
+MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
+{
+    // Every value of block cb lies in [major, major + max_off], so a block
+    // inside one range counts in full and a block in a gap between ranges
+    // counts nothing; only blocks straddling a range edge are read.
+    std::uint64_t count = 0;
+    for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
+        const addr::CounterValue lo = majors_[cb];
+        const addr::CounterValue hi = lo + summaries_[cb].max_off;
+        // First range ending above lo; every earlier one ends at or below
+        // it, so no value of the block can fall there.
+        const auto r = std::upper_bound(
+            ranges.begin(), ranges.end(), lo,
+            [](addr::CounterValue v, const ValueRange &x) {
+                return v < x.second;
+            });
+        if (r == ranges.end() || hi < r->first)
+            continue;
+        const auto [first, last] = blockRange(cb);
+        if (r->first <= lo && hi < r->second) {
+            count += last - first;
+            continue;
+        }
+        const std::span<const ValueRange> rest(r, ranges.end());
+        for (std::uint64_t i = first; i < last; ++i)
+            count += inRanges(store_.get(i), rest);
+    }
+    return count;
 }
 
 addr::CounterValue
@@ -370,35 +359,47 @@ MorphableScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
 void
 MorphableScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
 {
+    std::uint64_t offsets[kCoverage];
     for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
         const addr::CounterValue major =
             rng.nextInRange(mean / 2, mean + mean / 2);
-        majors_[cb] = major;
         const auto [first, last] = blockRange(cb);
+        const std::size_t n = last - first;
         // Releveling is the fixed point of split-counter dynamics: a block
         // that has overflowed holds all-equal values, and subsequent
         // writes add only a small drift.  Model exactly that: most blocks
         // sit at their major with a handful of small drifted minors, and
-        // a few carry larger bitmap-encoded offsets.
-        std::vector<std::uint64_t> offsets(last - first, 0);
+        // a few carry larger bitmap-encoded offsets.  Each minor is drawn
+        // before the slot it lands in.
+        std::fill_n(offsets, n, 0);
         const unsigned drifted =
             static_cast<unsigned>(rng.nextBelow(12));
-        for (unsigned k = 0; k < drifted; ++k)
-            offsets[rng.nextBelow(offsets.size())] = 1 + rng.nextBelow(7);
+        for (unsigned k = 0; k < drifted; ++k) {
+            const std::uint64_t minor = 1 + rng.nextBelow(7);
+            offsets[rng.nextBelow(n)] = minor;
+        }
         if (rng.nextBool(0.1)) {
             const unsigned big = 1 + static_cast<unsigned>(
                                          rng.nextBelow(8));
-            for (unsigned k = 0; k < big; ++k)
-                offsets[rng.nextBelow(offsets.size())] =
-                    8 + rng.nextBelow(56);
+            for (unsigned k = 0; k < big; ++k) {
+                const std::uint64_t minor = 8 + rng.nextBelow(56);
+                offsets[rng.nextBelow(n)] = minor;
+            }
         }
-        const auto fmt = chooseFormat(offsets);
+        std::uint64_t max_off = 0;
+        unsigned nonzero = 0, ge8 = 0;
+        summarizeSpan(offsets, n, 0, max_off, nonzero, ge8);
+        BlockSummary s;
+        s.max_off = max_off;
+        s.nonzero = static_cast<std::uint16_t>(nonzero);
+        s.ge8 = static_cast<std::uint16_t>(ge8);
+        const auto fmt = formatFromSummary(s);
         if (!fmt)
             util::panic("randomInit produced unencodable morphable block");
+        majors_[cb] = major;
         formats_[cb] = *fmt;
-        for (std::uint64_t i = first; i < last; ++i)
-            store_.set(i, major + offsets[i - first]);
-        refreshSummary(cb);
+        summaries_[cb] = s;
+        store_.setSpan(first, major, offsets, n);
     }
 }
 

@@ -90,6 +90,8 @@ class MorphableScheme : public CounterScheme
         return store_.observedMax();
     }
     addr::CounterValue blockMax(std::uint64_t idx) const override;
+    std::uint64_t
+    countInRanges(std::span<const ValueRange> ranges) const override;
     void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
     /** Current format of a block (stats/tests). */
@@ -120,13 +122,6 @@ class MorphableScheme : public CounterScheme
     static std::pair<addr::CounterValue, std::vector<std::uint64_t>>
     unpackBlock(const util::BitVec512 &bits);
 
-    /**
-     * Smallest fitting format for a set of minor offsets, or nullopt if
-     * only a rebase can accommodate them.
-     */
-    static std::optional<MorphFormat>
-    chooseFormat(const std::vector<std::uint64_t> &offsets);
-
   private:
     /**
      * Per-block digest of the offset distribution — exactly the facts the
@@ -147,10 +142,6 @@ class MorphableScheme : public CounterScheme
 
     /** Recompute a block's summary from its stored values. */
     void refreshSummary(addr::CounterBlockId cb);
-
-    /** chooseFormat over a raw offsets array (allocation-free core). */
-    static std::optional<MorphFormat>
-    chooseFormat(const std::uint64_t *offsets, std::size_t n);
 
     /** Offsets (value - major) of every entity in a block. */
     std::vector<std::uint64_t> blockOffsets(addr::CounterBlockId cb) const;

@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "address/types.hpp"
@@ -36,6 +38,22 @@ struct WriteResult
     //! Covered entities that must be re-encrypted due to the rebase.
     std::uint64_t reencrypt_blocks = 0;
 };
+
+/** Half-open counter-value interval [first, second). */
+using ValueRange = std::pair<addr::CounterValue, addr::CounterValue>;
+
+/** Does v lie in one of `ranges` (sorted, pairwise disjoint)? */
+inline bool
+inRanges(addr::CounterValue v, std::span<const ValueRange> ranges)
+{
+    for (const auto &[lo, hi] : ranges) {
+        if (v < lo)
+            return false;
+        if (v < hi)
+            return true;
+    }
+    return false;
+}
 
 /** Available scheme implementations. */
 enum class SchemeKind
@@ -163,6 +181,23 @@ class CounterScheme
         for (std::uint64_t i = first; i < last; ++i)
             vals.push_back(read(i));
         return vals;
+    }
+
+    /**
+     * Number of entities whose counter value lies in one of `ranges`,
+     * which must be sorted and pairwise disjoint.  The default is one
+     * dense pass over every counter; schemes that track per-block value
+     * bounds override it to count whole blocks without reading them.
+     */
+    virtual std::uint64_t
+    countInRanges(std::span<const ValueRange> ranges) const
+    {
+        const addr::CounterValue *raw = rawValues();
+        const std::uint64_t n = entities();
+        std::uint64_t count = 0;
+        for (std::uint64_t i = 0; i < n; ++i)
+            count += inRanges(raw != nullptr ? raw[i] : read(i), ranges);
+        return count;
     }
 
     /** Total overflow events so far. */

@@ -10,6 +10,7 @@
 #ifndef RMCC_COUNTERS_STORE_HPP
 #define RMCC_COUNTERS_STORE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +41,13 @@ class CounterStore
 
     /** Overwrite counter idx; tracks the observed maximum. */
     void set(std::uint64_t idx, addr::CounterValue v);
+
+    /**
+     * Overwrite counters [first, first + n) with base + offsets[i]; the
+     * observed maximum is updated once for the whole span.
+     */
+    void setSpan(std::uint64_t first, addr::CounterValue base,
+                 const std::uint64_t *offsets, std::size_t n);
 
     /** Number of counters. */
     std::uint64_t size() const

@@ -54,24 +54,19 @@ runFunctional(const std::string &workload_name,
         rig.mc.attachObs(obs.get());
     }
 
-    // One-record lookahead (see runTiming): translating record i+1 at the
-    // end of iteration i keeps the first-touch order v0, v1, v2, ... the
-    // plain loop produced, and the prefetch hooks are pure, so results
-    // are bit-identical.  `ahead` carries the lookahead across window
-    // boundaries.
-    bool more = drive.advance();
-    addr::Addr next_paddr =
-        more ? rig.mapper.translate(drive.window().data[0].vaddr) : 0;
-    std::size_t i = 0;
-    while (more) {
-        const trace::TraceWindow &w = drive.window();
-        for (std::size_t k = 0; k < w.count; ++k, ++i) {
+    // One-record lookahead (TraceDrive::forEachRecord), as in runTiming.
+    drive.forEachRecord(
+        rig.mapper,
+        [&rig](addr::Addr next) {
+            rig.hier.prefetch(next);
+            rig.mc.prefetchRead(next);
+        },
+        [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // (or a SIGTERM'd suite) aborts here instead of running to
             // the end.
             if ((i & 0x1fff) == 0)
                 util::pollCancel();
-            const trace::Record &rec = w.data[k];
             if (i == cfg.warmup_records) {
                 mc_at_warm = rig.mc.stats();
                 side_at_warm = side;
@@ -81,14 +76,6 @@ runFunctional(const std::string &workload_name,
 
             if (!rig.tlb.access(rec.vaddr))
                 side.inc(h_tlb_miss);
-            const addr::Addr paddr = next_paddr;
-            const trace::Record *nxt =
-                k + 1 < w.count ? &w.data[k + 1] : w.ahead;
-            if (nxt != nullptr) {
-                next_paddr = rig.mapper.translate(nxt->vaddr);
-                rig.hier.prefetch(next_paddr);
-                rig.mc.prefetchRead(next_paddr);
-            }
             const cache::HierarchyResult h =
                 rig.hier.access(paddr, rec.is_write);
             if (h.llc_miss) {
@@ -109,9 +96,7 @@ runFunctional(const std::string &workload_name,
                 campaign->afterRecord();
             if (obs)
                 obs->tick();
-        }
-        more = drive.advance();
-    }
+        });
     if (campaign != nullptr && cfg.secure)
         rig.mc.attachObserver(nullptr);
     if (replay != nullptr)

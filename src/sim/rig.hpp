@@ -112,6 +112,7 @@ struct SimRig
  * tree for 25 B instructions in atomic mode before measuring).  Budgets
  * drain to zero afterwards: the measured window runs at steady accrual.
  */
+// rmcc-lint: hot-path
 inline void
 preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                  const trace::TraceSource &trace)
@@ -127,15 +128,22 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     // writeback addresses — the same streams the measured run will
     // produce — without pre-warming the measured caches.
     cache::Hierarchy scratch(cfg.l1, cfg.l2, cfg.llc);
-    std::uint64_t polled = 0;
+    // The whole trace is known up front, so the pass runs the same
+    // one-record lookahead as the measured loop: the next record's
+    // scratch-cache sets and the level-0 counter the engine will read for
+    // it are prefetched while this record is processed.
+    const addr::CounterValue *ctr0 = rig.tree.level(0).rawValues();
     TraceDrive drive(trace, nullptr);
-    while (drive.advance()) {
-        const trace::TraceWindow &w = drive.window();
-        for (std::size_t k = 0; k < w.count; ++k) {
-            if ((polled++ & 0x1fff) == 0)
+    drive.forEachRecord(
+        rig.mapper,
+        [&scratch, ctr0](addr::Addr next) {
+            scratch.prefetch(next);
+            if (ctr0 != nullptr)
+                __builtin_prefetch(ctr0 + addr::blockOf(next));
+        },
+        [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
+            if ((i & 0x1fff) == 0)
                 util::pollCancel();
-            const trace::Record &rec = w.data[k];
-            const addr::Addr paddr = rig.mapper.translate(rec.vaddr);
             const cache::HierarchyResult h =
                 scratch.access(paddr, rec.is_write);
             if (h.llc_miss) {
@@ -158,8 +166,7 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                 ++ops;
                 rig.engine.onDramAccess();
             }
-        }
-    }
+        });
     rig.engine.setBudgetPools(0.0);
 }
 

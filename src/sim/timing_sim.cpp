@@ -41,27 +41,21 @@ runTiming(const std::string &workload_name,
     const double llc_lookup_ns =
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
-    // One-record lookahead: each iteration translates the next record's
-    // address and prefetches the cache sets / counter entries its access
-    // will scan, hiding the counter store's memory stalls behind the
-    // current record's work.  translate() is stat-free and the prefetch
-    // hooks are pure, and translating v[i+1] at the end of iteration i
-    // preserves the exact first-touch order v0, v1, v2, ... that the
-    // plain loop produced — page-frame assignment, and therefore every
-    // physical address and result, is unchanged.
-    bool more = drive.advance();
-    addr::Addr next_paddr =
-        more ? rig.mapper.translate(drive.window().data[0].vaddr) : 0;
-    std::size_t i = 0;
-    while (more) {
-        const trace::TraceWindow &w = drive.window();
-        for (std::size_t k = 0; k < w.count; ++k, ++i) {
+    // One-record lookahead (TraceDrive::forEachRecord): the next
+    // record's cache sets and counter entries are prefetched while this
+    // one is simulated, hiding the counter store's memory stalls.
+    drive.forEachRecord(
+        rig.mapper,
+        [&rig](addr::Addr next) {
+            rig.hier.prefetch(next);
+            rig.mc.prefetchRead(next);
+        },
+        [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // (or a SIGTERM'd suite) aborts here instead of running to
             // the end.
             if ((i & 0x1fff) == 0)
                 util::pollCancel();
-            const trace::Record &rec = w.data[k];
             if (i == cfg.warmup_records) {
                 mc_at_warm = rig.mc.stats();
                 side_at_warm = side;
@@ -72,14 +66,6 @@ runTiming(const std::string &workload_name,
             const double issue = cpu.advance(rec.inst_gap);
             if (!rig.tlb.access(rec.vaddr))
                 side.inc(h_tlb_miss);
-            const addr::Addr paddr = next_paddr;
-            const trace::Record *nxt =
-                k + 1 < w.count ? &w.data[k + 1] : w.ahead;
-            if (nxt != nullptr) {
-                next_paddr = rig.mapper.translate(nxt->vaddr);
-                rig.hier.prefetch(next_paddr);
-                rig.mc.prefetchRead(next_paddr);
-            }
             const cache::HierarchyResult h =
                 rig.hier.access(paddr, rec.is_write);
 
@@ -100,9 +86,7 @@ runTiming(const std::string &workload_name,
             }
             if (obs)
                 obs->tick();
-        }
-        more = drive.advance();
-    }
+        });
     const double end = cpu.finish();
     if (obs) {
         rig.mc.attachObs(nullptr);

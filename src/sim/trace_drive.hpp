@@ -8,14 +8,17 @@
  * (spilled sources only — the in-RAM cursor has no I/O and registers
  * nothing).
  *
- * The per-record inner loops stay in the simulators; all window
- * bookkeeping lives here so the three replay sites cannot drift apart.
+ * forEachRecord is the one replay loop all three sites share: window
+ * bookkeeping and the one-record lookahead live here, the per-record work
+ * stays with each caller, so the sites cannot drift apart.
  */
 #ifndef RMCC_SIM_TRACE_DRIVE_HPP
 #define RMCC_SIM_TRACE_DRIVE_HPP
 
 #include <chrono>
+#include <cstddef>
 
+#include "address/page_mapper.hpp"
 #include "obs/registry.hpp"
 #include "trace/trace_source.hpp"
 
@@ -34,6 +37,44 @@ class TraceDrive
     {
     }
 
+    /**
+     * Replay every record in trace order with a one-record lookahead.
+     * Before body(i, rec, paddr) runs for record i, record i+1's address
+     * is translated and passed to prefetch(next_paddr), so the loads
+     * record i+1 will need are in flight while record i is simulated;
+     * the window's `ahead` record carries the lookahead across window
+     * boundaries.  Translating v[i+1] right after v[i] keeps the exact
+     * first-touch order v0, v1, v2, ... of a plain loop, so page-frame
+     * assignment, and with it every physical address and result, is
+     * unchanged, provided prefetch is pure and body never translates.
+     */
+    template <class Prefetch, class Body>
+    void forEachRecord(addr::PageMapper &mapper, Prefetch &&prefetch,
+                       Body &&body)
+    {
+        if (!advance())
+            return;
+        addr::Addr next_paddr = mapper.translate(w_.data[0].vaddr);
+        std::size_t i = 0;
+        do {
+            const trace::TraceWindow w = w_; // locals: body may alias *this
+            for (std::size_t k = 0; k < w.count; ++k, ++i) {
+                const addr::Addr paddr = next_paddr;
+                const trace::Record *nxt =
+                    k + 1 < w.count ? &w.data[k + 1] : w.ahead;
+                if (nxt != nullptr) {
+                    next_paddr = mapper.translate(nxt->vaddr);
+                    prefetch(next_paddr);
+                }
+                body(i, w.data[k], paddr);
+            }
+        } while (advance());
+    }
+
+    /** Cursor I/O counters; nullptr for in-RAM sources. */
+    const trace::TraceIoStats *ioStats() const { return cur_->ioStats(); }
+
+  private:
     /** Advance to the next window; false at end of trace. */
     bool advance()
     {
@@ -53,13 +94,6 @@ class TraceDrive
         return true;
     }
 
-    /** The current window (valid after advance() returned true). */
-    const trace::TraceWindow &window() const { return w_; }
-
-    /** Cursor I/O counters; nullptr for in-RAM sources. */
-    const trace::TraceIoStats *ioStats() const { return cur_->ioStats(); }
-
-  private:
     obs::Registry *obs_;
     std::unique_ptr<trace::TraceCursor> cur_;
     trace::TraceWindow w_;

@@ -209,11 +209,14 @@ TraceFileReader::validateAndPlanDelta()
         n_chunks * 2 * sizeof(std::uint64_t) + sizeof(std::uint64_t);
     if (map_len_ < sizeof(FileHeader) + index_bytes)
         fail(path_, "truncated: no room for the chunk index");
+    // The index sits at an arbitrary byte offset (encoded chunks have any
+    // length), so copy it out rather than load through a misaligned
+    // pointer.
     const char *base = static_cast<const char *>(map_);
-    const std::uint64_t *index = reinterpret_cast<const std::uint64_t *>(
-        base + map_len_ - index_bytes);
+    std::vector<std::uint64_t> index(n_chunks * 2 + 1);
+    std::memcpy(index.data(), base + map_len_ - index_bytes, index_bytes);
     const std::uint64_t index_sum_stored = index[n_chunks * 2];
-    if (fnv1aBytes(index, n_chunks * 2 * sizeof(std::uint64_t)) !=
+    if (fnv1aBytes(index.data(), n_chunks * 2 * sizeof(std::uint64_t)) !=
         index_sum_stored)
         fail(path_, "checksum index corrupt");
 

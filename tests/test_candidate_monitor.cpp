@@ -1,11 +1,17 @@
 /**
  * @file
  * Candidate-monitor tests: the X+1+8i / X+129+2^j ladder, the 2 K
- * high-read trigger, and the 98% selection rule (Sec IV-C3).
+ * high-read trigger, the 98% selection rule (Sec IV-C3), and the
+ * bucket histogram against a compare-every-rung oracle.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "core/candidate_monitor.hpp"
+#include "util/rng.hpp"
 
 using namespace rmcc::core;
 
@@ -111,4 +117,107 @@ TEST(Monitor, RearmResetsCounts)
     m.arm(100);
     EXPECT_EQ(m.highReads(), 0u);
     EXPECT_FALSE(m.takeSelection().has_value());
+}
+
+namespace
+{
+
+/** The monitor as the paper states it: one below-count per rung. */
+class RungOracle
+{
+  public:
+    explicit RungOracle(const MonitorConfig &cfg) : cfg_(cfg) {}
+
+    void arm(rmcc::addr::CounterValue x)
+    {
+        armed_max_ = x;
+        rungs_.clear();
+        for (unsigned i = 0; i <= 16; ++i)
+            rungs_.push_back(x + 1 + 8ULL * i);
+        for (unsigned j = 4; j <= 17; ++j)
+            rungs_.push_back(x + 129 + (1ULL << j));
+        below_.assign(rungs_.size(), 0);
+        total_ = high_ = 0;
+    }
+
+    void observe(rmcc::addr::CounterValue v)
+    {
+        ++total_;
+        high_ += v > armed_max_;
+        for (std::size_t c = 0; c < rungs_.size(); ++c)
+            below_[c] += v < rungs_[c];
+    }
+
+    std::optional<rmcc::addr::CounterValue> take() const
+    {
+        if (high_ < cfg_.trigger_reads)
+            return std::nullopt;
+        const double goal = cfg_.coverage_goal * static_cast<double>(total_);
+        for (std::size_t c = 0; c < rungs_.size(); ++c)
+            if (static_cast<double>(below_[c]) >= goal)
+                return rungs_[c];
+        return rungs_.back();
+    }
+
+    std::uint64_t high() const { return high_; }
+    const std::vector<rmcc::addr::CounterValue> &rungs() const
+    {
+        return rungs_;
+    }
+
+  private:
+    MonitorConfig cfg_;
+    rmcc::addr::CounterValue armed_max_ = 0;
+    std::vector<rmcc::addr::CounterValue> rungs_;
+    std::vector<std::uint64_t> below_;
+    std::uint64_t total_ = 0, high_ = 0;
+};
+
+} // namespace
+
+TEST(Monitor, HistogramMatchesPerRungOracle)
+{
+    rmcc::util::Rng rng(2022);
+    for (int run = 0; run < 20; ++run) {
+        MonitorConfig cfg;
+        cfg.trigger_reads = 1 + rng.nextBelow(200);
+        cfg.coverage_goal = 0.5 + 0.5 * rng.nextDouble();
+        CandidateMonitor m(cfg);
+        RungOracle o(cfg);
+        rmcc::addr::CounterValue x = rng.nextBelow(1000);
+        m.arm(x);
+        o.arm(x);
+        for (int step = 0; step < 5000; ++step) {
+            if (rng.nextBool(0.002)) {
+                x = rng.nextBelow(1 << 20);
+                m.arm(x);
+                o.arm(x);
+            }
+            // Half the reads sit exactly on a rung edge (rung - 1, rung,
+            // rung + 1) or on X / X + 1; the rest spread below X and
+            // across the whole ladder.
+            rmcc::addr::CounterValue v;
+            if (rng.nextBool()) {
+                const auto &r = o.rungs();
+                const std::uint64_t pick = rng.nextBelow(r.size() + 2);
+                const rmcc::addr::CounterValue edge =
+                    pick < r.size() ? r[pick] : x + (pick - r.size());
+                v = edge + rng.nextBelow(3) - 1;
+            } else {
+                v = x + rng.nextBelow(1 << 18) - std::min<std::uint64_t>(
+                                                     x, 300);
+            }
+            m.observeRead(v);
+            o.observe(v);
+            ASSERT_EQ(m.highReads(), o.high());
+            const auto got = m.takeSelection();
+            ASSERT_EQ(got, o.take()) << "run " << run << " step " << step;
+            // The engine re-arms above each selection it inserts.
+            if (got.has_value() && rng.nextBool(0.5)) {
+                x = *got + 7;
+                m.arm(x);
+                o.arm(x);
+            }
+        }
+    }
 }

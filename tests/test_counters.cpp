@@ -2,9 +2,14 @@
  * @file
  * Counter-scheme tests: monolithic/SC-64/Morphable semantics, overflow
  * and releveling, min-shift re-encoding, 512-bit packing round trips,
- * the integrity tree, and cross-scheme invariants.
+ * the integrity tree, cross-scheme invariants, the pinned randomInit
+ * state, and countInRanges against a dense count.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "counters/monolithic.hpp"
 #include "counters/morphable.hpp"
@@ -279,3 +284,111 @@ TEST(Tree, RandomInitAllLevels)
     EXPECT_GE(tree.level(1).read(0), 2500u);
     EXPECT_GE(tree.observedMax(), 5000u / 2);
 }
+
+/** FNV-1a over the eight bytes of v, folded into h. */
+static std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(Morphable, RandomInitDigestPinned)
+{
+    // Values, majors, formats, block maxima and the observed max after
+    // randomInit, pinned from the per-block chooseFormat/refreshSummary
+    // implementation this one replaced: the same RNG draws must land in
+    // the same places.  The last block is partial (37 entities).
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {11, 0xe67fc855d3260317ULL},
+        {2024, 0x1f4b8f49277e6593ULL},
+    };
+    for (const auto &[seed, want] : pinned) {
+        const std::uint64_t n = 128 * 300 + 37;
+        MorphableScheme s(n);
+        rmcc::util::Rng rng(seed);
+        s.randomInit(rng, 1u << 20);
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (std::uint64_t i = 0; i < n; ++i)
+            h = fnvMix(h, s.read(i));
+        for (std::uint64_t cb = 0; cb * 128 < n; ++cb) {
+            h = fnvMix(h, s.major(cb));
+            h = fnvMix(h, static_cast<std::uint64_t>(s.format(cb)));
+            h = fnvMix(h, s.blockMax(cb * 128));
+        }
+        h = fnvMix(h, s.observedMax());
+        EXPECT_EQ(h, want) << "seed " << seed;
+    }
+}
+
+/** countInRanges against a dense per-counter count. */
+class CountInRanges : public ::testing::TestWithParam<SchemeKind>
+{
+};
+
+TEST_P(CountInRanges, MatchesDenseCount)
+{
+    const std::uint64_t n = 128 * 64 + 50; // partial last block
+    auto s = makeScheme(GetParam(), n);
+    rmcc::util::Rng rng(99);
+    s->randomInit(rng, 4096);
+    // Drift: monotone writes (some far, forcing min-shifts and rebases)
+    // and whole-block relevels.
+    for (int k = 0; k < 6000; ++k) {
+        const std::uint64_t idx = rng.nextBelow(n);
+        const CounterValue cur = s->read(idx);
+        if (rng.nextBool(0.01))
+            s->relevelBlock(idx, s->blockMax(idx) + 1 + rng.nextBelow(40));
+        else
+            s->write(idx, cur + 1 + (rng.nextBool(0.05)
+                                         ? rng.nextBelow(300)
+                                         : rng.nextBelow(3)));
+    }
+    const auto dense = [&](const std::vector<ValueRange> &ranges) {
+        std::uint64_t c = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const CounterValue v = s->read(i);
+            for (const auto &[lo, hi] : ranges)
+                c += lo <= v && v < hi;
+        }
+        return c;
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        // Edges drawn around block bounds: a block's minimum, maximum and
+        // their neighbours, so ranges start and end inside blocks, on
+        // their bounds and in the gaps between them.
+        std::vector<CounterValue> edges;
+        const unsigned n_edges = 2 + 2 * static_cast<unsigned>(
+                                             rng.nextBelow(8));
+        while (edges.size() < n_edges) {
+            const std::uint64_t idx = rng.nextBelow(n);
+            const std::uint64_t first = s->blockOf(idx) * s->coverage();
+            CounterValue lo = s->read(first);
+            for (std::uint64_t i = first;
+                 i < std::min<std::uint64_t>(first + s->coverage(), n); ++i)
+                lo = std::min(lo, s->read(i));
+            const CounterValue anchor =
+                rng.nextBool() ? lo : s->blockMax(idx);
+            edges.push_back(anchor + rng.nextBelow(5) - 2);
+        }
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        std::vector<ValueRange> ranges;
+        for (std::size_t e = 0; e + 1 < edges.size(); e += 2)
+            ranges.emplace_back(edges[e], edges[e + 1]);
+        EXPECT_EQ(s->countInRanges(ranges), dense(ranges))
+            << "trial " << trial;
+    }
+    EXPECT_EQ(s->countInRanges({}), 0u);
+    const std::vector<ValueRange> all = {{0, ~CounterValue{0}}};
+    EXPECT_EQ(s->countInRanges(all), n);
+}
+
+// Morphable overrides countInRanges with the block-bounds count; SC-64
+// runs the default dense pass.
+INSTANTIATE_TEST_SUITE_P(Schemes, CountInRanges,
+                         ::testing::Values(SchemeKind::Morphable,
+                                           SchemeKind::SC64));
