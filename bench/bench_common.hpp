@@ -8,7 +8,6 @@
 #define RMCC_BENCH_COMMON_HPP
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <mutex>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "sim/experiments.hpp"
-#include "sim/journal.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -50,26 +48,46 @@ class ProgressReporter
     std::mutex mutex_;
 };
 
-inline void emitCellErrors(const std::string &csv,
-                           const std::vector<sim::NamedConfig> &configs,
-                           const std::vector<sim::SuiteRow> &rows);
-
 /**
- * Exit with the conventional fatal-signal status (128+signum) if a
- * SIGTERM/SIGINT drained the suite.  Call after the CSV is emitted: the
- * partial results are on disk, but wrappers must see the interruption,
- * not a clean run.  Hand-rolled benches (those not using runAndEmit)
- * call this themselves after their final emit.
+ * Record cells that failed or timed out: one `workload,label,state,error`
+ * line per bad cell in a `<csv>.errors` sidecar plus a stderr warning.
+ * Failed cells carry placeholder results, so the main CSV stays complete
+ * and parseable; the sidecar is how a consumer learns which of its
+ * numbers to discard.  The sidecar is written to a temp sibling and
+ * renamed into place, so a crash mid-write never leaves a torn file where
+ * a prior complete one stood.  No sidecar is written (and a stale one is
+ * removed) on a clean run.
  */
 inline void
-exitIfInterrupted(const std::string &csv)
+emitCellErrors(const std::string &csv,
+               const std::vector<sim::NamedConfig> &configs,
+               const std::vector<sim::SuiteRow> &rows)
 {
-    if (sim::shutdownRequested()) {
-        util::warn("suite interrupted by signal %d; partial results "
-                   "written to %s",
-                   sim::shutdownSignal(), csv.c_str());
-        std::exit(128 + sim::shutdownSignal());
+    const std::string path = csv + ".errors";
+    const std::string tmp = path + ".tmp";
+    std::size_t bad = 0;
+    std::ofstream out;
+    for (const sim::SuiteRow &row : rows) {
+        for (std::size_t c = 0;
+             c < row.statuses.size() && c < configs.size(); ++c) {
+            const sim::CellStatus &st = row.statuses[c];
+            if (st.ok())
+                continue;
+            if (!out.is_open())
+                out.open(tmp, std::ios::trunc);
+            ++bad;
+            out << row.workload << ',' << configs[c].label << ','
+                << sim::cellStateName(st.state) << ',' << st.error << '\n';
+        }
     }
+    if (bad == 0) {
+        std::remove(path.c_str());
+        return;
+    }
+    out.close();
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        std::remove(tmp.c_str());
+    util::warn("%zu cell(s) failed or timed out; see %s", bad, path.c_str());
 }
 
 /**
@@ -124,68 +142,6 @@ runAndEmit(const std::string &title, const std::string &csv,
     table.addRow(mean_cells);
     table.emit(csv);
     emitCellErrors(csv, configs, rows);
-
-    // A SIGTERM/SIGINT mid-suite drained above (in-flight cells aborted,
-    // unstarted ones marked Failed) and the partial CSV + sidecar are on
-    // disk.
-    exitIfInterrupted(csv);
-}
-
-/**
- * Record cells that failed or timed out: one line per bad cell — plus
- * one per earlier failed attempt of a retried cell, so a flaky cell's
- * first-attempt error survives — in a `<csv>.errors` sidecar plus a
- * stderr warning.  Failed cells carry placeholder results, so the main
- * CSV stays complete and parseable; the sidecar is how a consumer learns
- * which of its numbers to discard.  The sidecar is written to a temp
- * sibling and renamed into place, so a crash mid-write never leaves a
- * torn file where a prior complete one stood.  No sidecar is written
- * (and a stale one is removed) on a clean run.
- */
-inline void
-emitCellErrors(const std::string &csv,
-               const std::vector<sim::NamedConfig> &configs,
-               const std::vector<sim::SuiteRow> &rows)
-{
-    const std::string path = csv + ".errors";
-    const std::string tmp = path + ".tmp";
-    std::size_t bad = 0;
-    std::ofstream out;
-    for (const sim::SuiteRow &row : rows) {
-        for (std::size_t c = 0;
-             c < row.statuses.size() && c < configs.size(); ++c) {
-            const sim::CellStatus &st = row.statuses[c];
-            // A retried-then-Ok cell still logs its failed attempts:
-            // the retry hid a real error someone may need to see.
-            if (st.ok() && st.attempt_errors.empty())
-                continue;
-            if (!out.is_open())
-                out.open(tmp, std::ios::trunc);
-            const std::size_t prior =
-                st.attempt_errors.size() -
-                (st.ok() || st.attempt_errors.empty() ? 0 : 1);
-            for (std::size_t a = 0; a < prior; ++a)
-                out << row.workload << ',' << configs[c].label
-                    << ",retried,attempt " << (a + 1) << ','
-                    << st.attempt_errors[a] << '\n';
-            if (!st.ok()) {
-                ++bad;
-                out << row.workload << ',' << configs[c].label << ','
-                    << sim::cellStateName(st.state) << ',' << st.attempts
-                    << " attempts," << st.error << '\n';
-            }
-        }
-    }
-    if (!out.is_open()) {
-        std::remove(path.c_str());
-        return;
-    }
-    out.close();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        std::remove(tmp.c_str());
-    if (bad > 0)
-        util::warn("%zu cell(s) failed or timed out; see %s", bad,
-                   path.c_str());
 }
 
 /** Performance of config c normalized to config 0 (first column). */

@@ -51,6 +51,5 @@ main()
                   util::mean(tots) * 100, util::mean(growth) * 100},
                  2);
     table.emit("fig16.csv");
-    bench::exitIfInterrupted("fig16.csv");
     return 0;
 }

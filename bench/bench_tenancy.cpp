@@ -257,7 +257,6 @@ main()
     }
     icsv.close();
     table.emit();
-    bench::exitIfInterrupted("tenancy_interference.csv");
 
     if (!storm_ok) {
         std::printf("FAIL: storm cell leaked silent corruptions or "

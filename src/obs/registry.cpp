@@ -89,7 +89,6 @@ instantKindName(InstantKind k)
     case InstantKind::CounterOverflowHi: return "counter_overflow_hi";
     case InstantKind::Rebase: return "rebase";
     case InstantKind::FaultDetected: return "fault_detected";
-    case InstantKind::CellRetry: return "cell_retry";
     case InstantKind::FaultRecovered: return "fault_recovered";
     case InstantKind::MemoQuarantine: return "memo_quarantine";
     case InstantKind::DegradedEnter: return "degraded_enter";

@@ -13,8 +13,8 @@
  *          experiment cell, plus latency-histogram CSVs.
  *   full   epochs plus Chrome trace-event JSON: one duration event per
  *          cell, capped instant events for rare occurrences (counter
- *          overflow, rebase, fault detection, cell retry), with
- *          thread-pool worker lanes.
+ *          overflow, rebase, fault detection), with thread-pool worker
+ *          lanes.
  *
  * Output lands in RMCC_OBS_DIR (default "rmcc-obs", created on demand):
  *   epochs-<cell>.csv   record index + probe columns + rate columns
@@ -89,7 +89,6 @@ enum class InstantKind
     CounterOverflowHi, //!< Higher-level counter overflow.
     Rebase,            //!< Deliberate RMCC relevel/rebase of a block.
     FaultDetected,     //!< Detection oracle flagged a perturbed read.
-    CellRetry,         //!< Suite runner retried a failed cell.
     FaultRecovered,    //!< Recovery re-served a read after a detection.
     MemoQuarantine,    //!< A poisoned memo-table value was quarantined.
     DegradedEnter,     //!< RecoveryPolicy entered degraded mode.
@@ -232,7 +231,7 @@ class Registry
 /**
  * Process-wide observability session: the parsed configuration, the
  * shared trace writer (full mode), and rare-event instants raised outside
- * any single run (fault detection, cell retries).  Thread-safe.
+ * any single run (fault detection).  Thread-safe.
  */
 class Session
 {

@@ -1,10 +1,7 @@
 #include "sim/experiments.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
@@ -12,7 +9,6 @@
 #include "crypto/dispatch.hpp"
 #include "mc/recovery.hpp"
 #include "obs/registry.hpp"
-#include "sim/journal.hpp"
 #include "util/cancel.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
@@ -64,32 +60,76 @@ validateTraceShape(const std::vector<NamedConfig> &configs)
 }
 
 /**
- * One suite cell with checkpoint/resume semantics layered over
- * runCellGuarded: a journal hit returns the prior (bit-exact) result, a
- * pending shutdown or missing trace yields a Failed placeholder, and a
- * freshly run Ok cell is checkpointed before the suite moves on.
+ * The one scheduler behind runSuite() and runWorkload().  Phase 1
+ * generates one trace per workload; phase 2 runs every (workload, config)
+ * cell against its workload's trace.  Both phases are parallelFor()s
+ * over one pool of suiteJobs() threads, and every task writes its own
+ * preassigned slot, so rows land in suite order whichever worker
+ * finishes first.  A pool of one runs both phases inline, in index order.
  */
-void
-runCellJournaled(SuiteJournal *journal, const std::string &workload,
-                 const trace::TraceSource *trace, const NamedConfig &nc,
-                 const std::string &no_trace_error, SimResult &result,
-                 CellStatus &status)
+std::vector<SuiteRow>
+runGrid(const std::vector<const wl::Workload *> &workloads,
+        const std::vector<NamedConfig> &configs, const ProgressFn &progress)
 {
-    if (journal && journal->lookup(workload, nc.label, result, status))
-        return;
-    if (!trace || shutdownRequested()) {
-        result = placeholderResult(workload, nc);
-        status = CellStatus{};
-        status.state = CellState::Failed;
-        status.attempts = 0;
-        status.error = (!trace && !no_trace_error.empty())
-                           ? no_trace_error
-                           : "interrupted by shutdown request";
-        return;
+    validateTraceShape(configs);
+    // Resolve RMCC_OBS*, the crypto dispatch, and the recovery policy
+    // outside the per-cell guard: a malformed variable is a caller
+    // error that must fail loudly, not be recorded as a cell failure.
+    obs::session();
+    crypto::hwAesActive();
+    mc::recoveryConfigFromEnv();
+
+    const std::size_t n_wl = workloads.size();
+    const std::size_t n_cfg = configs.size();
+    std::vector<SuiteRow> rows(n_wl);
+    for (std::size_t i = 0; i < n_wl; ++i) {
+        rows[i].workload = workloads[i]->name;
+        rows[i].results.resize(n_cfg);
+        rows[i].statuses.resize(n_cfg);
     }
-    std::tie(result, status) = runCellGuarded(workload, *trace, nc);
-    if (journal)
-        journal->record(workload, nc.label, result, status);
+
+    util::ThreadPool pool(suiteJobs());
+
+    // Phase 1: one trace per workload, shared immutably by every
+    // configuration of that workload.  A workload whose generator throws
+    // loses only its own row.
+    std::vector<std::optional<wl::TraceHandle>> traces(n_wl);
+    std::vector<std::string> trace_errors(n_wl);
+    util::parallelFor(pool, n_wl, [&](std::size_t i) {
+        try {
+            traces[i].emplace(wl::generateTraceHandle(
+                *workloads[i], configs.front().cfg.trace_records,
+                configs.front().cfg.seed));
+        } catch (const std::exception &e) {
+            trace_errors[i] =
+                std::string("trace generation failed: ") + e.what();
+        } catch (...) {
+            trace_errors[i] = "trace generation failed: unknown exception";
+        }
+    });
+
+    // Phase 2: every (workload, config) cell is an independent task; the
+    // last cell of a workload to finish reports the workload done.
+    std::vector<std::atomic<std::size_t>> cells_done(n_wl);
+    util::parallelFor(pool, n_wl * n_cfg, [&](std::size_t t) {
+        const std::size_t w = t / n_cfg;
+        const std::size_t c = t % n_cfg;
+        SuiteRow &row = rows[w];
+        if (traces[w]) {
+            std::tie(row.results[c], row.statuses[c]) =
+                runCellGuarded(row.workload, traces[w]->source(),
+                               configs[c]);
+        } else {
+            row.results[c] = placeholderResult(row.workload, configs[c]);
+            row.statuses[c].state = CellState::Failed;
+            row.statuses[c].error = trace_errors[w];
+        }
+        if (progress &&
+            cells_done[w].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                n_cfg)
+            progress(row.workload);
+    });
+    return rows;
 }
 
 } // namespace
@@ -128,245 +168,67 @@ runCellGuarded(const std::string &workload_name,
 {
     // Env policy is read outside the guard: a malformed variable is a
     // caller error and must fail loudly, not be recorded as a cell
-    // failure.  Retries rerun the identical cell — a fresh rig from the
-    // same seed — so a retried flaky cell reports the same numbers a
-    // clean first run would.
-    const std::uint64_t retries = std::min<std::uint64_t>(
-        util::envUnsignedOr("RMCC_CELL_RETRIES", 1), 16);
+    // failure.
     const std::uint64_t timeout_ms =
         util::envUnsignedOr("RMCC_CELL_TIMEOUT_MS", 0);
 
     CellStatus st;
-    for (std::uint64_t attempt = 0; attempt <= retries; ++attempt) {
-        if (attempt > 0)
-            obs::instantGlobal(obs::InstantKind::CellRetry,
-                               workload_name + "/" + nc.label);
-        st.attempts = static_cast<unsigned>(attempt + 1);
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            // The simulators poll this scope's token between records, so
-            // a cell that overruns RMCC_CELL_TIMEOUT_MS (or a SIGTERM'd
-            // suite) aborts here instead of running to completion.
-            util::CancelScope cancel(shutdownFlag(), timeout_ms);
-            if (detail::cell_fault_hook)
-                detail::cell_fault_hook(workload_name, nc.label);
-            SimResult r = runOne(workload_name, trace, nc);
-            st.elapsed_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            st.state = CellState::Ok;
-            // Backstop for cells that finish between polls: the (valid)
-            // result is kept but the overrun is still recorded.
-            if (timeout_ms > 0 &&
-                st.elapsed_ms > static_cast<double>(timeout_ms)) {
-                st.state = CellState::TimedOut;
-                st.error = "cell took " + std::to_string(st.elapsed_ms) +
-                           " ms (RMCC_CELL_TIMEOUT_MS=" +
-                           std::to_string(timeout_ms) + ")";
-                st.attempt_errors.push_back(st.error);
-            }
-            return {std::move(r), std::move(st)};
-        } catch (const util::CancelledError &e) {
-            // Neither a timeout nor a shutdown is retried: rerunning a
-            // too-slow cell only doubles the overrun, and a shutdown
-            // wants the suite drained, not restarted.
-            st.elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-            st.state =
-                e.reason() == util::CancelledError::Reason::Timeout
-                    ? CellState::TimedOut
-                    : CellState::Failed;
-            st.error = e.what();
-            st.attempt_errors.push_back(st.error);
-            return {placeholderResult(workload_name, nc), std::move(st)};
-        } catch (const std::exception &e) {
-            st.state = CellState::Failed;
-            st.error = e.what();
-            st.attempt_errors.push_back(st.error);
-        } catch (...) {
-            st.state = CellState::Failed;
-            st.error = "unknown exception";
-            st.attempt_errors.push_back(st.error);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto elapsedMs = [&t0] {
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    try {
+        // The simulators poll this scope's token between records, so a
+        // cell that overruns RMCC_CELL_TIMEOUT_MS aborts here instead of
+        // running to completion.
+        util::CancelScope cancel(timeout_ms);
+        if (detail::cell_fault_hook)
+            detail::cell_fault_hook(workload_name, nc.label);
+        SimResult r = runOne(workload_name, trace, nc);
+        st.elapsed_ms = elapsedMs();
+        // Backstop for cells that finish between polls: the (valid)
+        // result is kept but the overrun is still recorded.
+        if (timeout_ms > 0 &&
+            st.elapsed_ms > static_cast<double>(timeout_ms)) {
+            st.state = CellState::TimedOut;
+            st.error = "cell took " + std::to_string(st.elapsed_ms) +
+                       " ms (RMCC_CELL_TIMEOUT_MS=" +
+                       std::to_string(timeout_ms) + ")";
         }
-        st.elapsed_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+        return {std::move(r), std::move(st)};
+    } catch (const util::CancelledError &e) {
+        st.state = CellState::TimedOut;
+        st.error = e.what();
+    } catch (const std::exception &e) {
+        st.state = CellState::Failed;
+        st.error = e.what();
+    } catch (...) {
+        st.state = CellState::Failed;
+        st.error = "unknown exception";
     }
+    st.elapsed_ms = elapsedMs();
     return {placeholderResult(workload_name, nc), std::move(st)};
 }
 
 SuiteRow
 runWorkload(const wl::Workload &w, const std::vector<NamedConfig> &configs)
 {
-    validateTraceShape(configs);
-    // Resolve RMCC_OBS*, the crypto dispatch, and the recovery policy
-    // outside the per-cell guard: a malformed variable is a caller
-    // error, not a per-cell failure to retry.
-    obs::session();
-    crypto::hwAesActive();
-    mc::recoveryConfigFromEnv();
-    // One-workload benches checkpoint too: each runWorkload() call is
-    // its own openFromEnv() invocation, so a bench looping the workload
-    // suite gets base, base.1, base.2... matched by call order on resume.
-    const std::unique_ptr<SuiteJournal> journal =
-        SuiteJournal::openFromEnv(configs);
-    SuiteRow row;
-    row.workload = w.name;
-    row.results.resize(configs.size());
-    row.statuses.resize(configs.size());
-    // A fully journaled row needs no trace; skip the (expensive)
-    // generation so resume is near-instant and shutdown drains fast.
-    const bool journaled =
-        journal && journal->workloadComplete(w.name, configs);
-    std::optional<wl::TraceHandle> trace;
-    std::string trace_error;
-    if (!journaled && !shutdownRequested()) {
-        try {
-            trace.emplace(wl::generateTraceHandle(
-                w, configs.front().cfg.trace_records,
-                configs.front().cfg.seed));
-        } catch (const std::exception &e) {
-            trace_error =
-                std::string("trace generation failed: ") + e.what();
-        } catch (...) {
-            trace_error = "trace generation failed: unknown exception";
-        }
-    }
-    const trace::TraceSource *tp = trace ? &trace->source() : nullptr;
-    const unsigned jobs = suiteJobs();
-    if (jobs <= 1 || configs.size() <= 1) {
-        for (std::size_t c = 0; c < configs.size(); ++c)
-            runCellJournaled(journal.get(), w.name, tp, configs[c],
-                             trace_error, row.results[c],
-                             row.statuses[c]);
-        return row;
-    }
-    util::ThreadPool pool(jobs);
-    util::parallelFor(pool, configs.size(), [&](std::size_t c) {
-        runCellJournaled(journal.get(), w.name, tp, configs[c],
-                         trace_error, row.results[c], row.statuses[c]);
-    });
-    return row;
+    return std::move(runGrid({&w}, configs, {}).front());
 }
 
 std::vector<SuiteRow>
 runSuite(const std::vector<NamedConfig> &configs, const ProgressFn &progress)
 {
-    validateTraceShape(configs);
-    obs::session(); // strict RMCC_OBS* parsing fails loudly up front
-    crypto::hwAesActive();      // same for RMCC_CRYPTO_IMPL
-    mc::recoveryConfigFromEnv(); // and for RMCC_RECOVERY*
-
-    const std::vector<wl::Workload> &suite = wl::workloadSuite();
-    const unsigned jobs = suiteJobs();
-    const std::unique_ptr<SuiteJournal> journal =
-        SuiteJournal::openFromEnv(configs);
-
-    if (jobs <= 1) {
-        // Original serial path: workload-major, configs in order.  With
-        // no journal and no shutdown this takes exactly the historical
-        // cell sequence (same trace, same order, same results).
-        std::vector<SuiteRow> rows;
-        rows.reserve(suite.size());
-        for (const wl::Workload &w : suite) {
-            SuiteRow row;
-            row.workload = w.name;
-            row.results.resize(configs.size());
-            row.statuses.resize(configs.size());
-            // A fully journaled workload needs no trace at all — resume
-            // skips the generation cost along with the simulations.
-            const bool journaled =
-                journal && journal->workloadComplete(w.name, configs);
-            std::optional<wl::TraceHandle> trace;
-            std::string trace_error;
-            if (!journaled && !shutdownRequested()) {
-                try {
-                    trace.emplace(wl::generateTraceHandle(
-                        w, configs.front().cfg.trace_records,
-                        configs.front().cfg.seed));
-                } catch (const std::exception &e) {
-                    trace_error =
-                        std::string("trace generation failed: ") +
-                        e.what();
-                } catch (...) {
-                    trace_error =
-                        "trace generation failed: unknown exception";
-                }
-            }
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                runCellJournaled(journal.get(), w.name,
-                                 trace ? &trace->source() : nullptr,
-                                 configs[c], trace_error,
-                                 row.results[c], row.statuses[c]);
-            rows.push_back(std::move(row));
-            if (progress)
-                progress(w.name);
-        }
-        return rows;
-    }
-
-    const std::size_t n_wl = suite.size();
-    const std::size_t n_cfg = configs.size();
-    std::vector<SuiteRow> rows(n_wl);
-    for (std::size_t i = 0; i < n_wl; ++i) {
-        rows[i].workload = suite[i].name;
-        rows[i].results.resize(n_cfg);
-        rows[i].statuses.resize(n_cfg);
-    }
-
-    util::ThreadPool pool(jobs);
-
     // The GraphBig kernels all walk the shared graph; touch it before the
     // fan-out so its (thread-safe, but serializing) lazy build does not
     // stall the first wave of workers.
     wl::sharedGraph();
-
-    // Phase 1: one trace per workload, generated in parallel and then
-    // shared immutably by every configuration of that workload.  A
-    // workload whose generator throws loses only its own row; a fully
-    // journaled workload skips generation (its cells resume from the
-    // manifest), and a pending shutdown skips it too.
-    std::vector<std::optional<wl::TraceHandle>> traces(n_wl);
-    std::vector<std::string> trace_errors(n_wl);
-    util::parallelFor(pool, n_wl, [&](std::size_t i) {
-        if (journal && journal->workloadComplete(suite[i].name, configs))
-            return;
-        if (shutdownRequested())
-            return; // cells report "interrupted by shutdown request"
-        try {
-            traces[i].emplace(wl::generateTraceHandle(
-                suite[i], configs.front().cfg.trace_records,
-                configs.front().cfg.seed));
-        } catch (const std::exception &e) {
-            trace_errors[i] =
-                std::string("trace generation failed: ") + e.what();
-        } catch (...) {
-            trace_errors[i] = "trace generation failed: unknown exception";
-        }
-    });
-
-    // Phase 2: every (workload, config) cell is an independent task.
-    // Each cell writes its own preassigned slot, so results land in
-    // deterministic order no matter which worker finishes first.
-    std::unique_ptr<std::atomic<std::size_t>[]> cells_done(
-        new std::atomic<std::size_t>[n_wl]);
-    for (std::size_t i = 0; i < n_wl; ++i)
-        cells_done[i].store(0, std::memory_order_relaxed);
-    util::parallelFor(pool, n_wl * n_cfg, [&](std::size_t t) {
-        const std::size_t w = t / n_cfg;
-        const std::size_t c = t % n_cfg;
-        runCellJournaled(journal.get(), suite[w].name,
-                         traces[w] ? &traces[w]->source() : nullptr,
-                         configs[c], trace_errors[w], rows[w].results[c],
-                         rows[w].statuses[c]);
-        if (progress &&
-            cells_done[w].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                n_cfg)
-            progress(suite[w].name);
-    });
-    return rows;
+    std::vector<const wl::Workload *> suite;
+    for (const wl::Workload &w : wl::workloadSuite())
+        suite.push_back(&w);
+    return runGrid(suite, configs, progress);
 }
 
 NamedConfig

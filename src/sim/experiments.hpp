@@ -8,8 +8,8 @@
  * simulation is a pure function of one immutable trace and one config.
  * runSuite()/runWorkload() fan the grid across a thread pool sized by the
  * RMCC_JOBS environment variable (default: hardware concurrency).
- * RMCC_JOBS=1 takes the original serial path — same call order,
- * bit-for-bit identical results.  Results are always collected in
+ * RMCC_JOBS=1 is a pool of one, which runs every task inline in
+ * workload-major, config order.  Results are always collected in
  * deterministic (suite, config) order regardless of the job count.
  */
 #ifndef RMCC_SIM_EXPERIMENTS_HPP
@@ -36,8 +36,8 @@ struct NamedConfig
 /** Terminal state of one (workload, config) cell. */
 enum class CellState
 {
-    Ok,       //!< Produced a result (possibly after retries).
-    Failed,   //!< Every attempt threw; the result slot is a placeholder.
+    Ok,       //!< Produced a result.
+    Failed,   //!< The cell threw; the result slot is a placeholder.
     TimedOut, //!< Completed, but slower than RMCC_CELL_TIMEOUT_MS.
 };
 
@@ -52,15 +52,10 @@ const char *cellStateName(CellState s);
 struct CellStatus
 {
     CellState state = CellState::Ok;
-    unsigned attempts = 1;   //!< Runs performed (1 + retries used).
-    double elapsed_ms = 0.0; //!< Wall clock of the last attempt.
-    std::string error;       //!< what() of the last failure, if any.
-    //! what() of EVERY failed attempt, oldest first — a retried cell's
-    //! first-attempt error survives into the .errors sidecar.
-    std::vector<std::string> attempt_errors;
+    double elapsed_ms = 0.0; //!< Wall clock of the run.
+    std::string error;       //!< what() of the failure, if any.
 
     bool ok() const { return state == CellState::Ok; }
-    bool retried() const { return attempts > 1; }
 };
 
 /** Results for one workload under each configuration (config order). */
@@ -98,25 +93,16 @@ using ProgressFn = std::function<void(const std::string &workload)>;
  * windowed mmap — same records, bit-identical results, bounded memory
  * (see wl::generateTraceHandle and docs/TRACING.md).
  *
- * With RMCC_JOBS > 1 the traces and then every (workload, config) cell
- * run as independent thread-pool tasks; rows come back in suite order
+ * The traces and then every (workload, config) cell run as independent
+ * tasks on a pool of RMCC_JOBS threads; rows come back in suite order
  * either way.
  *
- * Cells are failure-isolated: a cell that throws is retried up to
- * RMCC_CELL_RETRIES times (default 1) on a fresh rig, and if every
- * attempt fails, its CellStatus records the error while the rest of the
- * grid completes normally.  A cell exceeding RMCC_CELL_TIMEOUT_MS
- * (default 0 = disabled) is aborted cooperatively — the simulator polls a
- * cancellation token between records — and recorded TimedOut with a
- * placeholder result; timeouts are not retried.  A workload whose trace
- * generation fails has every cell of its row marked Failed.
- *
- * Crash safety: when RMCC_SUITE_JOURNAL names a file, every completed
- * cell is checkpointed there (atomic write-temp+rename) and a rerun with
- * RMCC_SUITE_RESUME=1 skips journaled cells with bit-identical results;
- * SIGTERM/SIGINT abort in-flight cells and mark unstarted ones Failed
- * ("interrupted by shutdown request") so callers can flush partial
- * output and exit 128+signum.  See sim/journal.hpp.
+ * Cells are failure-isolated: a cell that throws has its error recorded
+ * in its CellStatus while the rest of the grid completes normally.  A
+ * cell exceeding RMCC_CELL_TIMEOUT_MS (default 0 = disabled) is aborted
+ * cooperatively — the simulator polls a cancellation token between
+ * records — and recorded TimedOut with a placeholder result.  A workload
+ * whose trace generation fails has every cell of its row marked Failed.
  *
  * @throws std::invalid_argument if the configurations disagree on the
  *         trace shape (trace_records / seed) — a silent mismatch would
@@ -128,8 +114,8 @@ std::vector<SuiteRow> runSuite(const std::vector<NamedConfig> &configs,
 
 /**
  * Run a single workload under each configuration (configs fan out across
- * the pool when RMCC_JOBS > 1).  Same trace-shape validation as
- * runSuite().
+ * the RMCC_JOBS pool).  Same trace-shape validation and failure isolation
+ * as runSuite(); the shared graph is built only if the workload needs it.
  */
 SuiteRow runWorkload(const wl::Workload &w,
                      const std::vector<NamedConfig> &configs);
@@ -142,9 +128,9 @@ SimResult runOne(const std::string &workload_name,
                  const trace::TraceSource &trace, const NamedConfig &nc);
 
 /**
- * runOne with the suite runner's failure isolation: catch, retry per
- * RMCC_CELL_RETRIES, flag per RMCC_CELL_TIMEOUT_MS.  On failure the
- * returned SimResult is a labeled placeholder with empty stats.
+ * runOne with the suite runner's failure isolation: catch, and flag per
+ * RMCC_CELL_TIMEOUT_MS.  On failure the returned SimResult is a labeled
+ * placeholder with empty stats.
  */
 std::pair<SimResult, CellStatus>
 runCellGuarded(const std::string &workload_name,
@@ -154,7 +140,7 @@ namespace detail
 {
 /**
  * Test seam: invoked with (workload, config label) at the start of every
- * cell attempt.  Tests install a throwing hook to prove the runner
+ * cell.  Tests install a throwing hook to prove the runner
  * isolates and records failing cells; empty in production.
  */
 extern std::function<void(const std::string &, const std::string &)>

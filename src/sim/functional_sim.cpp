@@ -63,8 +63,7 @@ runFunctional(const std::string &workload_name,
         },
         [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
-            // (or a SIGTERM'd suite) aborts here instead of running to
-            // the end.
+            // aborts here instead of running to the end.
             if ((i & 0x1fff) == 0)
                 util::pollCancel();
             if (i == cfg.warmup_records) {

@@ -24,7 +24,7 @@
  * The writer targets `<path>.tmp.<pid>` and renames into place only in
  * finalize() — a crashed or SIGTERM'd generation can never leave a
  * half-written file that passes validation (same discipline as the
- * shared-graph cache and the suite journal).
+ * shared-graph cache).
  */
 #ifndef RMCC_TRACE_TRACE_FILE_HPP
 #define RMCC_TRACE_TRACE_FILE_HPP

@@ -1,5 +1,7 @@
 #include "util/cancel.hpp"
 
+#include <string>
+
 namespace rmcc::util
 {
 
@@ -8,67 +10,42 @@ namespace
 
 struct ScopeState
 {
-    const std::atomic<bool> *flag = nullptr;
     std::chrono::steady_clock::time_point deadline{};
-    std::uint64_t timeout_ms = 0;
-    bool active = false;
+    std::uint64_t timeout_ms = 0; //!< 0: no scope, or one without deadline.
 };
 
 //! One scope per thread, never shared: no lock, nothing for the
-//! thread-safety analysis to track (only the atomic flag crosses
-//! threads).
+//! thread-safety analysis to track.
 thread_local ScopeState tls_scope;
 
 } // namespace
 
-CancelScope::CancelScope(const std::atomic<bool> *flag,
-                         std::uint64_t timeout_ms)
-    : prev_flag_(tls_scope.flag), prev_deadline_(tls_scope.deadline),
-      prev_timeout_ms_(tls_scope.timeout_ms), prev_active_(tls_scope.active)
+CancelScope::CancelScope(std::uint64_t timeout_ms)
+    : prev_deadline_(tls_scope.deadline),
+      prev_timeout_ms_(tls_scope.timeout_ms)
 {
-    tls_scope.flag = flag;
     tls_scope.timeout_ms = timeout_ms;
     tls_scope.deadline =
         timeout_ms > 0 ? std::chrono::steady_clock::now() +
                              std::chrono::milliseconds(timeout_ms)
                        : std::chrono::steady_clock::time_point{};
-    tls_scope.active = flag != nullptr || timeout_ms > 0;
 }
 
 CancelScope::~CancelScope()
 {
-    tls_scope.flag = prev_flag_;
     tls_scope.deadline = prev_deadline_;
     tls_scope.timeout_ms = prev_timeout_ms_;
-    tls_scope.active = prev_active_;
-}
-
-bool
-cancelRequested()
-{
-    if (!tls_scope.active)
-        return false;
-    if (tls_scope.flag &&
-        tls_scope.flag->load(std::memory_order_relaxed))
-        return true;
-    return tls_scope.timeout_ms > 0 &&
-           std::chrono::steady_clock::now() >= tls_scope.deadline;
 }
 
 void
 pollCancel()
 {
-    if (!tls_scope.active)
+    if (tls_scope.timeout_ms == 0)
         return;
-    if (tls_scope.flag && tls_scope.flag->load(std::memory_order_relaxed))
-        throw CancelledError(CancelledError::Reason::Shutdown,
-                             "cancelled: shutdown requested");
-    if (tls_scope.timeout_ms > 0 &&
-        std::chrono::steady_clock::now() >= tls_scope.deadline)
+    if (std::chrono::steady_clock::now() >= tls_scope.deadline)
         throw CancelledError(
-            CancelledError::Reason::Timeout,
             "cancelled: cell exceeded RMCC_CELL_TIMEOUT_MS=" +
-                std::to_string(tls_scope.timeout_ms) + " ms");
+            std::to_string(tls_scope.timeout_ms) + " ms");
 }
 
 } // namespace rmcc::util

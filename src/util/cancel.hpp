@@ -4,53 +4,34 @@
  *
  * Simulations cannot be preempted safely mid-flight (component state and
  * obs buffers would be torn), so cancellation is cooperative: the suite
- * runner installs a thread-local CancelScope around each cell — carrying
- * an optional external abort flag (graceful shutdown) and an optional
- * deadline (RMCC_CELL_TIMEOUT_MS) — and the simulator hot loops call
+ * runner installs a thread-local CancelScope around each cell carrying
+ * its deadline (RMCC_CELL_TIMEOUT_MS), and the simulator hot loops call
  * pollCancel() every few thousand records.  A tripped scope throws
  * CancelledError, which unwinds the cell cleanly through the ordinary
- * failure path.  With no scope installed, pollCancel() is a thread-local
- * load and a predicted branch, so bit-identity and replay throughput are
- * untouched.
+ * failure path.  With no deadline installed, pollCancel() is a
+ * thread-local load and a predicted branch, so bit-identity and replay
+ * throughput are untouched.
  *
  * Thread-safety audit (see docs/STATIC_ANALYSIS.md): this module is
  * deliberately mutex-free.  All scope state is thread_local — one
  * ScopeState per thread, never shared — so there is nothing for
- * RMCC_GUARDED_BY to guard; the only cross-thread communication is the
- * external abort flag, which is a std::atomic<bool> read with relaxed
- * ordering (the flag is a latch, not a synchronization edge).
+ * RMCC_GUARDED_BY to guard.
  */
 #ifndef RMCC_UTIL_CANCEL_HPP
 #define RMCC_UTIL_CANCEL_HPP
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 namespace rmcc::util
 {
 
-/** Thrown by pollCancel() when the installed scope has tripped. */
+/** Thrown by pollCancel() when the installed scope's deadline elapsed. */
 class CancelledError : public std::runtime_error
 {
   public:
-    enum class Reason
-    {
-        Timeout,  //!< The scope's deadline elapsed.
-        Shutdown, //!< The external abort flag was raised.
-    };
-
-    CancelledError(Reason reason, const std::string &what)
-        : std::runtime_error(what), reason_(reason)
-    {
-    }
-
-    Reason reason() const { return reason_; }
-
-  private:
-    Reason reason_;
+    using std::runtime_error::runtime_error;
 };
 
 /**
@@ -58,35 +39,26 @@ class CancelledError : public std::runtime_error
  *
  * Scopes do not nest: constructing a second scope on the same thread
  * replaces the first until it is destroyed (the suite runner installs
- * exactly one per cell attempt, so nesting never happens in practice).
+ * exactly one per cell, so nesting never happens in practice).
  */
 class CancelScope
 {
   public:
-    /**
-     * @param flag External abort flag (may be null), e.g. the suite
-     *   shutdown flag raised by SIGTERM/SIGINT.
-     * @param timeout_ms Deadline from now; 0 means no deadline.
-     */
-    CancelScope(const std::atomic<bool> *flag, std::uint64_t timeout_ms);
+    /** @param timeout_ms Deadline from now; 0 means no deadline. */
+    explicit CancelScope(std::uint64_t timeout_ms);
     ~CancelScope();
 
     CancelScope(const CancelScope &) = delete;
     CancelScope &operator=(const CancelScope &) = delete;
 
   private:
-    const std::atomic<bool> *prev_flag_;
     std::chrono::steady_clock::time_point prev_deadline_;
     std::uint64_t prev_timeout_ms_;
-    bool prev_active_;
 };
 
-/** Has the current thread's scope tripped (flag raised or deadline hit)? */
-bool cancelRequested();
-
 /**
- * Throw CancelledError if the current scope has tripped; no-op without a
- * scope.  Hot loops call this every few thousand iterations.
+ * Throw CancelledError if the current scope's deadline has passed; no-op
+ * without a deadline.  Hot loops call this every few thousand iterations.
  */
 void pollCancel();
 

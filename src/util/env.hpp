@@ -2,11 +2,12 @@
  * @file
  * Strict environment-variable parsing for the RMCC_* knobs.
  *
- * The runner knobs (RMCC_JOBS, RMCC_CELL_RETRIES, ...) used to fall back
- * silently when set to garbage, which turns a typo into an hours-long
- * surprise (a suite quietly running single-threaded, retries quietly
- * disabled).  These helpers reject malformed values loudly instead: a
- * std::runtime_error naming the variable and the offending text.
+ * The runner knobs (RMCC_JOBS, RMCC_CELL_TIMEOUT_MS, ...) used to fall
+ * back silently when set to garbage, which turns a typo into an
+ * hours-long surprise (a suite quietly running single-threaded, a
+ * timeout quietly disabled).  These helpers reject malformed values
+ * loudly instead: a std::runtime_error naming the variable and the
+ * offending text.
  */
 #ifndef RMCC_UTIL_ENV_HPP
 #define RMCC_UTIL_ENV_HPP

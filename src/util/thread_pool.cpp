@@ -60,25 +60,10 @@ ThreadPool::wait()
                   [this]() RMCC_REQUIRES(mutex_) { return in_flight_ == 0; });
     if (!errors_.empty()) {
         std::exception_ptr first = errors_.front();
-        errors_.erase(errors_.begin());
+        errors_.clear();
         lock.unlock();
         std::rethrow_exception(first);
     }
-}
-
-void
-ThreadPool::waitAll()
-{
-    MutexLock lock(mutex_);
-    idle_cv_.wait(lock,
-                  [this]() RMCC_REQUIRES(mutex_) { return in_flight_ == 0; });
-}
-
-std::vector<std::exception_ptr>
-ThreadPool::takeErrors()
-{
-    MutexLock lock(mutex_);
-    return std::exchange(errors_, {});
 }
 
 void

@@ -7,8 +7,8 @@
  * blocking wait() — because the experiment runner's tasks are coarse
  * (whole simulations) and independent; work stealing would buy nothing.
  * Concurrency for the suite runner is controlled by the RMCC_JOBS
- * environment variable (see envJobs()); RMCC_JOBS=1 means callers skip
- * the pool entirely and run serially.
+ * environment variable (see envJobs()); RMCC_JOBS=1 is a pool of one,
+ * on which parallelFor() runs every index inline, in order.
  */
 #ifndef RMCC_UTIL_THREAD_POOL_HPP
 #define RMCC_UTIL_THREAD_POOL_HPP
@@ -50,24 +50,10 @@ class ThreadPool
 
     /**
      * Block until every submitted job has finished.  If any job threw,
-     * the first captured exception is rethrown here and the rest stay
-     * retrievable via takeErrors() (the remaining jobs still run to
-     * completion).
+     * the first captured exception is rethrown here and the others are
+     * dropped (the remaining jobs still run to completion).
      */
     void wait();
-
-    /**
-     * Block until every submitted job has finished, without rethrowing.
-     * Callers that must survive failing jobs (the hardened suite runner)
-     * use this and then inspect takeErrors().
-     */
-    void waitAll();
-
-    /**
-     * Every exception captured from jobs since the last wait()/
-     * takeErrors(), in completion order.  The internal list is cleared.
-     */
-    std::vector<std::exception_ptr> takeErrors();
 
     /**
      * Pool-worker index of the calling thread: 0 .. threadCount()-1 on a
@@ -99,7 +85,7 @@ class ThreadPool
     //! Jobs queued or currently running.
     std::size_t in_flight_ RMCC_GUARDED_BY(mutex_) = 0;
     bool stop_ RMCC_GUARDED_BY(mutex_) = false;
-    //! All captured job errors.
+    //! Captured job errors; wait() rethrows the first.
     std::vector<std::exception_ptr> errors_ RMCC_GUARDED_BY(mutex_);
 };
 

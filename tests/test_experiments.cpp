@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -169,20 +170,28 @@ TEST(SuiteRunner, ProgressReportsEveryWorkloadOnce)
     std::vector<NamedConfig> configs = {nonSecureConfig(SimMode::Timing)};
     configs[0].cfg.trace_records = 5000;
     configs[0].cfg.warmup_records = 2500;
-    setenv("RMCC_JOBS", "4", 1);
-    std::mutex mutex;
-    std::vector<std::string> reported;
-    runSuite(configs, [&](const std::string &w) {
-        std::lock_guard<std::mutex> lock(mutex);
-        reported.push_back(w);
-    });
-    unsetenv("RMCC_JOBS");
     std::vector<std::string> expected;
     for (const auto &w : wl::workloadSuite())
         expected.push_back(w.name);
-    std::sort(reported.begin(), reported.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(reported, expected);
+    for (unsigned jobs : {1u, 4u}) {
+        setenv("RMCC_JOBS", std::to_string(jobs).c_str(), 1);
+        std::mutex mutex;
+        std::vector<std::string> reported;
+        runSuite(configs, [&](const std::string &w) {
+            std::lock_guard<std::mutex> lock(mutex);
+            reported.push_back(w);
+        });
+        // A pool of one runs the cells inline in suite order, so the
+        // workloads finish, and are reported, in that order too.
+        if (jobs == 1) {
+            EXPECT_EQ(reported, expected);
+        }
+        std::sort(reported.begin(), reported.end());
+        std::vector<std::string> sorted = expected;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(reported, sorted) << "jobs=" << jobs;
+    }
+    unsetenv("RMCC_JOBS");
 }
 
 namespace
@@ -219,8 +228,7 @@ TEST(SuiteRunner, FailingCellIsIsolatedAndRecorded)
 {
     // One (workload, config) cell that always throws must not take the
     // suite down: every other cell still produces results, and the
-    // broken cell's status carries the error and the attempt count.
-    setenv("RMCC_CELL_RETRIES", "2", 1);
+    // broken cell's status carries the error.
     const std::vector<NamedConfig> configs = tinyConfigs();
     HookGuard guard([](const std::string &w, const std::string &label) {
         if (w == "omnetpp" && label == "RMCC")
@@ -239,7 +247,6 @@ TEST(SuiteRunner, FailingCellIsIsolatedAndRecorded)
                     configs[c].label == "RMCC") {
                     ++failed;
                     EXPECT_EQ(st.state, CellState::Failed);
-                    EXPECT_EQ(st.attempts, 3u); // 1 + RMCC_CELL_RETRIES
                     EXPECT_NE(st.error.find("induced cell fault"),
                               std::string::npos);
                     EXPECT_FALSE(row.allOk());
@@ -250,7 +257,6 @@ TEST(SuiteRunner, FailingCellIsIsolatedAndRecorded)
                     EXPECT_TRUE(st.ok())
                         << row.workload << "/" << configs[c].label
                         << ": " << st.error;
-                    EXPECT_EQ(st.attempts, 1u);
                     EXPECT_GT(row.results[c].instructions, 0u);
                 }
             }
@@ -258,75 +264,56 @@ TEST(SuiteRunner, FailingCellIsIsolatedAndRecorded)
         EXPECT_EQ(failed, 1u) << "jobs=" << jobs;
     }
     unsetenv("RMCC_JOBS");
-    unsetenv("RMCC_CELL_RETRIES");
 }
 
-TEST(SuiteRunner, TransientCellFaultIsRetriedToSuccess)
+TEST(SuiteRunner, TraceGenerationFailureFailsWholeRow)
 {
-    setenv("RMCC_CELL_RETRIES", "3", 1);
-    setenv("RMCC_JOBS", "1", 1); // serial: the hook counter is unguarded
+    // Spilling into a "directory" that is a regular file makes every
+    // trace generation throw.  Each workload's row must come back with
+    // every cell Failed, the generation error and a labelled placeholder
+    // result, instead of the suite aborting.
+    const std::string file = testing::TempDir() + "rmcc_not_a_dir";
+    std::FILE *f = std::fopen(file.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
     const std::vector<NamedConfig> configs = tinyConfigs();
-    int throws_left = 2;
-    HookGuard guard([&](const std::string &, const std::string &) {
-        if (throws_left > 0) {
-            --throws_left;
-            throw std::runtime_error("transient");
+    setenv("RMCC_TRACE_SPILL", "on", 1);
+    setenv("RMCC_TRACE_DIR", file.c_str(), 1);
+    for (unsigned jobs : {1u, 4u}) {
+        setenv("RMCC_JOBS", std::to_string(jobs).c_str(), 1);
+        const std::vector<SuiteRow> rows = runSuite(configs);
+        ASSERT_EQ(rows.size(), wl::workloadSuite().size());
+        for (const SuiteRow &row : rows) {
+            ASSERT_EQ(row.statuses.size(), configs.size());
+            for (std::size_t c = 0; c < configs.size(); ++c) {
+                const CellStatus &st = row.statuses[c];
+                EXPECT_EQ(st.state, CellState::Failed)
+                    << row.workload << "/" << configs[c].label
+                    << " jobs=" << jobs;
+                EXPECT_NE(st.error.find("trace generation failed"),
+                          std::string::npos)
+                    << st.error;
+                EXPECT_EQ(row.results[c].workload, row.workload);
+                EXPECT_EQ(row.results[c].config_label, configs[c].label);
+                EXPECT_EQ(row.results[c].instructions, 0u);
+            }
         }
-    });
-    const auto *w = wl::findWorkload("omnetpp");
-    const SuiteRow row = runWorkload(*w, configs);
-    ASSERT_EQ(row.statuses.size(), 2u);
-    // With jobs unset the serial path runs cells in order: the first
-    // cell eats both transient faults.
-    EXPECT_TRUE(row.allOk());
-    const unsigned total_attempts =
-        row.statuses[0].attempts + row.statuses[1].attempts;
-    EXPECT_EQ(total_attempts, 4u); // 2 wasted + 2 productive
-    EXPECT_TRUE(row.statuses[0].retried() || row.statuses[1].retried());
-    for (std::size_t c = 0; c < 2; ++c)
-        EXPECT_GT(row.results[c].instructions, 0u);
-    unsetenv("RMCC_JOBS");
-    unsetenv("RMCC_CELL_RETRIES");
-}
-
-TEST(SuiteRunner, ZeroRetriesFailsFast)
-{
-    setenv("RMCC_CELL_RETRIES", "0", 1);
-    const std::vector<NamedConfig> configs = tinyConfigs();
-    HookGuard guard([](const std::string &, const std::string &) {
-        throw std::runtime_error("always");
-    });
-    const auto *w = wl::findWorkload("omnetpp");
-    const SuiteRow row = runWorkload(*w, configs);
-    for (const CellStatus &st : row.statuses) {
-        EXPECT_EQ(st.state, CellState::Failed);
-        EXPECT_EQ(st.attempts, 1u);
-        EXPECT_FALSE(st.retried());
     }
-    unsetenv("RMCC_CELL_RETRIES");
-}
-
-TEST(SuiteRunner, GarbageCellRetriesEnvThrows)
-{
-    // Runner knobs are caller contract, not cell behavior: garbage must
-    // abort loudly instead of being swallowed as a cell failure.
-    setenv("RMCC_CELL_RETRIES", "banana", 1);
-    const std::vector<NamedConfig> configs = tinyConfigs();
-    const auto *w = wl::findWorkload("omnetpp");
-    EXPECT_THROW(runWorkload(*w, configs), std::runtime_error);
-    unsetenv("RMCC_CELL_RETRIES");
+    unsetenv("RMCC_JOBS");
+    unsetenv("RMCC_TRACE_DIR");
+    unsetenv("RMCC_TRACE_SPILL");
+    std::remove(file.c_str());
 }
 
 TEST(SuiteRunner, TimeoutAbortsCellCooperatively)
 {
     // RMCC_CELL_TIMEOUT_MS is enforced, not advisory: the simulators poll
     // the cell's cancellation token between records, so an overrunning
-    // cell is aborted mid-flight (placeholder result), flagged TimedOut,
-    // and never retried.  The hook burns the whole budget and then polls
-    // once — exactly what the record loops do — so the abort fires
+    // cell is aborted mid-flight (placeholder result) and flagged
+    // TimedOut.  The hook burns the whole budget and then polls once —
+    // exactly what the record loops do — so the abort fires
     // deterministically regardless of how fast the cell would have run.
     setenv("RMCC_CELL_TIMEOUT_MS", "5", 1);
-    setenv("RMCC_CELL_RETRIES", "3", 1);
     const std::vector<NamedConfig> configs = tinyConfigs();
     HookGuard guard([](const std::string &, const std::string &) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -334,18 +321,12 @@ TEST(SuiteRunner, TimeoutAbortsCellCooperatively)
     });
     const auto *w = wl::findWorkload("omnetpp");
     const SuiteRow row = runWorkload(*w, configs);
-    unsetenv("RMCC_CELL_RETRIES");
     unsetenv("RMCC_CELL_TIMEOUT_MS");
     for (std::size_t c = 0; c < row.statuses.size(); ++c) {
         EXPECT_EQ(row.statuses[c].state, CellState::TimedOut);
-        // A timeout is not retried: rerunning only doubles the overrun.
-        EXPECT_EQ(row.statuses[c].attempts, 1u);
         EXPECT_EQ(row.results[c].instructions, 0u); // aborted: placeholder
         EXPECT_NE(row.statuses[c].error.find("RMCC_CELL_TIMEOUT_MS"),
                   std::string::npos);
-        ASSERT_EQ(row.statuses[c].attempt_errors.size(), 1u);
-        EXPECT_EQ(row.statuses[c].attempt_errors[0],
-                  row.statuses[c].error);
     }
     EXPECT_FALSE(row.allOk());
     EXPECT_STREQ(cellStateName(row.statuses[0].state), "timed-out");
@@ -360,7 +341,6 @@ TEST(SuiteRunner, StatusesReportCleanRuns)
     EXPECT_TRUE(row.allOk());
     for (const CellStatus &st : row.statuses) {
         EXPECT_STREQ(cellStateName(st.state), "ok");
-        EXPECT_EQ(st.attempts, 1u);
         EXPECT_TRUE(st.error.empty());
         EXPECT_GT(st.elapsed_ms, 0.0);
     }

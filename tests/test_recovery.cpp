@@ -3,24 +3,18 @@
  * Recovery-subsystem tests: the RecoveryPolicy storm/degraded state
  * machine and its env knobs, memo-table quarantine semantics (including
  * the security-register rollback rule), per-mode storm invariants (a
- * detected fault is recovered or refused, never served), the zero-cost
- * guarantee of an armed-but-idle policy, and the crash-safe suite
- * journal (bit-exact round trip, resume validation, and the
- * skip-journaled-cells integration through runSuite).
+ * detected fault is recovered or refused, never served), and the
+ * zero-cost guarantee of an armed-but-idle policy.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <stdexcept>
 
 #include "core/rmcc_engine.hpp"
 #include "fault/storm.hpp"
 #include "mc/recovery.hpp"
 #include "sim/experiments.hpp"
-#include "sim/journal.hpp"
 
 using namespace rmcc;
 using namespace rmcc::mc;
@@ -302,198 +296,4 @@ TEST(RecoveryStorm, ArmedIdlePolicyIsFreeOnCleanTraffic)
     EXPECT_EQ(armed.results[0].instructions, off.results[0].instructions);
     EXPECT_EQ(armed.results[0].elapsed_ns, off.results[0].elapsed_ns);
     EXPECT_EQ(armed.results[0].stats.all(), off.results[0].stats.all());
-}
-
-// --- crash-safe suite journal ---------------------------------------------
-
-namespace
-{
-
-std::vector<sim::NamedConfig>
-journalConfigs()
-{
-    std::vector<sim::NamedConfig> configs = {
-        sim::nonSecureConfig(sim::SimMode::Timing),
-        sim::rmccConfig(sim::SimMode::Timing),
-    };
-    for (auto &nc : configs) {
-        nc.cfg.trace_records = 5000;
-        nc.cfg.warmup_records = 2500;
-    }
-    return configs;
-}
-
-/** RAII installer for the per-cell fault hook (always restores empty). */
-struct HookGuard
-{
-    explicit HookGuard(
-        std::function<void(const std::string &, const std::string &)> h)
-    {
-        sim::detail::cell_fault_hook = std::move(h);
-    }
-    ~HookGuard() { sim::detail::cell_fault_hook = nullptr; }
-};
-
-} // namespace
-
-TEST(SuiteJournal, RoundTripIsBitExact)
-{
-    const std::string path =
-        testing::TempDir() + "rmcc_journal_roundtrip";
-    std::remove(path.c_str());
-    const std::vector<sim::NamedConfig> configs = journalConfigs();
-
-    auto j = sim::SuiteJournal::openAt(path, configs, false);
-    ASSERT_NE(j, nullptr);
-
-    sim::SimResult r;
-    r.workload = "omnetpp";
-    r.config_label = "RMCC";
-    r.instructions = 123456789;
-    r.elapsed_ns = 0.1 + 0.2; // not exactly representable: bits matter
-    r.stats.set("lat.read sum ns", 1.0 / 3.0); // space survives escaping
-    r.stats.set("memo.hits%odd", 42.0);
-    sim::CellStatus ok;
-    ok.state = sim::CellState::Ok;
-    ok.attempts = 2;
-    ok.elapsed_ms = 17.25;
-    j->record("omnetpp", "RMCC", r, ok);
-
-    // Failed cells are never journaled: they must rerun on resume.
-    sim::CellStatus bad;
-    bad.state = sim::CellState::Failed;
-    j->record("omnetpp", "non-secure", r, bad);
-    EXPECT_EQ(j->size(), 1u);
-
-    auto resumed = sim::SuiteJournal::openAt(path, configs, true);
-    EXPECT_EQ(resumed->resumed(), 1u);
-    sim::SimResult out;
-    sim::CellStatus st;
-    EXPECT_FALSE(resumed->lookup("omnetpp", "non-secure", out, st));
-    ASSERT_TRUE(resumed->lookup("omnetpp", "RMCC", out, st));
-    EXPECT_EQ(out.instructions, 123456789u);
-    EXPECT_EQ(out.elapsed_ns, 0.1 + 0.2); // exact, not approximate
-    EXPECT_EQ(out.stats.get("lat.read sum ns"), 1.0 / 3.0);
-    EXPECT_EQ(out.stats.get("memo.hits%odd"), 42.0);
-    EXPECT_EQ(st.state, sim::CellState::Ok);
-    EXPECT_EQ(st.attempts, 2u);
-    EXPECT_EQ(st.elapsed_ms, 17.25);
-    std::remove(path.c_str());
-}
-
-TEST(SuiteJournal, ForeignOrCorruptManifestStartsFresh)
-{
-    const std::string path =
-        testing::TempDir() + "rmcc_journal_validate";
-    std::remove(path.c_str());
-    const std::vector<sim::NamedConfig> configs = journalConfigs();
-
-    auto j = sim::SuiteJournal::openAt(path, configs, false);
-    sim::SimResult r;
-    r.instructions = 7;
-    sim::CellStatus ok;
-    ok.state = sim::CellState::Ok;
-    j->record("omnetpp", "RMCC", r, ok);
-
-    // Same file, different experiment: config labels changed.
-    std::vector<sim::NamedConfig> other = configs;
-    other[1].label = "RMCC-variant";
-    EXPECT_EQ(sim::SuiteJournal::openAt(path, other, true)->resumed(), 0u);
-
-    // Different trace shape: seed mismatch.
-    std::vector<sim::NamedConfig> reseeded = journalConfigs();
-    for (auto &nc : reseeded)
-        nc.cfg.seed += 1;
-    EXPECT_EQ(sim::SuiteJournal::openAt(path, reseeded, true)->resumed(),
-              0u);
-
-    // Flip one body byte: the checksum must reject the whole manifest.
-    {
-        std::ifstream in(path);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        text[text.size() - 2] ^= 1;
-        std::ofstream out(path, std::ios::trunc);
-        out << text;
-    }
-    EXPECT_EQ(sim::SuiteJournal::openAt(path, configs, true)->resumed(),
-              0u);
-
-    // The pristine manifest still resumes.
-    j->record("omnetpp", "RMCC", r, ok); // rewrite a valid file
-    EXPECT_EQ(sim::SuiteJournal::openAt(path, configs, true)->resumed(),
-              1u);
-    std::remove(path.c_str());
-}
-
-TEST(SuiteJournal, OpenFromEnvRequiresPath)
-{
-    unsetenv("RMCC_SUITE_JOURNAL");
-    EXPECT_EQ(sim::SuiteJournal::openFromEnv(journalConfigs()), nullptr);
-}
-
-TEST(SuiteJournal, ShutdownLatchRoundTrip)
-{
-    sim::resetShutdownForTest();
-    EXPECT_FALSE(sim::shutdownRequested());
-    sim::requestShutdown(15);
-    EXPECT_TRUE(sim::shutdownRequested());
-    EXPECT_EQ(sim::shutdownSignal(), 15);
-    EXPECT_TRUE(sim::shutdownFlag()->load());
-    sim::resetShutdownForTest();
-    EXPECT_FALSE(sim::shutdownRequested());
-}
-
-TEST(SuiteJournal, SuiteResumeServesJournaledCellsWithoutRerunning)
-{
-    // End to end: run the suite once with a journal, then resume with a
-    // poisoned cell hook.  Every cell must come back Ok and bit-identical
-    // *without executing* — if any cell reran, the hook would fail it.
-    const std::string base = testing::TempDir() + "rmcc_suite_journal";
-    std::remove(base.c_str());
-    std::remove((base + ".1").c_str());
-    const std::vector<sim::NamedConfig> configs = journalConfigs();
-
-    setenv("RMCC_SUITE_JOURNAL", base.c_str(), 1);
-    setenv("RMCC_JOBS", "1", 1);
-    const std::vector<sim::SuiteRow> first = sim::runSuite(configs);
-    for (const sim::SuiteRow &row : first)
-        ASSERT_TRUE(row.allOk()) << row.workload;
-
-    // Each runSuite() invocation in one process journals to a fresh
-    // suffix (base, base.1, ...); stage the manifest where the resumed
-    // invocation will look, as a rerun of the same bench binary would.
-    {
-        std::ifstream in(base, std::ios::binary);
-        ASSERT_TRUE(in.good()) << "journal was not written";
-        std::ofstream out(base + ".1", std::ios::binary);
-        out << in.rdbuf();
-    }
-
-    setenv("RMCC_SUITE_RESUME", "1", 1);
-    HookGuard guard([](const std::string &, const std::string &) {
-        throw std::runtime_error("cell executed despite journal");
-    });
-    const std::vector<sim::SuiteRow> second = sim::runSuite(configs);
-    unsetenv("RMCC_SUITE_RESUME");
-    unsetenv("RMCC_SUITE_JOURNAL");
-    unsetenv("RMCC_JOBS");
-
-    ASSERT_EQ(second.size(), first.size());
-    for (std::size_t w = 0; w < first.size(); ++w) {
-        EXPECT_EQ(second[w].workload, first[w].workload);
-        ASSERT_TRUE(second[w].allOk()) << second[w].workload
-                                       << " reran instead of resuming";
-        ASSERT_EQ(second[w].results.size(), first[w].results.size());
-        for (std::size_t c = 0; c < first[w].results.size(); ++c) {
-            const sim::SimResult &a = first[w].results[c];
-            const sim::SimResult &b = second[w].results[c];
-            EXPECT_EQ(b.instructions, a.instructions);
-            EXPECT_EQ(b.elapsed_ns, a.elapsed_ns);
-            EXPECT_EQ(b.stats.all(), a.stats.all())
-                << first[w].workload << " / " << a.config_label;
-        }
-    }
-    std::remove(base.c_str());
-    std::remove((base + ".1").c_str());
 }

@@ -3,9 +3,8 @@
  * Out-of-core trace engine tests: on-disk round-trip and validation
  * (header checksum, truncation, corruption, fingerprint), windowed
  * replay equivalence against the in-RAM buffer for every workload
- * generator, the spill cache's reuse/regenerate behavior, and the
- * spill + journal/resume interaction (a partially journaled spilled
- * suite must resume bit-identical to an uninterrupted in-RAM run).
+ * generator, the spill cache's reuse/regenerate behavior, and a spilled
+ * parallel suite run bit-identical to a serial in-RAM one.
  */
 #include <gtest/gtest.h>
 
@@ -118,7 +117,7 @@ struct EnvGuard
     bool had_ = false;
 };
 
-/** Small two-config timing grid (as the journal tests use). */
+/** Small two-config timing grid. */
 std::vector<sim::NamedConfig>
 spillSuiteConfigs()
 {
@@ -132,17 +131,6 @@ spillSuiteConfigs()
     }
     return configs;
 }
-
-/** RAII installer for the per-cell fault hook (always restores empty). */
-struct HookGuard
-{
-    explicit HookGuard(
-        std::function<void(const std::string &, const std::string &)> h)
-    {
-        sim::detail::cell_fault_hook = std::move(h);
-    }
-    ~HookGuard() { sim::detail::cell_fault_hook = nullptr; }
-};
 
 } // namespace
 
@@ -391,75 +379,44 @@ TEST(SpillCache, ReusesValidFileAndRegeneratesCorruptOne)
     std::filesystem::remove_all(dir);
 }
 
-TEST(SpillJournal, ResumedSpilledSuiteMatchesInRamRun)
+TEST(SpillSuite, SpilledSuiteMatchesInRamRun)
 {
-    // Spill + crash-safety interaction: journal a spilled suite whose
-    // last workload's cells all fail (standing in for cells lost to a
-    // mid-run SIGTERM — either way they are absent from the journal),
-    // then resume with spill still on.  Journaled cells are served
-    // bit-exact; missing ones rerun from the cached spill files; the
-    // whole grid must equal an uninterrupted *in-RAM* reference run.
-    const std::string dir = tmpPath("rmcc_spill_journal_dir");
-    const std::string base = tmpPath("rmcc_spill_journal");
-    std::remove((base + ".1").c_str());
+    // A spilled suite on a pool of four must equal a serial in-RAM run:
+    // every cell replays its workload's trace file through windowed mmap
+    // while other cells of the same workload read it concurrently.
+    const std::string dir = tmpPath("rmcc_spill_suite_dir");
     const std::vector<sim::NamedConfig> configs = spillSuiteConfigs();
-    EnvGuard jobs("RMCC_JOBS", "1");
 
     std::vector<sim::SuiteRow> reference;
     {
+        EnvGuard jobs("RMCC_JOBS", "1");
         EnvGuard off("RMCC_TRACE_SPILL", nullptr);
         reference = sim::runSuite(configs);
     }
-    for (const sim::SuiteRow &row : reference)
-        ASSERT_TRUE(row.allOk()) << row.workload;
-
-    EnvGuard spill("RMCC_TRACE_SPILL", "on");
-    EnvGuard spill_dir("RMCC_TRACE_DIR", dir.c_str());
-    EnvGuard journal("RMCC_SUITE_JOURNAL", base.c_str());
-    const std::string victim = wl::workloadSuite().back().name;
+    std::vector<sim::SuiteRow> spilled;
     {
-        EnvGuard retries("RMCC_CELL_RETRIES", "0");
-        HookGuard guard([&victim](const std::string &w,
-                                  const std::string &) {
-            if (w == victim)
-                throw std::runtime_error("injected crash");
-        });
-        const std::vector<sim::SuiteRow> partial = sim::runSuite(configs);
-        bool victim_failed = false;
-        for (const sim::SuiteRow &row : partial)
-            if (row.workload == victim && !row.allOk())
-                victim_failed = true;
-        ASSERT_TRUE(victim_failed) << "hook did not bite";
+        EnvGuard jobs("RMCC_JOBS", "4");
+        EnvGuard spill("RMCC_TRACE_SPILL", "on");
+        EnvGuard spill_dir("RMCC_TRACE_DIR", dir.c_str());
+        spilled = sim::runSuite(configs);
     }
 
-    // Stage the manifest where this process's next journaled runSuite()
-    // will look (invocation-order suffixing), then resume.
-    {
-        std::ifstream in(base, std::ios::binary);
-        ASSERT_TRUE(in.good()) << "journal was not written";
-        std::ofstream out(base + ".1", std::ios::binary);
-        out << in.rdbuf();
-    }
-    EnvGuard resume("RMCC_SUITE_RESUME", "1");
-    const std::vector<sim::SuiteRow> resumed = sim::runSuite(configs);
-
-    ASSERT_EQ(resumed.size(), reference.size());
+    ASSERT_EQ(spilled.size(), reference.size());
     for (std::size_t w = 0; w < reference.size(); ++w) {
-        EXPECT_EQ(resumed[w].workload, reference[w].workload);
-        ASSERT_TRUE(resumed[w].allOk()) << resumed[w].workload;
-        ASSERT_EQ(resumed[w].results.size(),
+        EXPECT_EQ(spilled[w].workload, reference[w].workload);
+        ASSERT_TRUE(reference[w].allOk()) << reference[w].workload;
+        ASSERT_TRUE(spilled[w].allOk()) << spilled[w].workload;
+        ASSERT_EQ(spilled[w].results.size(),
                   reference[w].results.size());
         for (std::size_t c = 0; c < reference[w].results.size(); ++c) {
             const sim::SimResult &a = reference[w].results[c];
-            const sim::SimResult &b = resumed[w].results[c];
+            const sim::SimResult &b = spilled[w].results[c];
             EXPECT_EQ(b.instructions, a.instructions);
             EXPECT_EQ(b.elapsed_ns, a.elapsed_ns);
             EXPECT_EQ(b.stats.all(), a.stats.all())
                 << reference[w].workload << " / " << a.config_label;
         }
     }
-    std::remove(base.c_str());
-    std::remove((base + ".1").c_str());
     std::filesystem::remove_all(dir);
 }
 

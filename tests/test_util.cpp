@@ -91,29 +91,6 @@ TEST(ThreadPool, EnvJobsParsesRmccJobs)
     EXPECT_GE(ThreadPool::envJobs(), 1u);
 }
 
-TEST(ThreadPool, TakeErrorsCapturesEveryFailure)
-{
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&ran, i] {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            if (i % 3 == 0)
-                throw std::runtime_error("job " + std::to_string(i));
-        });
-    pool.waitAll(); // must not throw
-    EXPECT_EQ(ran.load(), 10) << "failing jobs must not cancel the rest";
-    auto errs = pool.takeErrors();
-    EXPECT_EQ(errs.size(), 4u); // i = 0, 3, 6, 9
-    for (const std::exception_ptr &e : errs)
-        EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
-    // The list is cleared by takeErrors and stays empty after clean work.
-    EXPECT_TRUE(pool.takeErrors().empty());
-    pool.submit([] {});
-    pool.waitAll();
-    EXPECT_TRUE(pool.takeErrors().empty());
-}
-
 TEST(EnvParse, UnsignedAcceptsPlainDecimalOnly)
 {
     setenv("RMCC_TEST_ENV", "42", 1);
