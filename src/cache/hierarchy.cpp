@@ -47,9 +47,10 @@ Hierarchy::access(addr::Addr paddr, bool is_write)
 
     const AccessResult r3 = llc_.access(paddr, false);
     if (r3.writeback) {
-        // Two memory writebacks per access are possible but rare; the
-        // later one wins here and the earlier is still counted by the
-        // caller via the llc writeback statistic.
+        // A second memory writeback in one access is possible but rare
+        // (an L1 or L2 victim's cascade evicted a dirty LLC line above).
+        // The result holds one, so this later victim replaces the earlier
+        // one, which no caller ever writes to memory or counts.
         out.memory_writeback = r3.victim_addr;
     }
     if (r3.hit) {

@@ -14,14 +14,21 @@ runFunctional(const std::string &workload_name,
     return runFunctional(workload_name, trace, cfg, nullptr);
 }
 
-// rmcc-lint: hot-path
-SimResult
-runFunctional(const std::string &workload_name,
-              const trace::TraceSource &trace, const SystemConfig &cfg,
-              fault::FaultCampaign *campaign, ReplayObserver *replay)
+namespace
 {
-    detail::SimRig rig(cfg);
-    detail::preconditionRmcc(rig, cfg, trace);
+
+/**
+ * The measured loop of runFunctional over one cache-outcome source
+ * (detail::LiveCaches or detail::RecordedCaches; see replayWithCaches).
+ */
+// rmcc-lint: hot-path
+template <class Caches>
+SimResult
+measuredLoop(const std::string &workload_name,
+             const trace::TraceSource &trace, const SystemConfig &cfg,
+             fault::FaultCampaign *campaign, ReplayObserver *replay,
+             detail::SimRig &rig, Caches &caches)
+{
     if (campaign != nullptr && cfg.secure) {
         campaign->bind(rig.tree, &rig.engine);
         rig.mc.attachObserver(campaign->oracle());
@@ -48,7 +55,7 @@ runFunctional(const std::string &workload_name,
     detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
-        detail::registerRigProbes(*obs, rig, trace,
+        detail::registerRigProbes(*obs, rig, caches, trace,
                                   [&fake_now] { return fake_now; },
                                   drive.ioStats());
         rig.mc.attachObs(obs.get());
@@ -57,8 +64,8 @@ runFunctional(const std::string &workload_name,
     // One-record lookahead (TraceDrive::forEachRecord), as in runTiming.
     drive.forEachRecord(
         rig.mapper,
-        [&rig](addr::Addr next) {
-            rig.hier.prefetch(next);
+        [&rig, &caches](addr::Addr next) {
+            caches.prefetch(next);
             rig.mc.prefetchRead(next);
         },
         [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
@@ -75,8 +82,7 @@ runFunctional(const std::string &workload_name,
 
             if (!rig.tlb.access(rec.vaddr))
                 side.inc(h_tlb_miss);
-            const cache::HierarchyResult h =
-                rig.hier.access(paddr, rec.is_write);
+            const detail::CacheOutcome h = caches.next(paddr, rec.is_write);
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
                 const mc::McReadResult r = rig.mc.read(paddr, fake_now);
@@ -84,9 +90,9 @@ runFunctional(const std::string &workload_name,
                     replay->onRead(rec.vaddr, r, r.done_ns - fake_now);
                 fake_now += 20.0;
             }
-            if (h.memory_writeback) {
+            if (h.writeback) {
                 side.inc(h_llc_wb);
-                rig.mc.write(*h.memory_writeback, fake_now);
+                rig.mc.write(h.victim, fake_now);
                 if (replay != nullptr)
                     replay->onWrite(rec.vaddr);
                 fake_now += 20.0;
@@ -129,6 +135,20 @@ runFunctional(const std::string &workload_name,
                       static_cast<double>(rig.tree.totalOverflows()));
     }
     return res;
+}
+
+} // namespace
+
+SimResult
+runFunctional(const std::string &workload_name,
+              const trace::TraceSource &trace, const SystemConfig &cfg,
+              fault::FaultCampaign *campaign, ReplayObserver *replay)
+{
+    detail::SimRig rig(cfg);
+    return detail::replayWithCaches(rig, cfg, trace, [&](auto &caches) {
+        return measuredLoop(workload_name, trace, cfg, campaign, replay, rig,
+                            caches);
+    });
 }
 
 } // namespace rmcc::sim

@@ -88,15 +88,19 @@ cellName(const std::string &workload, const SystemConfig &cfg)
 }
 
 /**
- * Register the standard probe catalog over a rig.  now_fn supplies the
- * current simulated time for the DRAM-backlog probe (the two simulators
- * keep time differently).  io, when non-null, is the replay cursor's
- * I/O counter block (spilled traces only) and adds the spill probes.
- * Everything referenced must outlive the registry; probe lambdas capture
- * raw pointers/references.
+ * Register the standard probe catalog over a rig.  caches is the
+ * measured loop's cache-outcome source (LiveCaches or RecordedCaches),
+ * which the llc.* probes read: after a warm-up, rig.hier holds
+ * end-of-trace state, so the loop keeps the LLC counts itself.  now_fn
+ * supplies the current simulated time for the DRAM-backlog probe (the
+ * two simulators keep time differently).  io, when non-null, is the
+ * replay cursor's I/O counter block (spilled traces only) and adds the
+ * spill probes.  Everything referenced must outlive the registry; probe
+ * lambdas capture raw pointers/references.
  */
-inline void
-registerRigProbes(obs::Registry &o, SimRig &rig,
+template <class Caches>
+void
+registerRigProbes(obs::Registry &o, SimRig &rig, const Caches &caches,
                   const trace::TraceSource &trace,
                   std::function<double()> now_fn,
                   const trace::TraceIoStats *io = nullptr)
@@ -132,10 +136,10 @@ registerRigProbes(obs::Registry &o, SimRig &rig,
                [&tree] { return double(tree.observedMax()); });
 
     // Cache hierarchy + counter cache.
-    const cache::SetAssocCache &llc = rig.hier.llc();
     o.addProbe("llc.accesses",
-               [&llc] { return double(llc.accesses()); });
-    o.addProbe("llc.misses", [&llc] { return double(llc.misses()); });
+               [&caches] { return double(caches.llcAccesses()); });
+    o.addProbe("llc.misses",
+               [&caches] { return double(caches.llcMisses()); });
     o.addRate("llc.miss_rate", "llc.misses", "llc.accesses");
     const cache::SetAssocCache &cc = rig.mc.counterCache();
     o.addProbe("ctr_cache.accesses",

@@ -7,13 +7,20 @@
 namespace rmcc::sim
 {
 
-// rmcc-lint: hot-path
-SimResult
-runTiming(const std::string &workload_name,
-          const trace::TraceSource &trace, const SystemConfig &cfg)
+namespace
 {
-    detail::SimRig rig(cfg);
-    detail::preconditionRmcc(rig, cfg, trace);
+
+/**
+ * The measured loop of runTiming over one cache-outcome source
+ * (detail::LiveCaches or detail::RecordedCaches; see replayWithCaches).
+ */
+// rmcc-lint: hot-path
+template <class Caches>
+SimResult
+measuredLoop(const std::string &workload_name,
+             const trace::TraceSource &trace, const SystemConfig &cfg,
+             detail::SimRig &rig, Caches &caches)
+{
     CpuModel cpu(cfg.cpu);
 
     std::unique_ptr<obs::Registry> obs =
@@ -24,7 +31,7 @@ runTiming(const std::string &workload_name,
     detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
-        detail::registerRigProbes(*obs, rig, trace,
+        detail::registerRigProbes(*obs, rig, caches, trace,
                                   [&cpu] { return cpu.now(); },
                                   drive.ioStats());
         rig.mc.attachObs(obs.get());
@@ -38,6 +45,8 @@ runTiming(const std::string &workload_name,
     std::uint64_t insts_at_warm = 0;
     double time_at_warm = 0.0;
 
+    // The hierarchy's cumulative hit latency for an access served by
+    // the LLC.
     const double llc_lookup_ns =
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
@@ -46,8 +55,8 @@ runTiming(const std::string &workload_name,
     // one is simulated, hiding the counter store's memory stalls.
     drive.forEachRecord(
         rig.mapper,
-        [&rig](addr::Addr next) {
-            rig.hier.prefetch(next);
+        [&rig, &caches](addr::Addr next) {
+            caches.prefetch(next);
             rig.mc.prefetchRead(next);
         },
         [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
@@ -65,22 +74,20 @@ runTiming(const std::string &workload_name,
             const double issue = cpu.advance(rec.inst_gap);
             if (!rig.tlb.access(rec.vaddr))
                 side.inc(h_tlb_miss);
-            const cache::HierarchyResult h =
-                rig.hier.access(paddr, rec.is_write);
+            const detail::CacheOutcome h = caches.next(paddr, rec.is_write);
 
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
                 const mc::McReadResult r =
                     rig.mc.read(paddr, issue + llc_lookup_ns);
                 cpu.recordLongLatency(r.done_ns);
-            } else if (h.hit_level == 3) {
+            } else if (h.llc_hit) {
                 // LLC hits are long enough to occupy the window.
-                cpu.recordLongLatency(issue + h.hit_latency_ns);
+                cpu.recordLongLatency(issue + llc_lookup_ns);
             }
-            if (h.memory_writeback) {
+            if (h.writeback) {
                 side.inc(h_llc_wb);
-                const double stall =
-                    rig.mc.write(*h.memory_writeback, cpu.now());
+                const double stall = rig.mc.write(h.victim, cpu.now());
                 cpu.stallUntil(stall);
             }
             if (obs)
@@ -119,6 +126,18 @@ runTiming(const std::string &workload_name,
                       rig.mc.overflowEngine().totalStallNs());
     }
     return res;
+}
+
+} // namespace
+
+SimResult
+runTiming(const std::string &workload_name,
+          const trace::TraceSource &trace, const SystemConfig &cfg)
+{
+    detail::SimRig rig(cfg);
+    return detail::replayWithCaches(rig, cfg, trace, [&](auto &caches) {
+        return measuredLoop(workload_name, trace, cfg, rig, caches);
+    });
 }
 
 } // namespace rmcc::sim

@@ -200,6 +200,29 @@ TEST(Hierarchy, DirtyDataEventuallyWritesBackToMemory)
     EXPECT_GT(wbs, 0);
 }
 
+TEST(Hierarchy, SecondMemoryWritebackInOneAccessReplacesTheFirst)
+{
+    // L1: one line.  L2: one set of two ways.  LLC: two direct-mapped
+    // sets, so blocks a=0 and c=2 share LLC set 0 and b=1 uses set 1.
+    Hierarchy h({64, 1, 2.0}, {128, 2, 4.0}, {128, 1, 17.0});
+    const Addr a = 0, b = 64, c = 128;
+    EXPECT_FALSE(h.access(a, true).memory_writeback); // L1 a*, LLC a
+    EXPECT_FALSE(h.access(c, true).memory_writeback); // L2 a* c, LLC c
+    // L1 victim c* dirties L2's c; L2 evicts a* into the LLC, where it
+    // displaces clean c.
+    EXPECT_FALSE(h.access(b, false).memory_writeback);
+    ASSERT_EQ(h.llc().writebacks(), 0u);
+
+    // Reading a: L2 evicts c*, whose fill evicts a* from LLC set 0 (the
+    // first memory writeback); the LLC miss on a then evicts c* (the
+    // second).  The result holds only the later victim, c; a is lost.
+    const HierarchyResult r = h.access(a, false);
+    EXPECT_EQ(h.llc().writebacks(), 2u);
+    EXPECT_TRUE(r.llc_miss);
+    ASSERT_TRUE(r.memory_writeback.has_value());
+    EXPECT_EQ(*r.memory_writeback, c);
+}
+
 TEST(Tlb, HitsAndMisses)
 {
     Tlb tlb(16, 4, 4096);

@@ -694,6 +694,59 @@ TEST(ObsEndToEnd, EpochSeriesShowsRmccHitRate)
     fs::remove_all(dir);
 }
 
+TEST(ObsEndToEnd, LlcColumnsCountTheMeasuredLoopAfterWarmup)
+{
+    // An RMCC timing cell replays the warm-up's cache recording, so its
+    // llc.* columns come from the loop, not from the warmed hierarchy.
+    // They must equal a per-epoch count over a fresh rig's hierarchy.
+    const std::string dir = freshDir("llc");
+    ObsEnv env("epochs", dir, "5000");
+    sim::NamedConfig nc = sim::rmccConfig(sim::SimMode::Timing);
+    shrink(nc.cfg);
+    ASSERT_TRUE(nc.cfg.precondition);
+    const auto *w = wl::findWorkload("canneal");
+    const auto trace = wl::generateTrace(*w, nc.cfg.trace_records, 42);
+    (void)sim::runOne(w->name, trace, nc);
+
+    std::string epochs_path;
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.path().filename().string().rfind("epochs-", 0) == 0)
+            epochs_path = e.path().string();
+    ASSERT_FALSE(epochs_path.empty());
+    const std::string csv = slurp(epochs_path);
+    const std::vector<double> records = csvColumn(csv, "records");
+    const std::vector<double> accesses = csvColumn(csv, "llc.accesses");
+    const std::vector<double> misses = csvColumn(csv, "llc.misses");
+    ASSERT_GE(records.size(), 2u);
+    ASSERT_EQ(accesses.size(), records.size());
+    ASSERT_EQ(misses.size(), records.size());
+
+    // Cumulative LLC counts after each record, from a rig whose
+    // hierarchy sees the trace once, in order.
+    sim::detail::SimRig rig(nc.cfg);
+    std::vector<double> acc_after, miss_after;
+    const auto cur = trace.cursor();
+    for (trace::TraceWindow tw = cur->next(); tw.count != 0;
+         tw = cur->next()) {
+        for (std::size_t k = 0; k < tw.count; ++k) {
+            const trace::Record &r = tw.data[k];
+            rig.hier.access(rig.mapper.translate(r.vaddr), r.is_write);
+            acc_after.push_back(double(rig.hier.llc().accesses()));
+            miss_after.push_back(double(rig.hier.llc().misses()));
+        }
+    }
+    for (std::size_t row = 0; row < records.size(); ++row) {
+        const auto n = static_cast<std::size_t>(records[row]);
+        ASSERT_GE(n, 1u);
+        ASSERT_LE(n, acc_after.size());
+        EXPECT_EQ(accesses[row], acc_after[n - 1]) << "records=" << n;
+        EXPECT_EQ(misses[row], miss_after[n - 1]) << "records=" << n;
+    }
+    EXPECT_GT(misses.back(), misses.front());
+    clearObsEnv();
+    fs::remove_all(dir);
+}
+
 TEST(ObsEndToEnd, FullModeWritesLoadableTraceJson)
 {
     const std::string dir = freshDir("full");
