@@ -108,8 +108,10 @@ runGrid(const std::vector<const wl::Workload *> &workloads,
         }
     });
 
-    // Phase 2: every (workload, config) cell is an independent task; the
-    // last cell of a workload to finish reports the workload done.
+    // Phase 2: every (workload, config) cell is an independent task.  The
+    // last cell of a workload to finish frees the workload's trace, and
+    // with it the trace's front-end recordings (TraceSource::memo), then
+    // reports the workload done.
     std::vector<std::atomic<std::size_t>> cells_done(n_wl);
     util::parallelFor(pool, n_wl * n_cfg, [&](std::size_t t) {
         const std::size_t w = t / n_cfg;
@@ -124,10 +126,12 @@ runGrid(const std::vector<const wl::Workload *> &workloads,
             row.statuses[c].state = CellState::Failed;
             row.statuses[c].error = trace_errors[w];
         }
-        if (progress &&
-            cells_done[w].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                n_cfg)
-            progress(row.workload);
+        if (cells_done[w].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            n_cfg) {
+            traces[w].reset();
+            if (progress)
+                progress(row.workload);
+        }
     });
     return rows;
 }

@@ -1,0 +1,141 @@
+/**
+ * @file
+ * Internal: the simulators' front end (page mapping, TLB, L1/L2/LLC),
+ * recorded once per (trace, front-end config) and replayed by every cell.
+ *
+ * In the trace-driven model a record's TLB and cache outcome depends only
+ * on the trace and on the few SystemConfig fields FrontEndConfig holds:
+ * page mode, physical size, mapper seed, tenant partitioning, and the
+ * cache and TLB geometry.  It does not depend on the counter scheme,
+ * RMCC, latencies or the counter cache, so the non-secure, SC-64,
+ * Morphable and RMCC cells of one trace all see the same stream.  One
+ * pass (recordFrontEnd) runs its own PageMapper, Tlb and Hierarchy over
+ * the trace and records every outcome; the recording is memoised on the
+ * trace (TraceSource::memo), and each cell replays it (FrontEndReplay)
+ * instead of running the caches again.
+ */
+#ifndef RMCC_SIM_FRONT_END_HPP
+#define RMCC_SIM_FRONT_END_HPP
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "address/page_mapper.hpp"
+#include "sim/system_config.hpp"
+#include "trace/trace_source.hpp"
+
+namespace rmcc::sim::detail
+{
+
+/** The SystemConfig fields a record's TLB and cache outcome depends on. */
+struct FrontEndConfig
+{
+    addr::PageMode page_mode = addr::PageMode::Huge2M;
+    std::uint64_t phys_bytes = 0;
+    std::uint64_t mapper_seed = 0;
+    //! Per-tenant frame arenas: secure && strict && tenants > 1.  When
+    //! false, tag_shift and tenants are 0 (they do not affect mapping).
+    bool tenant_arenas = false;
+    unsigned tag_shift = 0;
+    std::uint64_t tenants = 0;
+    std::uint64_t l1_bytes = 0, l2_bytes = 0, llc_bytes = 0;
+    unsigned l1_assoc = 0, l2_assoc = 0, llc_assoc = 0;
+    unsigned tlb_entries = 0, tlb_assoc = 0;
+
+    bool operator==(const FrontEndConfig &) const = default;
+};
+
+/**
+ * The front-end key of cfg.  Throws std::invalid_argument for a
+ * phys_bytes above 2^32 blocks: the recording stores writeback victims as
+ * 32-bit block numbers.
+ */
+FrontEndConfig frontEndConfig(const SystemConfig &cfg);
+
+/** The page mapper of a front end; SimRig's mapper is built here too. */
+addr::PageMapper makePageMapper(const FrontEndConfig &fe);
+
+/**
+ * Every record's front-end outcome, in trace order: one byte per record
+ * (hit level, writeback flag, TLB-miss flag) plus the 32-bit victim
+ * block number of each memory writeback.  Immutable once built.
+ */
+struct FrontEndRecording
+{
+    static constexpr std::uint8_t kUpperHit = 0; //!< L1 or L2 hit.
+    static constexpr std::uint8_t kLlcHit = 1;
+    static constexpr std::uint8_t kLlcMiss = 2;
+    static constexpr std::uint8_t kLevelMask = 3;
+    static constexpr std::uint8_t kWriteback = 4;
+    static constexpr std::uint8_t kTlbMiss = 8;
+
+    std::vector<std::uint8_t> codes;
+    std::vector<std::uint32_t> victims;
+};
+
+/**
+ * The one recording builder: replay trace through a fresh PageMapper,
+ * Tlb and Hierarchy built from fe.  Polls the cell's cancellation scope.
+ */
+FrontEndRecording recordFrontEnd(const trace::TraceSource &trace,
+                                 const FrontEndConfig &fe);
+
+/**
+ * cfg's recording of trace, built on first use and memoised on the trace
+ * (concurrent callers for one key share one build).
+ */
+std::shared_ptr<const FrontEndRecording>
+frontEndRecording(const trace::TraceSource &trace, const SystemConfig &cfg);
+
+/** One record's replayed front-end outcome. */
+struct FrontEndOutcome
+{
+    bool tlb_miss = false;
+    bool llc_hit = false;   //!< Served by the LLC (L1 and L2 missed).
+    bool llc_miss = false;  //!< Goes to memory.
+    bool writeback = false; //!< A dirty LLC victim goes to memory...
+    addr::Addr victim = 0;  //!< ...at this line address.
+};
+
+/** A sequential read of a recording, counting LLC lookups and misses. */
+class FrontEndReplay
+{
+  public:
+    explicit FrontEndReplay(const FrontEndRecording &rec)
+        : codes_(rec.codes.data()), victims_(rec.victims.data())
+    {
+    }
+
+    /** The next record's outcome, in trace order. */
+    FrontEndOutcome next()
+    {
+        using R = FrontEndRecording;
+        const std::uint8_t code = *codes_++;
+        const std::uint8_t level = code & R::kLevelMask;
+        FrontEndOutcome o;
+        o.tlb_miss = (code & R::kTlbMiss) != 0;
+        o.llc_hit = level == R::kLlcHit;
+        o.llc_miss = level == R::kLlcMiss;
+        llc_accesses_ += level != R::kUpperHit;
+        llc_misses_ += o.llc_miss;
+        if ((code & R::kWriteback) != 0) {
+            o.writeback = true;
+            o.victim = addr::blockBase(*victims_++);
+        }
+        return o;
+    }
+
+    /** LLC lookups and misses replayed so far (the llc.* obs probes). */
+    std::uint64_t llcAccesses() const { return llc_accesses_; }
+    std::uint64_t llcMisses() const { return llc_misses_; }
+
+  private:
+    const std::uint8_t *codes_;
+    const std::uint32_t *victims_;
+    std::uint64_t llc_accesses_ = 0, llc_misses_ = 0;
+};
+
+} // namespace rmcc::sim::detail
+
+#endif // RMCC_SIM_FRONT_END_HPP

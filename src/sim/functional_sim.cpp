@@ -17,23 +17,20 @@ runFunctional(const std::string &workload_name,
 namespace
 {
 
-/**
- * The measured loop of runFunctional over one cache-outcome source
- * (detail::LiveCaches or detail::RecordedCaches; see replayWithCaches).
- */
+/** The measured loop of runFunctional, over the trace's front-end recording. */
 // rmcc-lint: hot-path
-template <class Caches>
 SimResult
 measuredLoop(const std::string &workload_name,
              const trace::TraceSource &trace, const SystemConfig &cfg,
              fault::FaultCampaign *campaign, ReplayObserver *replay,
-             detail::SimRig &rig, Caches &caches)
+             detail::SimRig &rig, const detail::FrontEndRecording &recording)
 {
     if (campaign != nullptr && cfg.secure) {
         campaign->bind(rig.tree, &rig.engine);
         rig.mc.attachObserver(campaign->oracle());
     }
 
+    detail::FrontEndReplay front(recording);
     util::StatSet side; // simulator-side counters (TLB, LLC events)
     const util::StatHandle h_tlb_miss = side.handle("tlb.misses");
     const util::StatHandle h_llc_miss = side.handle("sim.llc_misses");
@@ -55,7 +52,7 @@ measuredLoop(const std::string &workload_name,
     detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
-        detail::registerRigProbes(*obs, rig, caches, trace,
+        detail::registerRigProbes(*obs, rig, front, trace,
                                   [&fake_now] { return fake_now; },
                                   drive.ioStats());
         rig.mc.attachObs(obs.get());
@@ -63,11 +60,7 @@ measuredLoop(const std::string &workload_name,
 
     // One-record lookahead (TraceDrive::forEachRecord), as in runTiming.
     drive.forEachRecord(
-        rig.mapper,
-        [&rig, &caches](addr::Addr next) {
-            caches.prefetch(next);
-            rig.mc.prefetchRead(next);
-        },
+        rig.mapper, [&rig](addr::Addr next) { rig.mc.prefetchRead(next); },
         [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // aborts here instead of running to the end.
@@ -80,9 +73,9 @@ measuredLoop(const std::string &workload_name,
             }
             instructions += rec.inst_gap + 1;
 
-            if (!rig.tlb.access(rec.vaddr))
+            const detail::FrontEndOutcome h = front.next();
+            if (h.tlb_miss)
                 side.inc(h_tlb_miss);
-            const detail::CacheOutcome h = caches.next(paddr, rec.is_write);
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
                 const mc::McReadResult r = rig.mc.read(paddr, fake_now);
@@ -144,11 +137,12 @@ runFunctional(const std::string &workload_name,
               const trace::TraceSource &trace, const SystemConfig &cfg,
               fault::FaultCampaign *campaign, ReplayObserver *replay)
 {
+    const std::shared_ptr<const detail::FrontEndRecording> recording =
+        detail::frontEndRecording(trace, cfg);
     detail::SimRig rig(cfg);
-    return detail::replayWithCaches(rig, cfg, trace, [&](auto &caches) {
-        return measuredLoop(workload_name, trace, cfg, campaign, replay, rig,
-                            caches);
-    });
+    detail::preconditionRmcc(rig, cfg, trace, *recording);
+    return measuredLoop(workload_name, trace, cfg, campaign, replay, rig,
+                        *recording);
 }
 
 } // namespace rmcc::sim

@@ -88,19 +88,17 @@ cellName(const std::string &workload, const SystemConfig &cfg)
 }
 
 /**
- * Register the standard probe catalog over a rig.  caches is the
- * measured loop's cache-outcome source (LiveCaches or RecordedCaches),
- * which the llc.* probes read: after a warm-up, rig.hier holds
- * end-of-trace state, so the loop keeps the LLC counts itself.  now_fn
- * supplies the current simulated time for the DRAM-backlog probe (the
- * two simulators keep time differently).  io, when non-null, is the
- * replay cursor's I/O counter block (spilled traces only) and adds the
- * spill probes.  Everything referenced must outlive the registry; probe
- * lambdas capture raw pointers/references.
+ * Register the standard probe catalog over a rig.  front is the measured
+ * loop's replay of the trace's front-end recording, which the llc.*
+ * probes read: the rig runs no caches of its own.  now_fn supplies the
+ * current simulated time for the DRAM-backlog probe (the two simulators
+ * keep time differently).  io, when non-null, is the replay cursor's I/O
+ * counter block (spilled traces only) and adds the spill probes.
+ * Everything referenced must outlive the registry; probe lambdas capture
+ * raw pointers/references.
  */
-template <class Caches>
-void
-registerRigProbes(obs::Registry &o, SimRig &rig, const Caches &caches,
+inline void
+registerRigProbes(obs::Registry &o, SimRig &rig, const FrontEndReplay &front,
                   const trace::TraceSource &trace,
                   std::function<double()> now_fn,
                   const trace::TraceIoStats *io = nullptr)
@@ -137,9 +135,9 @@ registerRigProbes(obs::Registry &o, SimRig &rig, const Caches &caches,
 
     // Cache hierarchy + counter cache.
     o.addProbe("llc.accesses",
-               [&caches] { return double(caches.llcAccesses()); });
+               [&front] { return double(front.llcAccesses()); });
     o.addProbe("llc.misses",
-               [&caches] { return double(caches.llcMisses()); });
+               [&front] { return double(front.llcMisses()); });
     o.addRate("llc.miss_rate", "llc.misses", "llc.accesses");
     const cache::SetAssocCache &cc = rig.mc.counterCache();
     o.addProbe("ctr_cache.accesses",

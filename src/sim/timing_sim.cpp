@@ -10,18 +10,15 @@ namespace rmcc::sim
 namespace
 {
 
-/**
- * The measured loop of runTiming over one cache-outcome source
- * (detail::LiveCaches or detail::RecordedCaches; see replayWithCaches).
- */
+/** The measured loop of runTiming, over the trace's front-end recording. */
 // rmcc-lint: hot-path
-template <class Caches>
 SimResult
 measuredLoop(const std::string &workload_name,
              const trace::TraceSource &trace, const SystemConfig &cfg,
-             detail::SimRig &rig, Caches &caches)
+             detail::SimRig &rig, const detail::FrontEndRecording &recording)
 {
     CpuModel cpu(cfg.cpu);
+    detail::FrontEndReplay front(recording);
 
     std::unique_ptr<obs::Registry> obs =
         obs::makeRunRegistry(detail::cellName(workload_name, cfg));
@@ -31,7 +28,7 @@ measuredLoop(const std::string &workload_name,
     detail::TraceDrive drive(trace, obs.get());
 
     if (obs) {
-        detail::registerRigProbes(*obs, rig, caches, trace,
+        detail::registerRigProbes(*obs, rig, front, trace,
                                   [&cpu] { return cpu.now(); },
                                   drive.ioStats());
         rig.mc.attachObs(obs.get());
@@ -51,14 +48,10 @@ measuredLoop(const std::string &workload_name,
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
     // One-record lookahead (TraceDrive::forEachRecord): the next
-    // record's cache sets and counter entries are prefetched while this
-    // one is simulated, hiding the counter store's memory stalls.
+    // record's counter entries are prefetched while this one is
+    // simulated, hiding the counter store's memory stalls.
     drive.forEachRecord(
-        rig.mapper,
-        [&rig, &caches](addr::Addr next) {
-            caches.prefetch(next);
-            rig.mc.prefetchRead(next);
-        },
+        rig.mapper, [&rig](addr::Addr next) { rig.mc.prefetchRead(next); },
         [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // aborts here instead of running to the end.
@@ -72,9 +65,9 @@ measuredLoop(const std::string &workload_name,
             }
 
             const double issue = cpu.advance(rec.inst_gap);
-            if (!rig.tlb.access(rec.vaddr))
+            const detail::FrontEndOutcome h = front.next();
+            if (h.tlb_miss)
                 side.inc(h_tlb_miss);
-            const detail::CacheOutcome h = caches.next(paddr, rec.is_write);
 
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
@@ -134,10 +127,11 @@ SimResult
 runTiming(const std::string &workload_name,
           const trace::TraceSource &trace, const SystemConfig &cfg)
 {
+    const std::shared_ptr<const detail::FrontEndRecording> recording =
+        detail::frontEndRecording(trace, cfg);
     detail::SimRig rig(cfg);
-    return detail::replayWithCaches(rig, cfg, trace, [&](auto &caches) {
-        return measuredLoop(workload_name, trace, cfg, rig, caches);
-    });
+    detail::preconditionRmcc(rig, cfg, trace, *recording);
+    return measuredLoop(workload_name, trace, cfg, rig, *recording);
 }
 
 } // namespace rmcc::sim

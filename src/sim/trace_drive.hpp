@@ -1,14 +1,14 @@
 /**
  * @file
- * Internal: windowed trace iteration shared by both simulators and the
- * precondition pass.
+ * Internal: windowed trace iteration shared by both simulators, the
+ * precondition pass and the front-end recording pass.
  *
  * TraceDrive walks a TraceSource's windows and records the host time
  * each advance blocked on trace I/O into the TraceIo latency histogram
  * (spilled sources only — the in-RAM cursor has no I/O and registers
  * nothing).
  *
- * forEachRecord is the one replay loop all three sites share: window
+ * forEachRecord is the one replay loop all four sites share: window
  * bookkeeping and the one-record lookahead live here, the per-record work
  * stays with each caller, so the sites cannot drift apart.
  */

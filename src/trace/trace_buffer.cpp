@@ -73,6 +73,7 @@ TraceBuffer::operator=(TraceBuffer &&other) noexcept
         distinct_cache_ = other.distinct_cache_;
         distinct_valid_ = other.distinct_valid_;
         other.dropped_ = 0;
+        memo().clear();
     }
     return *this;
 }
@@ -102,6 +103,7 @@ TraceBuffer::append(addr::Addr vaddr, bool is_write, std::uint32_t inst_gap)
     total_insts_ += 1 + inst_gap;
     writes_ += is_write ? 1 : 0;
     distinct_valid_ = false;
+    memo().clear();
 }
 
 std::uint64_t

@@ -43,7 +43,9 @@ class TraceBuffer : public TraceSink, public TraceSource
     ~TraceBuffer() override;
 
     //! Moves transfer the drop counter (the source stops owning it), so
-    //! a moved-from temporary's destructor does not double-report.
+    //! a moved-from temporary's destructor does not double-report.  The
+    //! memo (TraceSource::memo) is never carried over: a copied, moved
+    //! or assigned buffer starts with an empty one.
     TraceBuffer(TraceBuffer &&other) noexcept;
     TraceBuffer &operator=(TraceBuffer &&other) noexcept;
     TraceBuffer(const TraceBuffer &) = default;
@@ -54,7 +56,7 @@ class TraceBuffer : public TraceSink, public TraceSource
      * (with a one-time warning) instead of being stored.  Out-of-range
      * values (vaddr above 47 bits, gap above 16) are fatal: the packed
      * Record cannot represent them and truncation would silently corrupt
-     * the trace.
+     * the trace.  Drops the memo: its values describe the old records.
      */
     void append(addr::Addr vaddr, bool is_write,
                 std::uint32_t inst_gap) override;

@@ -12,6 +12,9 @@
  *    and by the windowed mmap TraceFileReader (epoch-sized windows with
  *    the next one prefetched while the current drains).
  *
+ * A source also carries a memo (TraceMemo) of values computed from its
+ * records, which lives and dies with the source.
+ *
  * Virtual dispatch happens once per *window*, never per record: the
  * replay loops iterate raw `const Record *` spans inside a window, so the
  * in-RAM path compiles to the same inner loop as before the abstraction.
@@ -23,6 +26,7 @@
 #include <memory>
 
 #include "trace/record.hpp"
+#include "trace/trace_memo.hpp"
 
 namespace rmcc::trace
 {
@@ -128,6 +132,16 @@ class TraceSource
      * (the spilling reader does; in-RAM sources return nullptr).
      */
     virtual const TracePlan *plan() const { return nullptr; }
+
+    /**
+     * Values computed from this trace's records, shared by every replay
+     * of it and freed with it (see TraceMemo).  A source whose records
+     * change must clear() it.
+     */
+    TraceMemo &memo() const { return memo_; }
+
+  private:
+    mutable TraceMemo memo_;
 };
 
 } // namespace rmcc::trace

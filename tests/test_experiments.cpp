@@ -10,9 +10,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+
+#include <unistd.h>
 
 #include "sim/experiments.hpp"
 #include "util/cancel.hpp"
@@ -303,6 +308,66 @@ TEST(SuiteRunner, TraceGenerationFailureFailsWholeRow)
     unsetenv("RMCC_TRACE_DIR");
     unsetenv("RMCC_TRACE_SPILL");
     std::remove(file.c_str());
+}
+
+namespace
+{
+
+/** Files under dir this process has mapped, from /proc/self/maps. */
+std::set<std::string>
+mappedUnder(const std::string &dir)
+{
+    std::set<std::string> paths;
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        const std::size_t at = line.find(dir);
+        if (at != std::string::npos)
+            paths.insert(line.substr(at));
+    }
+    return paths;
+}
+
+} // namespace
+
+TEST(SuiteRunner, FreesEachTraceAfterItsLastCell)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "reads /proc/self/maps";
+#endif
+    // A spilled trace stays mmap'd for as long as the runner holds its
+    // handle (and, on the trace, its front-end recordings), so
+    // /proc/self/maps shows which traces are still alive.  With one job
+    // the cells run in suite order: when workload k's first cell starts,
+    // the traces of workloads 0..k-1 must already be gone.
+    const std::string dir = testing::TempDir() + "rmcc_trace_release_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    setenv("RMCC_TRACE_SPILL", "on", 1);
+    setenv("RMCC_TRACE_DIR", dir.c_str(), 1);
+    setenv("RMCC_JOBS", "1", 1);
+    const std::vector<NamedConfig> configs = tinyConfigs();
+    std::vector<std::pair<std::string, std::size_t>> mapped_at_start;
+    {
+        HookGuard guard([&](const std::string &w, const std::string &label) {
+            if (label == configs.front().label)
+                mapped_at_start.emplace_back(w, mappedUnder(dir).size());
+        });
+        const std::vector<SuiteRow> rows = runSuite(configs);
+        for (const SuiteRow &row : rows)
+            EXPECT_TRUE(row.allOk()) << row.workload;
+    }
+    unsetenv("RMCC_JOBS");
+    unsetenv("RMCC_TRACE_DIR");
+    unsetenv("RMCC_TRACE_SPILL");
+
+    const std::size_t n = wl::workloadSuite().size();
+    ASSERT_EQ(mapped_at_start.size(), n);
+    for (std::size_t k = 0; k < n; ++k)
+        EXPECT_EQ(mapped_at_start[k].second, n - k)
+            << mapped_at_start[k].first;
+    EXPECT_TRUE(mappedUnder(dir).empty());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SuiteRunner, TimeoutAbortsCellCooperatively)

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/hierarchy.hpp"
 #include "obs/histogram.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
@@ -696,9 +697,10 @@ TEST(ObsEndToEnd, EpochSeriesShowsRmccHitRate)
 
 TEST(ObsEndToEnd, LlcColumnsCountTheMeasuredLoopAfterWarmup)
 {
-    // An RMCC timing cell replays the warm-up's cache recording, so its
-    // llc.* columns come from the loop, not from the warmed hierarchy.
-    // They must equal a per-epoch count over a fresh rig's hierarchy.
+    // A cell replays the trace's front-end recording, so its llc.*
+    // columns come from the loop's count of the replayed outcomes.  They
+    // must equal a per-epoch count over a standalone hierarchy that sees
+    // the trace once, in order, after the RMCC warm-up.
     const std::string dir = freshDir("llc");
     ObsEnv env("epochs", dir, "5000");
     sim::NamedConfig nc = sim::rmccConfig(sim::SimMode::Timing);
@@ -721,18 +723,19 @@ TEST(ObsEndToEnd, LlcColumnsCountTheMeasuredLoopAfterWarmup)
     ASSERT_EQ(accesses.size(), records.size());
     ASSERT_EQ(misses.size(), records.size());
 
-    // Cumulative LLC counts after each record, from a rig whose
-    // hierarchy sees the trace once, in order.
+    // Cumulative LLC counts after each record, from a standalone
+    // hierarchy fed by the rig's mapper.
     sim::detail::SimRig rig(nc.cfg);
+    cache::Hierarchy hier(nc.cfg.l1, nc.cfg.l2, nc.cfg.llc);
     std::vector<double> acc_after, miss_after;
     const auto cur = trace.cursor();
     for (trace::TraceWindow tw = cur->next(); tw.count != 0;
          tw = cur->next()) {
         for (std::size_t k = 0; k < tw.count; ++k) {
             const trace::Record &r = tw.data[k];
-            rig.hier.access(rig.mapper.translate(r.vaddr), r.is_write);
-            acc_after.push_back(double(rig.hier.llc().accesses()));
-            miss_after.push_back(double(rig.hier.llc().misses()));
+            hier.access(rig.mapper.translate(r.vaddr), r.is_write);
+            acc_after.push_back(double(hier.llc().accesses()));
+            miss_after.push_back(double(hier.llc().misses()));
         }
     }
     for (std::size_t row = 0; row < records.size(); ++row) {

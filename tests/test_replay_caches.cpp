@@ -1,59 +1,94 @@
 /**
  * @file
- * The warm-up's cache recording (sim/rig.hpp).  A cell that warms up
- * drives the cache hierarchy once, in preconditionRmcc, and its measured
- * loop replays the recorded outcomes.  These tests pin that the
- * recording equals a standalone Hierarchy run over the same translated
- * stream, in RAM and spilled, and that every cell calls
- * Hierarchy::access exactly once per record.
+ * The front-end recording (sim/front_end.hpp).  One pass records each
+ * record's TLB and L1/L2/LLC outcome for a (trace, front-end config); the
+ * recording is memoised on the trace, and every cell replays it.  These
+ * tests pin that the recording equals a standalone Tlb and Hierarchy run
+ * over the same translated stream, in RAM and spilled; that all the cells
+ * of one trace and key run the front end once in total, also when they
+ * ask concurrently; that keys never share a recording; and that a
+ * cancelled build, an append or a copy never leaves a stale one.
  *
- * The call count comes from the linker: this test links with
- * --wrap=<Hierarchy::access>, so every call, from the simulator
- * libraries or from this file, goes through countingAccess below (see
- * tests/CMakeLists.txt).
+ * The call counts come from the linker: this test links with
+ * --wrap=<Hierarchy::access> and --wrap=<Tlb::access>, so every call,
+ * from the simulator libraries or from this file, goes through the
+ * counting functions below (see tests/CMakeLists.txt).
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
+#include "cache/tlb.hpp"
 #include "sim/experiments.hpp"
+#include "sim/front_end.hpp"
 #include "sim/rig.hpp"
 #include "trace/trace_buffer.hpp"
 #include "trace/trace_file.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/traced_memory.hpp"
+#include "util/rng.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/graphbig.hpp"
 #include "workloads/registry.hpp"
 
 using namespace rmcc;
 
-// Hierarchy::access(Addr, bool) under its Itanium-ABI symbol name.  The
-// member's `this` is the free function's first parameter.
+// Hierarchy::access(Addr, bool) and Tlb::access(Addr) under their
+// Itanium-ABI symbol names.  A member's `this` is the free function's
+// first parameter.
 cache::HierarchyResult realAccess(cache::Hierarchy *h, addr::Addr paddr,
                                   bool is_write)
     __asm__("__real__ZN4rmcc5cache9Hierarchy6accessEmb");
 cache::HierarchyResult countingAccess(cache::Hierarchy *h, addr::Addr paddr,
                                       bool is_write)
     __asm__("__wrap__ZN4rmcc5cache9Hierarchy6accessEmb");
+bool realTlbAccess(cache::Tlb *t, addr::Addr vaddr)
+    __asm__("__real__ZN4rmcc5cache3Tlb6accessEm");
+bool countingTlbAccess(cache::Tlb *t, addr::Addr vaddr)
+    __asm__("__wrap__ZN4rmcc5cache3Tlb6accessEm");
 
 namespace
 {
 
-std::uint64_t g_access_calls = 0;
+std::atomic<std::uint64_t> g_access_calls{0};
+std::atomic<std::uint64_t> g_tlb_calls{0};
+//! When nonzero, the Hierarchy::access call with this number sleeps
+//! long enough for a cell's timeout to pass.
+std::atomic<std::uint64_t> g_stall_at_call{0};
+constexpr auto kStall = std::chrono::milliseconds(400);
+
+void
+resetCounts()
+{
+    g_access_calls = 0;
+    g_tlb_calls = 0;
+}
 
 } // namespace
 
 cache::HierarchyResult
 countingAccess(cache::Hierarchy *h, addr::Addr paddr, bool is_write)
 {
-    ++g_access_calls;
+    const std::uint64_t n = ++g_access_calls;
+    if (n == g_stall_at_call.load())
+        std::this_thread::sleep_for(kStall);
     return realAccess(h, paddr, is_write);
+}
+
+bool
+countingTlbAccess(cache::Tlb *t, addr::Addr vaddr)
+{
+    ++g_tlb_calls;
+    return realTlbAccess(t, vaddr);
 }
 
 namespace
@@ -96,26 +131,46 @@ rmccTiming(std::uint64_t records)
     return cfg;
 }
 
+sim::NamedConfig
+sized(sim::NamedConfig nc, std::uint64_t records)
+{
+    nc.cfg.trace_records = records;
+    nc.cfg.warmup_records = records / 2;
+    return nc;
+}
+
+/** Everything a cell reports, for exact comparison. */
+void
+expectSameResult(const sim::SimResult &a, const sim::SimResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.elapsed_ns, b.elapsed_ns) << what;
+    EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
+}
+
 /** Tallies of one recording-vs-standalone comparison. */
 struct Compared
 {
     std::uint64_t records = 0, llc_misses = 0, writebacks = 0;
+    std::uint64_t tlb_misses = 0;
     std::uint64_t double_writebacks = 0; //!< Two dirty LLC victims at once.
     std::uint64_t mismatches = 0;
 };
 
 /**
- * Warm a rig up over src, then replay its recording next to a fresh
- * Hierarchy driven over the same stream, translated by the warmed
- * mapper exactly as the measured loop translates it.
+ * Replay src's recording next to a fresh Tlb and Hierarchy driven over
+ * the same stream, translated by a SimRig's mapper exactly as the
+ * measured loop translates it.
  */
 Compared
 compareRecording(const trace::TraceSource &src, const sim::SystemConfig &cfg)
 {
+    const auto rec = sim::detail::frontEndRecording(src, cfg);
+    sim::detail::FrontEndReplay replay(*rec);
     sim::detail::SimRig rig(cfg);
-    sim::detail::RecordedCaches rec =
-        sim::detail::preconditionRmcc(rig, cfg, src);
     cache::Hierarchy ref(cfg.l1, cfg.l2, cfg.llc);
+    cache::Tlb tlb(cfg.tlb_entries, cfg.tlb_assoc, rig.mapper.pageSize());
     Compared c;
     const auto cur = src.cursor();
     for (trace::TraceWindow w = cur->next(); w.count != 0; w = cur->next()) {
@@ -123,22 +178,25 @@ compareRecording(const trace::TraceSource &src, const sim::SystemConfig &cfg)
             const trace::Record &r = w.data[k];
             const addr::Addr paddr = rig.mapper.translate(r.vaddr);
             const std::uint64_t llc_wbs = ref.llc().writebacks();
+            const bool tlb_hit = tlb.access(r.vaddr);
             const cache::HierarchyResult h = ref.access(paddr, r.is_write);
-            const sim::detail::CacheOutcome o = rec.next(paddr, r.is_write);
+            const sim::detail::FrontEndOutcome o = replay.next();
             const bool same =
-                o.llc_miss == h.llc_miss &&
+                o.tlb_miss == !tlb_hit && o.llc_miss == h.llc_miss &&
                 o.llc_hit == (h.hit_level == 3) &&
                 o.writeback == h.memory_writeback.has_value() &&
                 (!o.writeback || o.victim == *h.memory_writeback);
             if (!same && c.mismatches++ == 0)
                 ADD_FAILURE() << "first mismatch at record " << c.records;
             c.llc_misses += h.llc_miss;
+            c.tlb_misses += !tlb_hit;
             c.writebacks += o.writeback;
             c.double_writebacks += ref.llc().writebacks() - llc_wbs == 2;
         }
     }
-    EXPECT_EQ(rec.llcAccesses(), ref.llc().accesses());
-    EXPECT_EQ(rec.llcMisses(), ref.llc().misses());
+    EXPECT_EQ(rec->codes.size(), c.records);
+    EXPECT_EQ(replay.llcAccesses(), ref.llc().accesses());
+    EXPECT_EQ(replay.llcMisses(), ref.llc().misses());
     return c;
 }
 
@@ -152,7 +210,7 @@ compareInRamAndSpilled(const Generator &gen, const sim::SystemConfig &cfg,
     const Compared in_ram = compareRecording(ram, cfg);
     EXPECT_EQ(in_ram.records, ram.size());
 
-    // 1100-record windows: the warm-up's lookahead crosses a window
+    // 1100-record windows: the builder's lookahead crosses a window
     // boundary every 1100 records.
     const std::string path = testing::TempDir() + leaf;
     std::remove(path.c_str());
@@ -167,8 +225,30 @@ compareInRamAndSpilled(const Generator &gen, const sim::SystemConfig &cfg,
     EXPECT_EQ(from_file.mismatches, 0u);
     EXPECT_EQ(from_file.records, in_ram.records);
     EXPECT_EQ(from_file.writebacks, in_ram.writebacks);
+    EXPECT_EQ(from_file.tlb_misses, in_ram.tlb_misses);
     std::remove(path.c_str());
     return in_ram;
+}
+
+/**
+ * Two tenants' random traffic, tagged at bit 40: a hot 256 KB region and
+ * a 32 MB one per tenant, 30% writes.  Enough TLB and LLC misses and
+ * writebacks that every front-end field changes what it records.
+ */
+trace::TraceBuffer
+twoTenantTrace(std::size_t records)
+{
+    trace::TraceBuffer t(records);
+    util::Rng rng(7);
+    for (std::size_t i = 0; i < records; ++i) {
+        const addr::Addr tenant = (i / 64) % 2;
+        const std::uint64_t span =
+            rng.next() % 2 == 0 ? 256 * 1024 : 32 * 1024 * 1024;
+        const addr::Addr off = rng.next() % span & ~addr::Addr{7};
+        t.append((tenant << 40) | off, rng.next() % 10 < 3,
+                 static_cast<std::uint32_t>(rng.next() % 8));
+    }
+    return t;
 }
 
 } // namespace
@@ -183,6 +263,7 @@ TEST(ReplayCaches, RecordingMatchesStandaloneHierarchyOnCanneal)
         "rmcc_rec_canneal");
     EXPECT_GT(c.llc_misses, 0u);
     EXPECT_GT(c.writebacks, 0u);
+    EXPECT_GT(c.tlb_misses, 0u);
 }
 
 TEST(ReplayCaches, RecordingMatchesStandaloneHierarchyOnPageRank)
@@ -205,7 +286,7 @@ TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
 
     sim::NamedConfig no_precondition = sim::rmccConfig(sim::SimMode::Timing);
     no_precondition.cfg.precondition = false;
-    const std::vector<sim::NamedConfig> cells = {
+    std::vector<sim::NamedConfig> cells = {
         sim::rmccConfig(sim::SimMode::Timing),
         sim::rmccConfig(sim::SimMode::Functional),
         no_precondition,
@@ -214,14 +295,166 @@ TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
         sim::baselineConfig(sim::SimMode::Functional,
                             ctr::SchemeKind::Morphable),
     };
-    for (sim::NamedConfig nc : cells) {
-        nc.cfg.trace_records = kRecords;
-        nc.cfg.warmup_records = kRecords / 2;
-        g_access_calls = 0;
-        (void)sim::runOne("canneal", trace, nc);
-        EXPECT_EQ(g_access_calls, trace.size())
-            << nc.label << (nc.cfg.precondition ? "" : " (no precondition)");
+    // The functional preset has a smaller L2/LLC, a front-end key of its
+    // own; give those cells the timing geometry so all six share one.
+    const sim::SystemConfig timing = sim::SystemConfig::timingDefault();
+    for (sim::NamedConfig &nc : cells) {
+        nc = sized(nc, kRecords);
+        nc.cfg.l2 = timing.l2;
+        nc.cfg.llc = timing.llc;
     }
+    resetCounts();
+    for (const sim::NamedConfig &nc : cells)
+        (void)sim::runOne("canneal", trace, nc);
+    EXPECT_EQ(g_access_calls, trace.size());
+    EXPECT_EQ(g_tlb_calls, trace.size());
+
+    // A second key records once more, and then no more.
+    const sim::NamedConfig functional =
+        sized(sim::rmccConfig(sim::SimMode::Functional), kRecords);
+    (void)sim::runOne("canneal", trace, functional);
+    (void)sim::runOne("canneal", trace, functional);
+    EXPECT_EQ(g_access_calls, 2 * trace.size());
+    EXPECT_EQ(g_tlb_calls, 2 * trace.size());
+}
+
+TEST(ReplayCaches, EachFrontEndKeyGetsItsOwnRecording)
+{
+    // For each FrontEndConfig field: a cell on a trace that already holds
+    // the base key's recording must give exactly the result it gives on a
+    // fresh copy of the trace (a copy starts with an empty memo).
+    constexpr std::size_t kRecords = 40000;
+    sim::NamedConfig base = sized(sim::rmccConfig(sim::SimMode::Timing),
+                                  kRecords);
+    smallCaches(base.cfg);
+    base.cfg.page_mode = addr::PageMode::Small4K; // the mapper seed counts
+    base.cfg.tenancy.tenants = 2;
+    base.cfg.tenancy.tag_shift = 40;
+    base.cfg.tenancy.strict = true;
+
+    using Edit = std::function<void(sim::SystemConfig &)>;
+    const std::vector<std::pair<std::string, Edit>> fields = {
+        {"page_mode",
+         [](auto &c) { c.page_mode = addr::PageMode::Huge2M; }},
+        {"phys_bytes", [](auto &c) { c.phys_bytes *= 2; }},
+        {"mapper seed", [](auto &c) { c.seed += 1; }},
+        {"tenancy.strict", [](auto &c) { c.tenancy.strict = false; }},
+        {"secure (strict tenancy)", [](auto &c) { c.secure = false; }},
+        {"tenancy.tag_shift", [](auto &c) { c.tenancy.tag_shift = 41; }},
+        {"tenancy.tenants", [](auto &c) { c.tenancy.tenants = 4; }},
+        {"l1 size", [](auto &c) { c.l1.size_bytes *= 2; }},
+        {"l1 assoc", [](auto &c) { c.l1.assoc = 4; }},
+        {"l2 size", [](auto &c) { c.l2.size_bytes *= 2; }},
+        {"l2 assoc", [](auto &c) { c.l2.assoc = 4; }},
+        {"llc size", [](auto &c) { c.llc.size_bytes *= 2; }},
+        {"llc assoc", [](auto &c) { c.llc.assoc = 4; }},
+        {"tlb_entries", [](auto &c) { c.tlb_entries = 512; }},
+        {"tlb_assoc", [](auto &c) { c.tlb_assoc = 4; }},
+    };
+    const trace::TraceBuffer pristine = twoTenantTrace(kRecords);
+    const auto base_rec =
+        sim::detail::frontEndRecording(pristine, base.cfg);
+    for (const auto &[field, edit] : fields) {
+        sim::NamedConfig cell = base;
+        edit(cell.cfg);
+        EXPECT_FALSE(sim::detail::frontEndConfig(cell.cfg) ==
+                     sim::detail::frontEndConfig(base.cfg))
+            << field << " is not part of the front-end key";
+
+        const trace::TraceBuffer shared = pristine;
+        (void)sim::runOne("mix", shared, base);
+        const sim::SimResult after_base = sim::runOne("mix", shared, cell);
+        const trace::TraceBuffer fresh = pristine;
+        const sim::SimResult alone = sim::runOne("mix", fresh, cell);
+        expectSameResult(after_base, alone, field);
+
+        // The field changes the recording itself, so sharing the base
+        // key's recording could not have gone unnoticed above.
+        const auto rec = sim::detail::frontEndRecording(fresh, cell.cfg);
+        EXPECT_TRUE(rec->codes != base_rec->codes ||
+                    rec->victims != base_rec->victims)
+            << field << " does not change the recording";
+    }
+}
+
+TEST(ReplayCaches, ConcurrentCellsOnAColdTraceBuildOnce)
+{
+    constexpr std::uint64_t kRecords = 20000;
+    const trace::TraceBuffer trace =
+        wl::generateTrace(*wl::findWorkload("canneal"), kRecords, 42);
+    const sim::NamedConfig nc =
+        sized(sim::rmccConfig(sim::SimMode::Timing), kRecords);
+    constexpr unsigned kThreads = 4;
+    std::vector<sim::SimResult> results(kThreads);
+    std::vector<std::thread> threads;
+    resetCounts();
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            results[t] = sim::runOne("canneal", trace, nc);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(g_access_calls, trace.size());
+    EXPECT_EQ(g_tlb_calls, trace.size());
+    for (unsigned t = 1; t < kThreads; ++t)
+        expectSameResult(results[t], results[0],
+                         "thread " + std::to_string(t));
+}
+
+TEST(ReplayCaches, CancelledBuildPublishesNothing)
+{
+    // The cell's timeout passes while the recording is being built
+    // (Hierarchy::access call 10000 stalls past it), so the builder's
+    // next cancellation poll throws.  The next cell must build a whole
+    // recording of its own and match a run on a fresh copy.
+    constexpr std::uint64_t kRecords = 40000;
+    const trace::TraceBuffer trace =
+        wl::generateTrace(*wl::findWorkload("canneal"), kRecords, 42);
+    const sim::NamedConfig nc =
+        sized(sim::rmccConfig(sim::SimMode::Timing), kRecords);
+
+    resetCounts();
+    setenv("RMCC_CELL_TIMEOUT_MS", "200", 1);
+    g_stall_at_call = 10000;
+    const auto [cancelled, status] = sim::runCellGuarded("canneal", trace, nc);
+    g_stall_at_call = 0;
+    unsetenv("RMCC_CELL_TIMEOUT_MS");
+    EXPECT_EQ(status.state, sim::CellState::TimedOut);
+    EXPECT_GT(g_access_calls, 10000u);
+    EXPECT_LT(g_access_calls, trace.size());
+
+    resetCounts();
+    const sim::SimResult after = sim::runOne("canneal", trace, nc);
+    EXPECT_EQ(g_access_calls, trace.size());
+    EXPECT_EQ(g_tlb_calls, trace.size());
+    const trace::TraceBuffer fresh = trace;
+    expectSameResult(after, sim::runOne("canneal", fresh, nc), "rebuilt");
+}
+
+TEST(ReplayCaches, AppendDropsTheMemo)
+{
+    constexpr std::size_t kRecords = 20000;
+    const trace::TraceBuffer full = twoTenantTrace(kRecords + 1);
+    trace::TraceBuffer trace(kRecords + 1);
+    for (std::size_t i = 0; i < kRecords; ++i) {
+        const trace::Record &r = full.records()[i];
+        trace.append(r.vaddr, r.is_write, r.inst_gap);
+    }
+    const sim::NamedConfig nc =
+        sized(sim::nonSecureConfig(sim::SimMode::Timing), kRecords);
+
+    resetCounts();
+    (void)sim::runOne("mix", trace, nc);
+    (void)sim::runOne("mix", trace, nc);
+    EXPECT_EQ(g_access_calls, kRecords);
+
+    const trace::Record &last = full.records()[kRecords];
+    trace.append(last.vaddr, last.is_write, last.inst_gap);
+    resetCounts();
+    const sim::SimResult after_append = sim::runOne("mix", trace, nc);
+    EXPECT_EQ(g_access_calls, kRecords + 1);
+    expectSameResult(after_append, sim::runOne("mix", full, nc),
+                     "after append");
 }
 
 TEST(ReplayCaches, SimRigRefusesMoreThan32BitBlockNumbers)
