@@ -8,6 +8,7 @@
 #define RMCC_COUNTERS_MONOLITHIC_HPP
 
 #include "counters/scheme.hpp"
+#include "counters/store.hpp"
 
 namespace rmcc::ctr
 {
@@ -33,9 +34,9 @@ class MonolithicScheme : public CounterScheme
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
     std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
+    EntityStorage entityStorage() const override
     {
-        return store_.data();
+        return {store_.data(), sizeof(addr::CounterValue)};
     }
     addr::CounterValue observedMax() const override
     {

@@ -46,34 +46,42 @@ constexpr std::size_t kPayloadBase = kMajorBits + kFormatBits;
 
 // ---------------------------------------------------------------------------
 // Block-scan kernels.  Every encodability decision reduces to two scans
-// over a block's contiguous logical values: a summary (max offset above
-// the major, non-zero count, >=8 count — exactly the facts the format
+// over a block's contiguous 16-bit offsets: a summary (max offset above
+// a major, non-zero count, >=8 count — exactly the facts the format
 // predicates test) and a min/max.
 // ---------------------------------------------------------------------------
 
-/** Accumulate (max_off, nonzero, ge8) over values[0..n) minus major. */
+/**
+ * Accumulate (max_off, nonzero, ge8) over the offsets offs[0..n) hold
+ * against another major: offs[i] + shift, where shift = stored major -
+ * other major (mod 2^64; exact while no value lies below the other major).
+ */
 void
-summarizeSpan(const addr::CounterValue *values, std::size_t n,
-              addr::CounterValue major, std::uint64_t &max_off,
-              unsigned &nonzero, unsigned &ge8)
+summarizeSpan(const std::uint16_t *offs, std::size_t n, std::uint64_t shift,
+              std::uint64_t &max_off, unsigned &nonzero, unsigned &ge8)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t off = values[i] - major;
+        const std::uint64_t off = offs[i] + shift;
         max_off = std::max(max_off, off);
         nonzero += off != 0;
         ge8 += off >= 8;
     }
 }
 
-/** Fold values[0..n) into the running [lo, hi] envelope. */
+/** Fold the values major + offs[0..n) into the running [lo, hi] envelope. */
 void
-minmaxSpan(const addr::CounterValue *values, std::size_t n,
+minmaxSpan(const std::uint16_t *offs, std::size_t n, addr::CounterValue major,
            addr::CounterValue &lo, addr::CounterValue &hi)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        lo = std::min(lo, values[i]);
-        hi = std::max(hi, values[i]);
+    if (n == 0)
+        return;
+    std::uint16_t omin = offs[0], omax = offs[0];
+    for (std::size_t i = 1; i < n; ++i) {
+        omin = std::min(omin, offs[i]);
+        omax = std::max(omax, offs[i]);
     }
+    lo = std::min(lo, major + omin);
+    hi = std::max(hi, major + omax);
 }
 
 } // namespace
@@ -107,8 +115,8 @@ MorphableScheme::refreshSummary(addr::CounterBlockId cb)
     const auto [first, last] = blockRange(cb);
     std::uint64_t max_off = 0;
     unsigned nonzero = 0, ge8 = 0;
-    summarizeSpan(store_.data() + first, last - first, majors_[cb],
-                  max_off, nonzero, ge8);
+    summarizeSpan(off_.data() + first, last - first, 0, max_off, nonzero,
+                  ge8);
     BlockSummary s;
     s.max_off = max_off;
     s.nonzero = static_cast<std::uint16_t>(nonzero);
@@ -117,7 +125,7 @@ MorphableScheme::refreshSummary(addr::CounterBlockId cb)
 }
 
 MorphableScheme::MorphableScheme(std::uint64_t n)
-    : store_(n),
+    : off_(n, 0),
       majors_((n + kCoverage - 1) / kCoverage, 0),
       formats_(majors_.size(), MorphFormat::Uniform3),
       summaries_(majors_.size())
@@ -128,7 +136,7 @@ std::pair<std::uint64_t, std::uint64_t>
 MorphableScheme::blockRange(addr::CounterBlockId cb) const
 {
     const std::uint64_t first = cb * kCoverage;
-    return {first, std::min(first + kCoverage, store_.size())};
+    return {first, std::min<std::uint64_t>(first + kCoverage, off_.size())};
 }
 
 std::vector<std::uint64_t>
@@ -137,7 +145,7 @@ MorphableScheme::blockOffsets(addr::CounterBlockId cb) const
     const auto [first, last] = blockRange(cb);
     std::vector<std::uint64_t> offsets(last - first);
     for (std::uint64_t i = first; i < last; ++i)
-        offsets[i - first] = store_.get(i) - majors_[cb];
+        offsets[i - first] = off_[i];
     return offsets;
 }
 
@@ -174,7 +182,7 @@ MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
         }
         const std::span<const ValueRange> rest(r, ranges.end());
         for (std::uint64_t i = first; i < last; ++i)
-            count += inRanges(store_.get(i), rest);
+            count += inRanges(lo + off_[i], rest);
     }
     return count;
 }
@@ -182,7 +190,7 @@ MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
 addr::CounterValue
 MorphableScheme::read(std::uint64_t idx) const
 {
-    return store_.get(idx);
+    return majors_[blockOf(idx)] + off_[idx];
 }
 
 bool
@@ -192,7 +200,7 @@ MorphableScheme::encodable(std::uint64_t idx,
     const addr::CounterBlockId cb = blockOf(idx);
     const addr::CounterValue major = majors_[cb];
     if (new_value >= major) {
-        const addr::CounterValue cur = store_.get(idx);
+        const addr::CounterValue cur = major + off_[idx];
         if (new_value >= cur) {
             // A non-decreasing candidate can only grow the summary, so
             // the updated digest is exact and no offset scan is needed.
@@ -210,13 +218,13 @@ MorphableScheme::encodable(std::uint64_t idx,
             // and running the format predicates over them (they only
             // consult the summary facts).
             const auto [first, last] = blockRange(cb);
-            const addr::CounterValue *base = store_.data();
+            const std::uint16_t *offs = off_.data();
             const std::uint64_t new_off = new_value - major;
             std::uint64_t max_off = new_off;
             unsigned nonzero = new_off != 0, ge8 = new_off >= 8;
-            summarizeSpan(base + first, idx - first, major, max_off,
-                          nonzero, ge8);
-            summarizeSpan(base + idx + 1, last - idx - 1, major, max_off,
+            summarizeSpan(offs + first, idx - first, 0, max_off, nonzero,
+                          ge8);
+            summarizeSpan(offs + idx + 1, last - idx - 1, 0, max_off,
                           nonzero, ge8);
             BlockSummary s;
             s.max_off = max_off;
@@ -231,24 +239,35 @@ MorphableScheme::encodable(std::uint64_t idx,
     return shiftedFormat(cb, idx, new_value).has_value();
 }
 
+addr::CounterValue
+MorphableScheme::shiftedMajor(addr::CounterBlockId cb, std::uint64_t idx,
+                              addr::CounterValue new_value) const
+{
+    // Fold the two spans around idx.
+    const auto [first, last] = blockRange(cb);
+    const std::uint16_t *offs = off_.data();
+    addr::CounterValue vmin = new_value, hi_unused = new_value;
+    minmaxSpan(offs + first, idx - first, majors_[cb], vmin, hi_unused);
+    minmaxSpan(offs + idx + 1, last - idx - 1, majors_[cb], vmin,
+               hi_unused);
+    return vmin;
+}
+
 std::optional<MorphFormat>
 MorphableScheme::shiftedFormat(addr::CounterBlockId cb, std::uint64_t idx,
                                addr::CounterValue new_value) const
 {
     const auto [first, last] = blockRange(cb);
-    const addr::CounterValue *base = store_.data();
-    // Candidate major = min over the block with idx set to new_value,
-    // found by folding the two spans around idx.
-    addr::CounterValue vmin = new_value, hi_unused = new_value;
-    minmaxSpan(base + first, idx - first, vmin, hi_unused);
-    minmaxSpan(base + idx + 1, last - idx - 1, vmin, hi_unused);
+    const std::uint16_t *offs = off_.data();
+    const addr::CounterValue vmin = shiftedMajor(cb, idx, new_value);
     // Summary of the shifted offsets (idx replaced by new_value); the
     // format predicates need nothing more.
+    const std::uint64_t shift = majors_[cb] - vmin;
     const std::uint64_t new_off = new_value - vmin;
     std::uint64_t max_off = new_off;
     unsigned nonzero = new_off != 0, ge8 = new_off >= 8;
-    summarizeSpan(base + first, idx - first, vmin, max_off, nonzero, ge8);
-    summarizeSpan(base + idx + 1, last - idx - 1, vmin, max_off, nonzero,
+    summarizeSpan(offs + first, idx - first, shift, max_off, nonzero, ge8);
+    summarizeSpan(offs + idx + 1, last - idx - 1, shift, max_off, nonzero,
                   ge8);
     BlockSummary s;
     s.max_off = max_off;
@@ -260,15 +279,16 @@ MorphableScheme::shiftedFormat(addr::CounterBlockId cb, std::uint64_t idx,
 WriteResult
 MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
 {
-    assert(new_value > store_.get(idx));
+    assert(new_value > read(idx));
     const addr::CounterBlockId cb = blockOf(idx);
     const addr::CounterValue major = majors_[cb];
+    observed_max_ = std::max(observed_max_, new_value);
     if (new_value >= major) {
         // Counter writes are monotone, so the one changed offset only
         // grows and the block digest updates in O(1) — no 128-offset
         // rescan on the dense path.
         BlockSummary s = summaries_[cb];
-        const std::uint64_t old_off = store_.get(idx) - major;
+        const std::uint64_t old_off = off_[idx];
         const std::uint64_t new_off = new_value - major;
         s.max_off = std::max(s.max_off, new_off);
         s.nonzero += old_off == 0;
@@ -279,19 +299,22 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
                 formats_[cb] = *fmt;
             }
             summaries_[cb] = s;
-            store_.set(idx, new_value);
+            // The format bounds every offset below 2^16.
+            off_[idx] = static_cast<std::uint16_t>(new_off);
             return {new_value, false, 0};
         }
     }
+    const auto [first, last] = blockRange(cb);
     // Min-shift re-encode: when the whole block has drifted upward, the
     // major slides up to the block minimum.  No counter value changes,
-    // so no covered entity needs re-encryption.
+    // so no covered entity needs re-encryption; every offset is
+    // rewritten against the new major (the format bounds them below
+    // 2^16).
     if (const auto fmt = shiftedFormat(cb, idx, new_value)) {
-        store_.set(idx, new_value);
-        const auto [first, last] = blockRange(cb);
-        addr::CounterValue vmin = store_.get(first);
-        addr::CounterValue hi_unused = vmin;
-        minmaxSpan(store_.data() + first, last - first, vmin, hi_unused);
+        const addr::CounterValue vmin = shiftedMajor(cb, idx, new_value);
+        for (std::uint64_t i = first; i < last; ++i)
+            off_[i] = static_cast<std::uint16_t>(major + off_[i] - vmin);
+        off_[idx] = static_cast<std::uint16_t>(new_value - vmin);
         majors_[cb] = vmin;
         formats_[cb] = *fmt;
         ++morphs_;
@@ -300,12 +323,11 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
     }
     // Rebase: relevel every value to the block maximum; all covered
     // entities must be re-encrypted with the new shared value.
-    const auto [first, last] = blockRange(cb);
     addr::CounterValue vmax = new_value, lo_unused = new_value;
-    minmaxSpan(store_.data() + first, last - first, lo_unused, vmax);
+    minmaxSpan(off_.data() + first, last - first, major, lo_unused, vmax);
     majors_[cb] = vmax;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, vmax);
+    std::fill(off_.begin() + first, off_.begin() + last, 0);
+    observed_max_ = std::max(observed_max_, vmax);
     formats_[cb] = MorphFormat::Uniform3;
     summaries_[cb] = BlockSummary{};
     ++overflows_;
@@ -326,7 +348,7 @@ MorphableScheme::cheaplyEncodable(std::uint64_t idx,
     // "everyone but idx, plus v" follows from the digest alone.
     const BlockSummary &s = summaries_[cb];
     const addr::CounterValue major = majors_[cb];
-    const std::uint64_t off_idx = store_.get(idx) - major;
+    const std::uint64_t off_idx = off_[idx];
     const std::uint64_t n = last - first;
     const std::uint64_t nonzero_others = s.nonzero - (off_idx != 0);
     if (nonzero_others < n - 1 && off_idx < s.max_off) {
@@ -336,9 +358,9 @@ MorphableScheme::cheaplyEncodable(std::uint64_t idx,
         return vmax - vmin < 8;
     }
     addr::CounterValue vmin = v, vmax = v;
-    const addr::CounterValue *base = store_.data();
-    minmaxSpan(base + first, idx - first, vmin, vmax);
-    minmaxSpan(base + idx + 1, last - idx - 1, vmin, vmax);
+    const std::uint16_t *offs = off_.data();
+    minmaxSpan(offs + first, idx - first, major, vmin, vmax);
+    minmaxSpan(offs + idx + 1, last - idx - 1, major, vmin, vmax);
     return vmax - vmin < 8;
 }
 
@@ -349,8 +371,8 @@ MorphableScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
     const auto [first, last] = blockRange(cb);
     assert(target > blockMax(idx));
     majors_[cb] = target;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, target);
+    std::fill(off_.begin() + first, off_.begin() + last, 0);
+    observed_max_ = std::max(observed_max_, target);
     formats_[cb] = MorphFormat::Uniform3;
     summaries_[cb] = BlockSummary{};
     return {target, false, last - first};
@@ -359,7 +381,11 @@ MorphableScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
 void
 MorphableScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
 {
-    std::uint64_t offsets[kCoverage];
+    // A block's draws land in `drift` (a later draw to one slot replaces
+    // an earlier one) and their slots in `touched`; the pass over
+    // `touched` below zeroes `drift` again for the next block.
+    std::uint16_t drift[kCoverage] = {};
+    std::uint64_t touched[11 + 8]; // at most 11 small and 8 large draws
     for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
         const addr::CounterValue major =
             rng.nextInRange(mean / 2, mean + mean / 2);
@@ -371,35 +397,52 @@ MorphableScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
         // sit at their major with a handful of small drifted minors, and
         // a few carry larger bitmap-encoded offsets.  Each minor is drawn
         // before the slot it lands in.
-        std::fill_n(offsets, n, 0);
+        unsigned n_touched = 0;
         const unsigned drifted =
             static_cast<unsigned>(rng.nextBelow(12));
         for (unsigned k = 0; k < drifted; ++k) {
-            const std::uint64_t minor = 1 + rng.nextBelow(7);
-            offsets[rng.nextBelow(n)] = minor;
+            const auto minor =
+                static_cast<std::uint16_t>(1 + rng.nextBelow(7));
+            const std::uint64_t slot = rng.nextBelow(n);
+            drift[slot] = minor;
+            touched[n_touched++] = slot;
         }
         if (rng.nextBool(0.1)) {
             const unsigned big = 1 + static_cast<unsigned>(
                                          rng.nextBelow(8));
             for (unsigned k = 0; k < big; ++k) {
-                const std::uint64_t minor = 8 + rng.nextBelow(56);
-                offsets[rng.nextBelow(n)] = minor;
+                const auto minor =
+                    static_cast<std::uint16_t>(8 + rng.nextBelow(56));
+                const std::uint64_t slot = rng.nextBelow(n);
+                drift[slot] = minor;
+                touched[n_touched++] = slot;
             }
         }
-        std::uint64_t max_off = 0;
-        unsigned nonzero = 0, ge8 = 0;
-        summarizeSpan(offsets, n, 0, max_off, nonzero, ge8);
+        // Only the drifted slots are written: a block whose exact
+        // summary shows no non-zero offset is all zeros already (as the
+        // constructor leaves every block).
+        if (summaries_[cb].nonzero != 0)
+            std::fill(off_.begin() + first, off_.begin() + last, 0);
+        // Every minor is non-zero, so a slot reads zero here once it has
+        // been taken (repeated slots count once, with their last minor).
         BlockSummary s;
-        s.max_off = max_off;
-        s.nonzero = static_cast<std::uint16_t>(nonzero);
-        s.ge8 = static_cast<std::uint16_t>(ge8);
+        for (unsigned k = 0; k < n_touched; ++k) {
+            const std::uint16_t off = drift[touched[k]];
+            if (off == 0)
+                continue;
+            drift[touched[k]] = 0;
+            off_[first + touched[k]] = off;
+            s.max_off = std::max<std::uint64_t>(s.max_off, off);
+            ++s.nonzero;
+            s.ge8 += off >= 8;
+        }
         const auto fmt = formatFromSummary(s);
         if (!fmt)
             util::panic("randomInit produced unencodable morphable block");
         majors_[cb] = major;
         formats_[cb] = *fmt;
         summaries_[cb] = s;
-        store_.setSpan(first, major, offsets, n);
+        observed_max_ = std::max(observed_max_, major + s.max_off);
     }
 }
 

@@ -20,11 +20,19 @@
  * to any fitting format; if none fits, the block rebases: every encoded
  * value is raised to the block maximum and all 128 covered entities are
  * re-encrypted.
+ *
+ * Storage is the layout's own split: a 64-bit major per block and one
+ * 16-bit offset per entity, read(i) = major + offset.  That is exact
+ * because every format formatFromSummary accepts keeps offsets below
+ * 2^16 (Index16's 16-bit minors are the widest), a rebase or relevel
+ * zeroes them, and the min-shift re-encode rewrites the block's offsets
+ * against its new major.
  */
 #ifndef RMCC_COUNTERS_MORPHABLE_HPP
 #define RMCC_COUNTERS_MORPHABLE_HPP
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -59,7 +67,7 @@ struct MorphFormatInfo
 const std::array<MorphFormatInfo, 6> &morphFormats();
 
 /** Morphable counter scheme. */
-class MorphableScheme : public CounterScheme
+class MorphableScheme final : public CounterScheme
 {
   public:
     /** Entities per counter block. */
@@ -80,15 +88,12 @@ class MorphableScheme : public CounterScheme
                              addr::CounterValue target) override;
     bool cheaplyEncodable(std::uint64_t idx,
                           addr::CounterValue v) const override;
-    std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
+    std::uint64_t entities() const override { return off_.size(); }
+    EntityStorage entityStorage() const override
     {
-        return store_.data();
+        return {off_.data(), sizeof(std::uint16_t)};
     }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
-    }
+    addr::CounterValue observedMax() const override { return observed_max_; }
     addr::CounterValue blockMax(std::uint64_t idx) const override;
     std::uint64_t
     countInRanges(std::span<const ValueRange> ranges) const override;
@@ -140,14 +145,22 @@ class MorphableScheme : public CounterScheme
     static std::optional<MorphFormat>
     formatFromSummary(const BlockSummary &s);
 
-    /** Recompute a block's summary from its stored values. */
+    /** Recompute a block's summary from its stored offsets. */
     void refreshSummary(addr::CounterBlockId cb);
 
     /** Offsets (value - major) of every entity in a block. */
     std::vector<std::uint64_t> blockOffsets(addr::CounterBlockId cb) const;
 
     /**
-     * Format that fits after sliding the major to the block minimum with
+     * The block minimum with entity idx set to new_value: the major a
+     * min-shift re-encode slides to.
+     */
+    addr::CounterValue shiftedMajor(addr::CounterBlockId cb,
+                                    std::uint64_t idx,
+                                    addr::CounterValue new_value) const;
+
+    /**
+     * Format that fits after sliding the major to shiftedMajor() with
      * entity idx set to new_value; nullopt if none.
      */
     std::optional<MorphFormat>
@@ -158,11 +171,12 @@ class MorphableScheme : public CounterScheme
     std::pair<std::uint64_t, std::uint64_t>
     blockRange(addr::CounterBlockId cb) const;
 
-    CounterStore store_;
+    std::vector<std::uint16_t> off_; //!< Per entity: value - major.
     std::vector<addr::CounterValue> majors_;
     std::vector<MorphFormat> formats_;
     std::vector<BlockSummary> summaries_;
     std::uint64_t morphs_ = 0;
+    addr::CounterValue observed_max_ = 0; //!< Largest value ever stored.
 };
 
 } // namespace rmcc::ctr

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "counters/scheme.hpp"
+#include "counters/store.hpp"
 
 namespace rmcc::ctr
 {
@@ -41,9 +42,9 @@ class Sc64Scheme : public CounterScheme
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
     std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
+    EntityStorage entityStorage() const override
     {
-        return store_.data();
+        return {store_.data(), sizeof(addr::CounterValue)};
     }
     addr::CounterValue observedMax() const override
     {

@@ -14,6 +14,7 @@
 #define RMCC_COUNTERS_SCHEME_HPP
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "address/types.hpp"
-#include "counters/store.hpp"
 #include "util/rng.hpp"
 
 namespace rmcc::ctr
@@ -54,6 +54,19 @@ inRanges(addr::CounterValue v, std::span<const ValueRange> ranges)
     }
     return false;
 }
+
+/** Per-entity storage of a scheme, for prefetching (entityStorage()). */
+struct EntityStorage
+{
+    const void *base = nullptr; //!< First entity's bytes.
+    std::size_t width = 0;      //!< Bytes per entity.
+
+    /** Prefetch entity idx's bytes. */
+    void prefetch(std::uint64_t idx) const
+    {
+        __builtin_prefetch(static_cast<const char *>(base) + idx * width);
+    }
+};
 
 /** Available scheme implementations. */
 enum class SchemeKind
@@ -123,11 +136,13 @@ class CounterScheme
     virtual std::uint64_t entities() const = 0;
 
     /**
-     * Raw dense array of all entities() logical values when the scheme
-     * stores them contiguously; nullptr otherwise.  Bulk scans (stats
-     * reporting) use it to skip one virtual read() per counter.
+     * Where the scheme keeps entity idx's own state (its counter value, or
+     * its offset from the block major): `width` bytes per entity,
+     * contiguous from `base`.  Hot-path prefetch sites
+     * (SecureMc::prefetchRead and the RMCC warm-up) touch it a step
+     * before read() needs it; it is not a value array.
      */
-    virtual const addr::CounterValue *rawValues() const { return nullptr; }
+    virtual EntityStorage entityStorage() const = 0;
 
     /** Largest counter value ever stored (feeds Observed-System-Max). */
     virtual addr::CounterValue observedMax() const = 0;
@@ -185,18 +200,17 @@ class CounterScheme
 
     /**
      * Number of entities whose counter value lies in one of `ranges`,
-     * which must be sorted and pairwise disjoint.  The default is one
-     * dense pass over every counter; schemes that track per-block value
-     * bounds override it to count whole blocks without reading them.
+     * which must be sorted and pairwise disjoint.  The default reads
+     * every counter; schemes that track per-block value bounds override
+     * it to count whole blocks without reading them.
      */
     virtual std::uint64_t
     countInRanges(std::span<const ValueRange> ranges) const
     {
-        const addr::CounterValue *raw = rawValues();
         const std::uint64_t n = entities();
         std::uint64_t count = 0;
         for (std::uint64_t i = 0; i < n; ++i)
-            count += inRanges(raw != nullptr ? raw[i] : read(i), ranges);
+            count += inRanges(read(i), ranges);
         return count;
     }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Flat logical-counter storage shared by all counter-scheme models.
+ * Flat 64-bit logical-counter storage of the SC-64 and SGX-monolithic
+ * schemes.
  *
- * Schemes store every counter as a widened 64-bit logical value (the
+ * Those schemes store every counter as a widened 64-bit logical value (the
  * functional truth) and separately model whether a value transition is
  * *encodable* in their 64 B block layout; unencodable transitions are
- * overflows that cost re-encryption traffic.
+ * overflows that cost re-encryption traffic.  Morphable Counters do not
+ * use it: they store a 16-bit offset per entity from the block's major
+ * (counters/morphable.hpp).
  */
 #ifndef RMCC_COUNTERS_STORE_HPP
 #define RMCC_COUNTERS_STORE_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,19 +37,11 @@ class CounterStore
     /** Current logical value of counter idx. */
     addr::CounterValue get(std::uint64_t idx) const { return values_[idx]; }
 
-    /** Dense value array, for bulk scans that must not pay a virtual
-     *  call per counter (stats reporting). */
+    /** Dense value array (the schemes' entityStorage() for prefetch). */
     const addr::CounterValue *data() const { return values_.data(); }
 
     /** Overwrite counter idx; tracks the observed maximum. */
     void set(std::uint64_t idx, addr::CounterValue v);
-
-    /**
-     * Overwrite counters [first, first + n) with base + offsets[i]; the
-     * observed maximum is updated once for the whole span.
-     */
-    void setSpan(std::uint64_t first, addr::CounterValue base,
-                 const std::uint64_t *offsets, std::size_t n);
 
     /** Number of counters. */
     std::uint64_t size() const

@@ -53,7 +53,7 @@ SecureMc::SecureMc(const McConfig &cfg, ctr::IntegrityTree &tree,
             meta_[k].base + tree_.blocksAt(k) * addr::kBlockSize;
         meta_[k].coverage = tree_.level(k).coverage();
         meta_[k].decode_ns = tree_.level(k).decodeLatencyNs();
-        meta_[k].raw = tree_.level(k).rawValues();
+        meta_[k].storage = tree_.level(k).entityStorage();
     }
 }
 
@@ -63,19 +63,17 @@ SecureMc::prefetchRead(addr::Addr paddr) const
     if (!cfg_.secure)
         return;
     // The read walk's first touches: the L0 (and, on an L0 miss, L1)
-    // counter value for this block and the counter-cache sets holding
+    // counter entry for this block and the counter-cache sets holding
     // their blocks.  Counter stores span tens of megabytes, so these
     // loads are the replay loop's dominant memory stalls; issuing them a
     // record early hides most of that latency.
     const addr::BlockId blk = addr::blockOf(paddr);
     const std::uint64_t cb0 = blk / meta_[0].coverage;
-    if (meta_[0].raw != nullptr)
-        __builtin_prefetch(meta_[0].raw + blk);
+    meta_[0].storage.prefetch(blk);
     ctr_cache_.prefetchSet(meta_[0].base + (cb0 << addr::kBlockShift));
     if (tree_.levels() > 1) {
         const std::uint64_t cb1 = cb0 / meta_[1].coverage;
-        if (meta_[1].raw != nullptr)
-            __builtin_prefetch(meta_[1].raw + cb0);
+        meta_[1].storage.prefetch(cb0);
         ctr_cache_.prefetchSet(meta_[1].base + (cb1 << addr::kBlockShift));
     }
 }

@@ -235,9 +235,8 @@ class SecureMc
         addr::Addr end;         //!< One past the level's last block.
         unsigned coverage;      //!< Entities per counter block.
         double decode_ns;       //!< Scheme decode latency.
-        //! Scheme's dense value array for prefetchRead (null when the
-        //! scheme exposes none).
-        const addr::CounterValue *raw = nullptr;
+        //! Scheme's per-entity storage, for prefetchRead.
+        ctr::EntityStorage storage;
     };
 
     /** One DRAM transfer with category accounting and epoch advance. */

@@ -62,9 +62,8 @@ recordFrontEnd(const trace::TraceSource &trace, const FrontEndConfig &fe)
                           {fe.llc_bytes, fe.llc_assoc, 0.0});
     R rec;
     rec.codes.reserve(trace.size());
-    // Same translation order as every replay of the trace (v0, v1, ...;
-    // see TraceDrive::forEachRecord), so the physical addresses recorded
-    // here are the ones each cell's own mapper hands out.
+    // The recording fixes every physical address a replay uses: replays
+    // read the LLC-miss and victim blocks from it and translate nothing.
     TraceDrive drive(trace, nullptr);
     drive.forEachRecord(
         mapper, [&hier](addr::Addr next) { hier.prefetch(next); },
@@ -76,6 +75,9 @@ recordFrontEnd(const trace::TraceSource &trace, const FrontEndConfig &fe)
             code |= h.llc_miss          ? R::kLlcMiss
                     : h.hit_level == 3 ? R::kLlcHit
                                        : R::kUpperHit;
+            if (h.llc_miss)
+                rec.misses.push_back(
+                    static_cast<std::uint32_t>(addr::blockOf(paddr)));
             if (h.memory_writeback) {
                 code |= R::kWriteback;
                 rec.victims.push_back(static_cast<std::uint32_t>(
@@ -83,6 +85,7 @@ recordFrontEnd(const trace::TraceSource &trace, const FrontEndConfig &fe)
             }
             rec.codes.push_back(code);
         });
+    rec.misses.shrink_to_fit();
     rec.victims.shrink_to_fit();
     return rec;
 }

@@ -10,9 +10,11 @@
  * RMCC, latencies or the counter cache, so the non-secure, SC-64,
  * Morphable and RMCC cells of one trace all see the same stream.  One
  * pass (recordFrontEnd) runs its own PageMapper, Tlb and Hierarchy over
- * the trace and records every outcome; the recording is memoised on the
- * trace (TraceSource::memo), and each cell replays it (FrontEndReplay)
- * instead of running the caches again.
+ * the trace and records every outcome, with the physical block of every
+ * memory access; the recording is memoised on the trace
+ * (TraceSource::memo), and each cell replays it (FrontEndReplay) instead
+ * of translating and running the caches again.  recordFrontEnd is the
+ * simulators' only caller of PageMapper::translate.
  */
 #ifndef RMCC_SIM_FRONT_END_HPP
 #define RMCC_SIM_FRONT_END_HPP
@@ -48,18 +50,22 @@ struct FrontEndConfig
 
 /**
  * The front-end key of cfg.  Throws std::invalid_argument for a
- * phys_bytes above 2^32 blocks: the recording stores writeback victims as
- * 32-bit block numbers.
+ * phys_bytes above 2^32 blocks: the recording stores physical block
+ * numbers in 32 bits.
  */
 FrontEndConfig frontEndConfig(const SystemConfig &cfg);
 
-/** The page mapper of a front end; SimRig's mapper is built here too. */
+/**
+ * The page mapper of a front end: recordFrontEnd's, and the one SimRig
+ * reads its strict-tenancy arena size from.
+ */
 addr::PageMapper makePageMapper(const FrontEndConfig &fe);
 
 /**
  * Every record's front-end outcome, in trace order: one byte per record
- * (hit level, writeback flag, TLB-miss flag) plus the 32-bit victim
- * block number of each memory writeback.  Immutable once built.
+ * (hit level, writeback flag, TLB-miss flag), the 32-bit physical block
+ * number of each LLC miss, and that of each memory writeback's victim.
+ * Immutable once built.
  */
 struct FrontEndRecording
 {
@@ -71,6 +77,7 @@ struct FrontEndRecording
     static constexpr std::uint8_t kTlbMiss = 8;
 
     std::vector<std::uint8_t> codes;
+    std::vector<std::uint32_t> misses;
     std::vector<std::uint32_t> victims;
 };
 
@@ -93,7 +100,8 @@ struct FrontEndOutcome
 {
     bool tlb_miss = false;
     bool llc_hit = false;   //!< Served by the LLC (L1 and L2 missed).
-    bool llc_miss = false;  //!< Goes to memory.
+    bool llc_miss = false;  //!< Goes to memory...
+    addr::Addr miss = 0;    //!< ...from this line address.
     bool writeback = false; //!< A dirty LLC victim goes to memory...
     addr::Addr victim = 0;  //!< ...at this line address.
 };
@@ -103,7 +111,9 @@ class FrontEndReplay
 {
   public:
     explicit FrontEndReplay(const FrontEndRecording &rec)
-        : codes_(rec.codes.data()), victims_(rec.victims.data())
+        : codes_(rec.codes.data()), misses_(rec.misses.data()),
+          misses_end_(misses_ + rec.misses.size()),
+          victims_(rec.victims.data())
     {
     }
 
@@ -119,11 +129,25 @@ class FrontEndReplay
         o.llc_miss = level == R::kLlcMiss;
         llc_accesses_ += level != R::kUpperHit;
         llc_misses_ += o.llc_miss;
+        if (o.llc_miss)
+            o.miss = addr::blockBase(*misses_++);
         if ((code & R::kWriteback) != 0) {
             o.writeback = true;
             o.victim = addr::blockBase(*victims_++);
         }
         return o;
+    }
+
+    /**
+     * Whether an LLC miss lies ahead of the replay; if so, its line
+     * address goes to *paddr.  The lookahead the replays prefetch for.
+     */
+    bool nextMiss(addr::Addr *paddr) const
+    {
+        if (misses_ == misses_end_)
+            return false;
+        *paddr = addr::blockBase(*misses_);
+        return true;
     }
 
     /** LLC lookups and misses replayed so far (the llc.* obs probes). */
@@ -132,6 +156,8 @@ class FrontEndReplay
 
   private:
     const std::uint8_t *codes_;
+    const std::uint32_t *misses_;
+    const std::uint32_t *misses_end_;
     const std::uint32_t *victims_;
     std::uint64_t llc_accesses_ = 0, llc_misses_ = 0;
 };

@@ -3,6 +3,7 @@
 #include "fault/campaign.hpp"
 #include "sim/obs_wiring.hpp"
 #include "sim/rig.hpp"
+#include "sim/trace_drive.hpp"
 
 namespace rmcc::sim
 {
@@ -58,10 +59,9 @@ measuredLoop(const std::string &workload_name,
         rig.mc.attachObs(obs.get());
     }
 
-    // One-record lookahead (TraceDrive::forEachRecord), as in runTiming.
+    // Physical addresses come from the recording, as in runTiming.
     drive.forEachRecord(
-        rig.mapper, [&rig](addr::Addr next) { rig.mc.prefetchRead(next); },
-        [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
+        [&](std::size_t i, const trace::Record &rec) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // aborts here instead of running to the end.
             if ((i & 0x1fff) == 0)
@@ -78,7 +78,11 @@ measuredLoop(const std::string &workload_name,
                 side.inc(h_tlb_miss);
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
-                const mc::McReadResult r = rig.mc.read(paddr, fake_now);
+                // One-miss lookahead, as in runTiming.
+                addr::Addr ahead = 0;
+                if (front.nextMiss(&ahead))
+                    rig.mc.prefetchRead(ahead);
+                const mc::McReadResult r = rig.mc.read(h.miss, fake_now);
                 if (replay != nullptr)
                     replay->onRead(rec.vaddr, r, r.done_ns - fake_now);
                 fake_now += 20.0;
@@ -140,7 +144,7 @@ runFunctional(const std::string &workload_name,
     const std::shared_ptr<const detail::FrontEndRecording> recording =
         detail::frontEndRecording(trace, cfg);
     detail::SimRig rig(cfg);
-    detail::preconditionRmcc(rig, cfg, trace, *recording);
+    detail::preconditionRmcc(rig, cfg, *recording);
     return measuredLoop(workload_name, trace, cfg, campaign, replay, rig,
                         *recording);
 }

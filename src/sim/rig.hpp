@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "address/page_mapper.hpp"
 #include "core/rmcc_engine.hpp"
 #include "counters/tree.hpp"
 #include "crypto/dispatch.hpp"
@@ -17,7 +16,6 @@
 #include "mc/secure_mc.hpp"
 #include "sim/front_end.hpp"
 #include "sim/system_config.hpp"
-#include "sim/trace_drive.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
 
@@ -46,10 +44,28 @@ effectiveRmccConfig(const SystemConfig &cfg)
     return rc;
 }
 
-/** All components of one simulated system behind the front end. */
+/**
+ * Blocks per tenant arena of cfg's front end (0 when it has none).
+ * Throws, as frontEndConfig does, for a phys_bytes the recording cannot
+ * hold.
+ */
+inline std::uint64_t
+tenantArenaBlocks(const SystemConfig &cfg)
+{
+    return makePageMapper(frontEndConfig(cfg)).arenaBytes() /
+           addr::kBlockSize;
+}
+
+/**
+ * All components of one simulated system behind the front end.  The front
+ * end itself (translation, TLB, caches) is the trace's recording.
+ */
 struct SimRig
 {
-    addr::PageMapper mapper; //!< Translates; the front end is recorded.
+    //! Strict-tenancy arena size in blocks; 0 without tenant arenas.
+    //! First member: it rejects a bad phys_bytes before the tree is
+    //! allocated.
+    std::uint64_t arena_blocks;
     ctr::IntegrityTree tree;
     core::RmccEngine engine;
     dram::Ddr4 dram;
@@ -57,7 +73,7 @@ struct SimRig
     addr::CounterValue init_max; //!< Observed max right after init.
 
     explicit SimRig(const SystemConfig &cfg)
-        : mapper(makePageMapper(frontEndConfig(cfg))),
+        : arena_blocks(tenantArenaBlocks(cfg)),
           tree(cfg.scheme, cfg.phys_bytes / addr::kBlockSize),
           engine(effectiveRmccConfig(cfg), tree),
           dram(cfg.dram),
@@ -73,21 +89,19 @@ struct SimRig
         // caller contract and must abort loudly (same policy as the
         // other strict RMCC_* vars).
         crypto::hwAesActive();
-        if (mapper.partitioned()) {
+        if (arena_blocks != 0) {
             // Strict isolation (per-tenant arenas, see makePageMapper):
             // a domain resolver translates a memo consultation's
             // (level, entity) into the owning tenant.  Arena sizes are
             // powers of two and at least the widest counter coverage, so
             // entity -> tenant is a pure divide at every tree level.
-            const std::uint64_t arena_blocks =
-                mapper.arenaBytes() / addr::kBlockSize;
             engine.setDomainResolver(
-                [&t = tree, arena_blocks](unsigned level,
-                                          std::uint64_t idx) {
+                [&t = tree, arena = arena_blocks](unsigned level,
+                                                  std::uint64_t idx) {
                     std::uint64_t blk = idx;
                     for (unsigned k = 0; k < level; ++k)
                         blk *= t.level(k).coverage();
-                    return static_cast<std::uint32_t>(blk / arena_blocks);
+                    return static_cast<std::uint32_t>(blk / arena);
                 });
         }
         util::Rng rng(cfg.seed ^ 0xc0c0);
@@ -106,16 +120,13 @@ struct SimRig
  * in atomic mode before measuring).  Budgets drain to zero afterwards:
  * the measured window runs at steady accrual.
  *
- * The pass reads the trace's front-end recording, so counter reads
- * happen at LLC-miss granularity and counter writes at true writeback
- * addresses without running the caches.  It translates every record
- * through rig.mapper in trace order, as the measured loop does after
- * it, so both see the physical addresses the recording was made with.
+ * The pass reads only the trace's front-end recording: counter reads
+ * happen at the recorded LLC-miss blocks and counter writes at the
+ * recorded writeback victims, without the trace, translation or caches.
  */
 // rmcc-lint: hot-path
 inline void
 preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
-                 const trace::TraceSource &trace,
                  const FrontEndRecording &recording)
 {
     if (!(cfg.secure && cfg.rmcc && cfg.precondition))
@@ -125,42 +136,37 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     const unsigned cov0 = rig.tree.level(0).coverage();
     std::uint64_t ops = 0;
     FrontEndReplay front(recording);
-    // The whole trace is known up front, so the pass runs the same
-    // one-record lookahead as the measured loop: the level-0 counter the
-    // engine may read for the next record is prefetched while this
-    // record is processed.
-    const addr::CounterValue *ctr0 = rig.tree.level(0).rawValues();
-    TraceDrive drive(trace, nullptr);
-    drive.forEachRecord(
-        rig.mapper,
-        [ctr0](addr::Addr next) {
-            if (ctr0 != nullptr)
-                __builtin_prefetch(ctr0 + addr::blockOf(next));
-        },
-        [&](std::size_t i, const trace::Record &, addr::Addr paddr) {
-            if ((i & 0x1fff) == 0)
-                util::pollCancel();
-            const FrontEndOutcome h = front.next();
-            if (h.llc_miss) {
-                const addr::BlockId blk = addr::blockOf(paddr);
-                rig.engine.onReadCounterUse(0, blk);
-                if (ops % 8 == 0)
-                    rig.engine.onReadCounterUse(1, blk / cov0);
-                ++ops;
-                rig.engine.onDramAccess();
-            }
-            if (h.writeback) {
-                const addr::BlockId blk = addr::blockOf(h.victim);
-                rig.engine.onWriteCounter(0, blk);
-                // L0 counter blocks reach memory roughly once per
-                // several data writebacks; exercise the L1 table at
-                // that rate.
-                if (ops % 8 == 0)
-                    rig.engine.onWriteCounter(1, blk / cov0);
-                ++ops;
-                rig.engine.onDramAccess();
-            }
-        });
+    // The whole recording is known up front: the level-0 counter entry
+    // the engine reads for the next LLC miss is prefetched while this one
+    // is processed.
+    const ctr::EntityStorage ctr0 = rig.tree.level(0).entityStorage();
+    const std::size_t records = recording.codes.size();
+    for (std::size_t i = 0; i < records; ++i) {
+        if ((i & 0x1fff) == 0)
+            util::pollCancel();
+        const FrontEndOutcome h = front.next();
+        if (h.llc_miss) {
+            addr::Addr ahead = 0;
+            if (front.nextMiss(&ahead))
+                ctr0.prefetch(addr::blockOf(ahead));
+            const addr::BlockId blk = addr::blockOf(h.miss);
+            rig.engine.onReadCounterUse(0, blk);
+            if (ops % 8 == 0)
+                rig.engine.onReadCounterUse(1, blk / cov0);
+            ++ops;
+            rig.engine.onDramAccess();
+        }
+        if (h.writeback) {
+            const addr::BlockId blk = addr::blockOf(h.victim);
+            rig.engine.onWriteCounter(0, blk);
+            // L0 counter blocks reach memory roughly once per several
+            // data writebacks; exercise the L1 table at that rate.
+            if (ops % 8 == 0)
+                rig.engine.onWriteCounter(1, blk / cov0);
+            ++ops;
+            rig.engine.onDramAccess();
+        }
+    }
     rig.engine.setBudgetPools(0.0);
 }
 

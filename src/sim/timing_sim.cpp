@@ -3,6 +3,7 @@
 #include "sim/cpu_model.hpp"
 #include "sim/obs_wiring.hpp"
 #include "sim/rig.hpp"
+#include "sim/trace_drive.hpp"
 
 namespace rmcc::sim
 {
@@ -47,12 +48,10 @@ measuredLoop(const std::string &workload_name,
     const double llc_lookup_ns =
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
-    // One-record lookahead (TraceDrive::forEachRecord): the next
-    // record's counter entries are prefetched while this one is
-    // simulated, hiding the counter store's memory stalls.
+    // The trace supplies only each record's instruction gap; the front
+    // end, physical addresses included, comes from the recording.
     drive.forEachRecord(
-        rig.mapper, [&rig](addr::Addr next) { rig.mc.prefetchRead(next); },
-        [&](std::size_t i, const trace::Record &rec, addr::Addr paddr) {
+        [&](std::size_t i, const trace::Record &rec) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // aborts here instead of running to the end.
             if ((i & 0x1fff) == 0)
@@ -71,8 +70,14 @@ measuredLoop(const std::string &workload_name,
 
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
+                // One-miss lookahead: the next miss's counter entries
+                // are prefetched while this one is served, hiding the
+                // counter store's memory stalls.
+                addr::Addr ahead = 0;
+                if (front.nextMiss(&ahead))
+                    rig.mc.prefetchRead(ahead);
                 const mc::McReadResult r =
-                    rig.mc.read(paddr, issue + llc_lookup_ns);
+                    rig.mc.read(h.miss, issue + llc_lookup_ns);
                 cpu.recordLongLatency(r.done_ns);
             } else if (h.llc_hit) {
                 // LLC hits are long enough to occupy the window.
@@ -130,7 +135,7 @@ runTiming(const std::string &workload_name,
     const std::shared_ptr<const detail::FrontEndRecording> recording =
         detail::frontEndRecording(trace, cfg);
     detail::SimRig rig(cfg);
-    detail::preconditionRmcc(rig, cfg, trace, *recording);
+    detail::preconditionRmcc(rig, cfg, *recording);
     return measuredLoop(workload_name, trace, cfg, rig, *recording);
 }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Internal: windowed trace iteration shared by both simulators, the
- * precondition pass and the front-end recording pass.
+ * Internal: windowed trace iteration shared by both simulators' measured
+ * loops and the front-end recording pass.
  *
  * TraceDrive walks a TraceSource's windows and records the host time
  * each advance blocked on trace I/O into the TraceIo latency histogram
  * (spilled sources only — the in-RAM cursor has no I/O and registers
  * nothing).
  *
- * forEachRecord is the one replay loop all four sites share: window
- * bookkeeping and the one-record lookahead live here, the per-record work
- * stays with each caller, so the sites cannot drift apart.
+ * Window bookkeeping lives here and the per-record work stays with each
+ * caller, so the sites cannot drift apart.  Only the recording pass
+ * translates (the forEachRecord overload taking a PageMapper); the
+ * measured loops read each record's physical addresses from the
+ * recording.
  */
 #ifndef RMCC_SIM_TRACE_DRIVE_HPP
 #define RMCC_SIM_TRACE_DRIVE_HPP
@@ -37,15 +39,27 @@ class TraceDrive
     {
     }
 
+    /** Replay every record in trace order: body(i, rec) for record i. */
+    template <class Body>
+    void forEachRecord(Body &&body)
+    {
+        std::size_t i = 0;
+        while (advance()) {
+            const trace::TraceWindow w = w_; // locals: body may alias *this
+            for (std::size_t k = 0; k < w.count; ++k, ++i)
+                body(i, w.data[k]);
+        }
+    }
+
     /**
-     * Replay every record in trace order with a one-record lookahead.
-     * Before body(i, rec, paddr) runs for record i, record i+1's address
-     * is translated and passed to prefetch(next_paddr), so the loads
-     * record i+1 will need are in flight while record i is simulated;
-     * the window's `ahead` record carries the lookahead across window
-     * boundaries.  Translating v[i+1] right after v[i] keeps the exact
-     * first-touch order v0, v1, v2, ... of a plain loop, so page-frame
-     * assignment, and with it every physical address and result, is
+     * Replay and translate every record in trace order with a one-record
+     * lookahead.  Before body(i, rec, paddr) runs for record i, record
+     * i+1's address is translated and passed to prefetch(next_paddr), so
+     * the loads record i+1 will need are in flight while record i is
+     * simulated; the window's `ahead` record carries the lookahead across
+     * window boundaries.  Translating v[i+1] right after v[i] keeps the
+     * exact first-touch order v0, v1, v2, ... of a plain loop, so
+     * page-frame assignment, and with it every physical address, is
      * unchanged, provided prefetch is pure and body never translates.
      */
     template <class Prefetch, class Body>

@@ -40,11 +40,11 @@ class TracedHeap
     addr::Addr allocate(std::uint64_t n, std::uint64_t elem_bytes,
                         const std::string &label);
 
-    /** Record a load of element index i of a range. */
+    /** Record a load of element index i of a range (none once full). */
     void load(addr::Addr base, std::uint64_t index,
               std::uint64_t elem_bytes);
 
-    /** Record a store to element index i of a range. */
+    /** Record a store to element index i of a range (none once full). */
     void store(addr::Addr base, std::uint64_t index,
                std::uint64_t elem_bytes);
 

@@ -324,6 +324,218 @@ TEST(Morphable, RandomInitDigestPinned)
     }
 }
 
+namespace
+{
+
+/**
+ * The Morphable format predicates restated over explicit offsets: does
+ * some format hold them?  (Uniform3X has three exception slots.)
+ */
+bool
+fitsSomeFormat(const std::vector<CounterValue> &offsets)
+{
+    CounterValue max_off = 0;
+    unsigned nonzero = 0, ge8 = 0;
+    for (const CounterValue o : offsets) {
+        max_off = std::max(max_off, o);
+        nonzero += o != 0;
+        ge8 += o >= 8;
+    }
+    for (const MorphFormatInfo &f : morphFormats()) {
+        if (f.id == MorphFormat::Uniform3X) {
+            if (max_off < (1u << 13) && ge8 <= 3)
+                return true;
+        } else if (max_off < (CounterValue{1} << f.minor_bits) &&
+                   (f.id == MorphFormat::Uniform3 ||
+                    nonzero <= f.max_nonzero)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/** 64-bit shadow of a MorphableScheme's values, with reference answers. */
+struct MorphShadow
+{
+    std::vector<CounterValue> v;
+    CounterValue observed_max = 0;
+
+    std::pair<std::uint64_t, std::uint64_t> block(std::uint64_t idx) const
+    {
+        const std::uint64_t first = idx / 128 * 128;
+        return {first, std::min<std::uint64_t>(first + 128, v.size())};
+    }
+
+    /** idx's block with idx set to value. */
+    std::vector<CounterValue> withValue(std::uint64_t idx,
+                                        CounterValue value) const
+    {
+        const auto [first, last] = block(idx);
+        std::vector<CounterValue> vals(v.begin() + first, v.begin() + last);
+        vals[idx - first] = value;
+        return vals;
+    }
+
+    /** Encodable against the current major, or after a min-shift. */
+    bool encodable(std::uint64_t idx, CounterValue value,
+                   CounterValue major) const
+    {
+        std::vector<CounterValue> vals = withValue(idx, value);
+        const CounterValue lo = *std::min_element(vals.begin(), vals.end());
+        const CounterValue base = value >= major ? major : lo;
+        std::vector<CounterValue> offs;
+        for (const CounterValue x : vals)
+            offs.push_back(x - base);
+        if (fitsSomeFormat(offs))
+            return true;
+        for (CounterValue &o : offs)
+            o = o + base - lo;
+        return fitsSomeFormat(offs);
+    }
+
+    bool cheaplyEncodable(std::uint64_t idx, CounterValue value) const
+    {
+        const std::vector<CounterValue> vals = withValue(idx, value);
+        return *std::max_element(vals.begin(), vals.end()) -
+                   *std::min_element(vals.begin(), vals.end()) <
+               8;
+    }
+
+    void set(std::uint64_t i, CounterValue x)
+    {
+        v[i] = x;
+        observed_max = std::max(observed_max, x);
+    }
+};
+
+} // namespace
+
+TEST(Morphable, DifferentialAgainstShadowValues)
+{
+    // A seeded mix of writes (small, medium and far), whole-block bumps,
+    // relevels and encodability queries on a small scheme with a partial
+    // last block.  A 64-bit shadow follows every WriteResult; after every
+    // op the scheme's reads, block maxima, observed max and range counts
+    // must match it, and every touched block must survive a 512-bit
+    // pack/unpack round trip.
+    const std::uint64_t n = 3 * 128 + 5;
+    for (const bool random_init : {false, true}) {
+        MorphableScheme s(n);
+        rmcc::util::Rng rng(random_init ? 7 : 8);
+        if (random_init)
+            s.randomInit(rng, 5000);
+        MorphShadow sh;
+        sh.v.resize(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            sh.set(i, s.read(i));
+        std::uint64_t min_shifts = 0, rebases = 0, relevels = 0;
+        std::uint64_t below_major_fits = 0, below_major_refused = 0;
+
+        const auto check = [&](std::uint64_t touched, int op) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                ASSERT_EQ(s.read(i), sh.v[i]) << "op " << op << " i " << i;
+            const auto [first, last] = sh.block(touched);
+            const CounterValue bmax =
+                *std::max_element(sh.v.begin() + first, sh.v.begin() + last);
+            ASSERT_EQ(s.blockMax(touched), bmax) << "op " << op;
+            ASSERT_EQ(s.observedMax(), sh.observed_max) << "op " << op;
+            const auto [major, offs] = MorphableScheme::unpackBlock(
+                s.packBlock(touched / 128));
+            ASSERT_EQ(major, s.major(touched / 128)) << "op " << op;
+            for (std::uint64_t i = first; i < last; ++i)
+                ASSERT_EQ(major + offs[i - first], sh.v[i])
+                    << "op " << op << " i " << i;
+            // Ranges with edges at and around the touched block's values.
+            const CounterValue a = sh.v[first + rng.nextBelow(last - first)];
+            const std::vector<ValueRange> ranges = {
+                {a > 3 ? a - 3 : 0, a + 1}, {a + 2, bmax + 1 + a % 3}};
+            std::uint64_t dense = 0;
+            for (const CounterValue x : sh.v)
+                dense += rmcc::ctr::inRanges(x, ranges);
+            ASSERT_EQ(s.countInRanges(ranges), dense) << "op " << op;
+        };
+
+        for (int op = 0; op < 6000; ++op) {
+            std::uint64_t idx = rng.nextBelow(n);
+            const std::uint64_t cb = idx / 128;
+            const CounterValue major = s.major(cb);
+            const unsigned kind = static_cast<unsigned>(rng.nextBelow(100));
+            if (kind < 20) {
+                // Query a candidate, possibly below the major.
+                const CounterValue lo = major > 20 ? major - 20 : 0;
+                const CounterValue v =
+                    lo + rng.nextBelow(rng.nextBool(0.5) ? 40 : 70000);
+                const bool want = sh.encodable(idx, v, major);
+                ASSERT_EQ(s.encodable(idx, v), want) << "op " << op;
+                ASSERT_EQ(s.cheaplyEncodable(idx, v),
+                          sh.cheaplyEncodable(idx, v))
+                    << "op " << op;
+                if (v < major)
+                    ++(want ? below_major_fits : below_major_refused);
+            } else if (kind < 23) {
+                const CounterValue target =
+                    s.blockMax(idx) + 1 + rng.nextBelow(50);
+                const WriteResult r = s.relevelBlock(idx, target);
+                const auto [first, last] = sh.block(idx);
+                ASSERT_EQ(r.reencrypt_blocks, last - first);
+                for (std::uint64_t i = first; i < last; ++i)
+                    sh.set(i, target);
+                ++relevels;
+            } else {
+                // Write one entity, or bump every entity of the block by
+                // the same small step (the drift a min-shift absorbs).
+                const bool bump = kind < 33;
+                const auto [first, last] = sh.block(idx);
+                const std::uint64_t step = 1 + rng.nextBelow(3);
+                for (std::uint64_t i = bump ? first : idx;
+                     i < (bump ? last : idx + 1); ++i) {
+                    const unsigned far = static_cast<unsigned>(
+                        rng.nextBelow(100));
+                    const CounterValue v =
+                        sh.v[i] + (bump        ? step
+                                   : far < 70 ? 1 + rng.nextBelow(4)
+                                   : far < 95 ? 1 + rng.nextBelow(300)
+                                              : 1 + rng.nextBelow(70000));
+                    const CounterValue major_before = s.major(cb);
+                    const bool fits = sh.encodable(i, v, major_before);
+                    const std::vector<CounterValue> vals = sh.withValue(i, v);
+                    const WriteResult r = s.write(i, v);
+                    ASSERT_EQ(r.overflow, !fits) << "op " << op;
+                    if (fits) {
+                        ASSERT_EQ(r.new_value, v);
+                        sh.set(i, v);
+                        if (s.major(cb) != major_before) {
+                            ASSERT_EQ(s.major(cb),
+                                      *std::min_element(vals.begin(),
+                                                        vals.end()));
+                            ++min_shifts;
+                        }
+                    } else {
+                        const CounterValue vmax =
+                            *std::max_element(vals.begin(), vals.end());
+                        ASSERT_EQ(r.new_value, vmax);
+                        ASSERT_EQ(r.reencrypt_blocks, last - first);
+                        for (std::uint64_t j = first; j < last; ++j)
+                            sh.set(j, vmax);
+                        ++rebases;
+                    }
+                    idx = i;
+                }
+            }
+            check(idx, op);
+            if (HasFatalFailure())
+                return;
+        }
+        // The sequence reached every path the 16-bit offsets must get
+        // right.
+        EXPECT_GT(min_shifts, 0u);
+        EXPECT_GT(rebases, 0u);
+        EXPECT_GT(relevels, 0u);
+        EXPECT_GT(below_major_fits, 0u);
+        EXPECT_GT(below_major_refused, 0u);
+    }
+}
+
 /** countInRanges against a dense per-counter count. */
 class CountInRanges : public ::testing::TestWithParam<SchemeKind>
 {

@@ -23,6 +23,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
 #include "sim/experiments.hpp"
+#include "sim/front_end.hpp"
 #include "sim/obs_wiring.hpp"
 #include "trace/trace_buffer.hpp"
 #include "util/log.hpp"
@@ -724,8 +725,9 @@ TEST(ObsEndToEnd, LlcColumnsCountTheMeasuredLoopAfterWarmup)
     ASSERT_EQ(misses.size(), records.size());
 
     // Cumulative LLC counts after each record, from a standalone
-    // hierarchy fed by the rig's mapper.
-    sim::detail::SimRig rig(nc.cfg);
+    // hierarchy fed by the cell's front-end mapper.
+    addr::PageMapper mapper =
+        sim::detail::makePageMapper(sim::detail::frontEndConfig(nc.cfg));
     cache::Hierarchy hier(nc.cfg.l1, nc.cfg.l2, nc.cfg.llc);
     std::vector<double> acc_after, miss_after;
     const auto cur = trace.cursor();
@@ -733,7 +735,7 @@ TEST(ObsEndToEnd, LlcColumnsCountTheMeasuredLoopAfterWarmup)
          tw = cur->next()) {
         for (std::size_t k = 0; k < tw.count; ++k) {
             const trace::Record &r = tw.data[k];
-            hier.access(rig.mapper.translate(r.vaddr), r.is_write);
+            hier.access(mapper.translate(r.vaddr), r.is_write);
             acc_after.push_back(double(hier.llc().accesses()));
             miss_after.push_back(double(hier.llc().misses()));
         }

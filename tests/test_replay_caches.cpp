@@ -1,18 +1,20 @@
 /**
  * @file
  * The front-end recording (sim/front_end.hpp).  One pass records each
- * record's TLB and L1/L2/LLC outcome for a (trace, front-end config); the
- * recording is memoised on the trace, and every cell replays it.  These
- * tests pin that the recording equals a standalone Tlb and Hierarchy run
- * over the same translated stream, in RAM and spilled; that all the cells
- * of one trace and key run the front end once in total, also when they
- * ask concurrently; that keys never share a recording; and that a
+ * record's translation and TLB and L1/L2/LLC outcome for a (trace,
+ * front-end config); the recording is memoised on the trace, and every
+ * cell replays it.  These tests pin that the recording equals a
+ * standalone PageMapper, Tlb and Hierarchy run over the same stream, in
+ * RAM and spilled; that all the cells of one trace and key translate and
+ * run the front end once in total, also when they ask concurrently, and
+ * only while recording; that keys never share a recording; and that a
  * cancelled build, an append or a copy never leaves a stale one.
  *
  * The call counts come from the linker: this test links with
- * --wrap=<Hierarchy::access> and --wrap=<Tlb::access>, so every call,
- * from the simulator libraries or from this file, goes through the
- * counting functions below (see tests/CMakeLists.txt).
+ * --wrap=<Hierarchy::access>, --wrap=<Tlb::access> and
+ * --wrap=<PageMapper::translate>, so every call, from the simulator
+ * libraries or from this file, goes through the counting functions below
+ * (see tests/CMakeLists.txt).
  */
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "address/page_mapper.hpp"
 #include "cache/hierarchy.hpp"
 #include "cache/tlb.hpp"
 #include "sim/experiments.hpp"
@@ -42,9 +45,9 @@
 
 using namespace rmcc;
 
-// Hierarchy::access(Addr, bool) and Tlb::access(Addr) under their
-// Itanium-ABI symbol names.  A member's `this` is the free function's
-// first parameter.
+// Hierarchy::access(Addr, bool), Tlb::access(Addr) and
+// PageMapper::translate(Addr) under their Itanium-ABI symbol names.  A
+// member's `this` is the free function's first parameter.
 cache::HierarchyResult realAccess(cache::Hierarchy *h, addr::Addr paddr,
                                   bool is_write)
     __asm__("__real__ZN4rmcc5cache9Hierarchy6accessEmb");
@@ -55,12 +58,17 @@ bool realTlbAccess(cache::Tlb *t, addr::Addr vaddr)
     __asm__("__real__ZN4rmcc5cache3Tlb6accessEm");
 bool countingTlbAccess(cache::Tlb *t, addr::Addr vaddr)
     __asm__("__wrap__ZN4rmcc5cache3Tlb6accessEm");
+addr::Addr realTranslate(addr::PageMapper *m, addr::Addr vaddr)
+    __asm__("__real__ZN4rmcc4addr10PageMapper9translateEm");
+addr::Addr countingTranslate(addr::PageMapper *m, addr::Addr vaddr)
+    __asm__("__wrap__ZN4rmcc4addr10PageMapper9translateEm");
 
 namespace
 {
 
 std::atomic<std::uint64_t> g_access_calls{0};
 std::atomic<std::uint64_t> g_tlb_calls{0};
+std::atomic<std::uint64_t> g_translate_calls{0};
 //! When nonzero, the Hierarchy::access call with this number sleeps
 //! long enough for a cell's timeout to pass.
 std::atomic<std::uint64_t> g_stall_at_call{0};
@@ -71,6 +79,7 @@ resetCounts()
 {
     g_access_calls = 0;
     g_tlb_calls = 0;
+    g_translate_calls = 0;
 }
 
 } // namespace
@@ -89,6 +98,13 @@ countingTlbAccess(cache::Tlb *t, addr::Addr vaddr)
 {
     ++g_tlb_calls;
     return realTlbAccess(t, vaddr);
+}
+
+addr::Addr
+countingTranslate(addr::PageMapper *m, addr::Addr vaddr)
+{
+    ++g_translate_calls;
+    return realTranslate(m, vaddr);
 }
 
 namespace
@@ -159,30 +175,32 @@ struct Compared
 };
 
 /**
- * Replay src's recording next to a fresh Tlb and Hierarchy driven over
- * the same stream, translated by a SimRig's mapper exactly as the
- * measured loop translates it.
+ * Replay src's recording next to a fresh PageMapper, Tlb and Hierarchy
+ * driven over the same stream in trace order.
  */
 Compared
 compareRecording(const trace::TraceSource &src, const sim::SystemConfig &cfg)
 {
     const auto rec = sim::detail::frontEndRecording(src, cfg);
     sim::detail::FrontEndReplay replay(*rec);
-    sim::detail::SimRig rig(cfg);
+    addr::PageMapper mapper =
+        sim::detail::makePageMapper(sim::detail::frontEndConfig(cfg));
     cache::Hierarchy ref(cfg.l1, cfg.l2, cfg.llc);
-    cache::Tlb tlb(cfg.tlb_entries, cfg.tlb_assoc, rig.mapper.pageSize());
+    cache::Tlb tlb(cfg.tlb_entries, cfg.tlb_assoc, mapper.pageSize());
     Compared c;
     const auto cur = src.cursor();
     for (trace::TraceWindow w = cur->next(); w.count != 0; w = cur->next()) {
         for (std::size_t k = 0; k < w.count; ++k, ++c.records) {
             const trace::Record &r = w.data[k];
-            const addr::Addr paddr = rig.mapper.translate(r.vaddr);
+            const addr::Addr paddr = mapper.translate(r.vaddr);
             const std::uint64_t llc_wbs = ref.llc().writebacks();
             const bool tlb_hit = tlb.access(r.vaddr);
             const cache::HierarchyResult h = ref.access(paddr, r.is_write);
             const sim::detail::FrontEndOutcome o = replay.next();
             const bool same =
                 o.tlb_miss == !tlb_hit && o.llc_miss == h.llc_miss &&
+                (!o.llc_miss ||
+                 o.miss == addr::blockBase(addr::blockOf(paddr))) &&
                 o.llc_hit == (h.hit_level == 3) &&
                 o.writeback == h.memory_writeback.has_value() &&
                 (!o.writeback || o.victim == *h.memory_writeback);
@@ -195,6 +213,7 @@ compareRecording(const trace::TraceSource &src, const sim::SystemConfig &cfg)
         }
     }
     EXPECT_EQ(rec->codes.size(), c.records);
+    EXPECT_EQ(rec->misses.size(), c.llc_misses);
     EXPECT_EQ(replay.llcAccesses(), ref.llc().accesses());
     EXPECT_EQ(replay.llcMisses(), ref.llc().misses());
     return c;
@@ -278,12 +297,16 @@ TEST(ReplayCaches, RecordingMatchesStandaloneHierarchyOnPageRank)
     EXPECT_GT(c.double_writebacks, 0u);
 }
 
-TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
+namespace
 {
-    constexpr std::uint64_t kRecords = 20000;
-    const trace::TraceBuffer trace =
-        wl::generateTrace(*wl::findWorkload("canneal"), kRecords, 42);
 
+/**
+ * Six cells of one front-end key: timing and functional, RMCC with and
+ * without warm-up, non-secure, SC-64 and Morphable.
+ */
+std::vector<sim::NamedConfig>
+sixCellsOfOneKey(std::uint64_t records)
+{
     sim::NamedConfig no_precondition = sim::rmccConfig(sim::SimMode::Timing);
     no_precondition.cfg.precondition = false;
     std::vector<sim::NamedConfig> cells = {
@@ -299,15 +322,26 @@ TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
     // own; give those cells the timing geometry so all six share one.
     const sim::SystemConfig timing = sim::SystemConfig::timingDefault();
     for (sim::NamedConfig &nc : cells) {
-        nc = sized(nc, kRecords);
+        nc = sized(nc, records);
         nc.cfg.l2 = timing.l2;
         nc.cfg.llc = timing.llc;
     }
+    return cells;
+}
+
+} // namespace
+
+TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
+{
+    constexpr std::uint64_t kRecords = 20000;
+    const trace::TraceBuffer trace =
+        wl::generateTrace(*wl::findWorkload("canneal"), kRecords, 42);
     resetCounts();
-    for (const sim::NamedConfig &nc : cells)
+    for (const sim::NamedConfig &nc : sixCellsOfOneKey(kRecords))
         (void)sim::runOne("canneal", trace, nc);
     EXPECT_EQ(g_access_calls, trace.size());
     EXPECT_EQ(g_tlb_calls, trace.size());
+    EXPECT_EQ(g_translate_calls, trace.size());
 
     // A second key records once more, and then no more.
     const sim::NamedConfig functional =
@@ -316,6 +350,27 @@ TEST(ReplayCaches, EveryCellCallsHierarchyAccessOncePerRecord)
     (void)sim::runOne("canneal", trace, functional);
     EXPECT_EQ(g_access_calls, 2 * trace.size());
     EXPECT_EQ(g_tlb_calls, 2 * trace.size());
+    EXPECT_EQ(g_translate_calls, 2 * trace.size());
+}
+
+TEST(ReplayCaches, OnlyTheRecordingTranslates)
+{
+    // Every translation of a trace happens while its recording is built:
+    // with the recording in place, neither the RMCC warm-up nor any
+    // measured loop translates or runs a cache again.
+    constexpr std::uint64_t kRecords = 20000;
+    const trace::TraceBuffer trace =
+        wl::generateTrace(*wl::findWorkload("canneal"), kRecords, 42);
+    const std::vector<sim::NamedConfig> cells = sixCellsOfOneKey(kRecords);
+    resetCounts();
+    (void)sim::detail::frontEndRecording(trace, cells[0].cfg);
+    EXPECT_EQ(g_translate_calls, trace.size());
+    resetCounts();
+    for (const sim::NamedConfig &nc : cells)
+        (void)sim::runOne("canneal", trace, nc);
+    EXPECT_EQ(g_translate_calls, 0u);
+    EXPECT_EQ(g_access_calls, 0u);
+    EXPECT_EQ(g_tlb_calls, 0u);
 }
 
 TEST(ReplayCaches, EachFrontEndKeyGetsItsOwnRecording)

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "trace/trace_buffer.hpp"
 #include "trace/traced_memory.hpp"
 
@@ -85,6 +87,24 @@ TEST(TracedHeap, DoneWhenBufferFull)
     EXPECT_TRUE(heap.done());
 }
 
+TEST(TracedHeap, AccessesPastAFullSinkAreNotAppended)
+{
+    // A kernel checks done() between operations; one operation's later
+    // accesses may find the sink full.  They are skipped, not dropped.
+    TraceBuffer buf(2);
+    TracedHeap heap(buf, 3.0, 1);
+    TracedArray<int> arr(heap, 8, "arr");
+    testing::internal::CaptureStderr();
+    arr.set(0, 1);
+    arr.set(1, arr.get(0));
+    arr.set(2, 3);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(buf.size(), 2u);
+    EXPECT_EQ(buf.dropped(), 0u);
+    EXPECT_TRUE(log.empty()) << log;
+    EXPECT_EQ(arr.raw(2), 3);
+}
+
 TEST(TracedHeap, InstructionGapsFollowDensity)
 {
     TraceBuffer buf(5000);
@@ -102,8 +122,11 @@ TEST(TraceBuffer, DroppedCountsOverflowAppends)
 {
     TraceBuffer buf(3);
     EXPECT_EQ(buf.dropped(), 0u);
+    testing::internal::CaptureStderr();
     for (int i = 0; i < 10; ++i)
         buf.append(64 * static_cast<std::uint64_t>(i), false, 0);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("trace buffer full"), std::string::npos) << log;
     EXPECT_EQ(buf.size(), 3u);
     EXPECT_EQ(buf.dropped(), 7u);
     // Stats cover only retained records.

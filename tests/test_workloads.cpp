@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "trace/trace_file.hpp"
 #include "workloads/registry.hpp"
 
 using namespace rmcc;
@@ -205,6 +206,8 @@ TEST_P(WorkloadTraces, GeneratesFullDeterministicTrace)
     ASSERT_NE(w, nullptr);
     const auto t1 = generateTrace(*w, 50000, 42);
     EXPECT_EQ(t1.size(), 50000u);
+    // The last operation's accesses past a full buffer are not appended.
+    EXPECT_EQ(t1.dropped(), 0u);
     EXPECT_GT(t1.totalInstructions(), t1.size());
     // Some workloads are read-only in steady state; all must read.
     EXPECT_LT(t1.writes(), t1.size());
@@ -213,6 +216,24 @@ TEST_P(WorkloadTraces, GeneratesFullDeterministicTrace)
         EXPECT_EQ(t1.records()[i].vaddr, t2.records()[i].vaddr);
         EXPECT_EQ(t1.records()[i].is_write, t2.records()[i].is_write);
     }
+}
+
+TEST_P(WorkloadTraces, SpilledGenerationAppendsNothingPastCapacity)
+{
+    const Workload *w = findWorkload(GetParam());
+    ASSERT_NE(w, nullptr);
+    const std::string path =
+        testing::TempDir() + "rmcc_wl_capacity_" + GetParam();
+    std::remove(path.c_str());
+    trace::TraceFileWriter writer(path, 50000, 0);
+    testing::internal::CaptureStderr();
+    w->generate(writer, 42);
+    writer.finalize();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(writer.size(), 50000u);
+    EXPECT_EQ(writer.dropped(), 0u);
+    EXPECT_EQ(log.find("full"), std::string::npos) << log;
+    std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, WorkloadTraces,
