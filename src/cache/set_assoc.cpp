@@ -120,25 +120,6 @@ SetAssocCache::access(addr::Addr a, bool is_write)
     return replaceIn(set, tag, is_write);
 }
 
-bool
-SetAssocCache::accessIfPresent(addr::Addr a, bool is_write)
-{
-    const addr::Addr tag = tagOf(a);
-    const std::uint64_t set = setIndex(a);
-    const int way = findWay(set, tag);
-    if (way < 0)
-        return false;
-    ++clock_;
-    const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
-    if (policy_ == ReplPolicy::LRU)
-        lru_[li] = clock_;
-    if (is_write)
-        dirty_[li] = 1;
-    mru_[set] = static_cast<std::uint32_t>(way);
-    ++hits_;
-    return true;
-}
-
 AccessResult
 SetAssocCache::fill(addr::Addr a, bool dirty)
 {

@@ -59,14 +59,6 @@ class SetAssocCache
      */
     AccessResult access(addr::Addr a, bool is_write);
 
-    /**
-     * Hit-only access: identical to access() when the line is present
-     * (recency update, dirty marking, hit count); a no-op returning false
-     * when it is not.  Lets a caller that handles misses itself (fetch,
-     * then fill()) use one way-scan instead of a probe() + access() pair.
-     */
-    bool accessIfPresent(addr::Addr a, bool is_write);
-
     /** Insert without an access (e.g. prefetch fill); returns eviction. */
     AccessResult fill(addr::Addr a, bool dirty);
 

@@ -7,22 +7,24 @@
 namespace rmcc::ctr
 {
 
-MonolithicScheme::MonolithicScheme(std::uint64_t n) : store_(n)
+MonolithicScheme::MonolithicScheme(std::uint64_t n)
+    : CounterScheme((n + kCoverage - 1) / kCoverage), values_(n, 0)
 {
 }
 
 addr::CounterValue
 MonolithicScheme::read(std::uint64_t idx) const
 {
-    return store_.get(idx);
+    return values_[idx];
 }
 
 WriteResult
 MonolithicScheme::write(std::uint64_t idx, addr::CounterValue new_value)
 {
-    assert(new_value > store_.get(idx));
+    assert(new_value > values_[idx]);
     assert(new_value <= crypto::kCounterMask);
-    store_.set(idx, new_value);
+    markDirty(blockOf(idx));
+    set(idx, new_value);
     return {new_value, false, 0};
 }
 
@@ -37,20 +39,29 @@ MonolithicScheme::encodable(std::uint64_t idx,
 WriteResult
 MonolithicScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
 {
-    const std::uint64_t first = blockOf(idx) * kCoverage;
-    const std::uint64_t last =
-        std::min<std::uint64_t>(first + kCoverage, store_.size());
+    const addr::CounterBlockId cb = blockOf(idx);
+    const auto [first, last] = blockRange(cb);
     assert(target > blockMax(idx));
+    markDirty(cb);
     for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, target);
+        set(i, target);
     return {target, false, last - first};
 }
 
 void
-MonolithicScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
+MonolithicScheme::initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                            addr::CounterValue mean)
 {
-    for (std::uint64_t i = 0; i < store_.size(); ++i)
-        store_.set(i, rng.nextInRange(mean / 2, mean + mean / 2));
+    const auto [first, last] = blockRange(cb);
+    for (std::uint64_t i = first; i < last; ++i)
+        set(i, rng.nextInRange(mean / 2, mean + mean / 2));
+}
+
+void
+MonolithicScheme::clearBlock(addr::CounterBlockId cb)
+{
+    const auto [first, last] = blockRange(cb);
+    std::fill(values_.begin() + first, values_.begin() + last, 0);
 }
 
 } // namespace rmcc::ctr

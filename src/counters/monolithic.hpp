@@ -7,14 +7,15 @@
 #ifndef RMCC_COUNTERS_MONOLITHIC_HPP
 #define RMCC_COUNTERS_MONOLITHIC_HPP
 
+#include <vector>
+
 #include "counters/scheme.hpp"
-#include "counters/store.hpp"
 
 namespace rmcc::ctr
 {
 
 /** Monolithic 56-bit-per-entity counter scheme. */
-class MonolithicScheme : public CounterScheme
+class MonolithicScheme final : public CounterScheme
 {
   public:
     /** Entities per 64 B block: 8 x 56-bit counters (+ padding). */
@@ -33,19 +34,25 @@ class MonolithicScheme : public CounterScheme
                    addr::CounterValue new_value) const override;
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
-    std::uint64_t entities() const override { return store_.size(); }
+    std::uint64_t entities() const override { return values_.size(); }
     EntityStorage entityStorage() const override
     {
-        return {store_.data(), sizeof(addr::CounterValue)};
+        return {values_.data(), sizeof(addr::CounterValue)};
     }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
-    }
-    void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
   private:
-    CounterStore store_;
+    void initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                   addr::CounterValue mean) override;
+    void clearBlock(addr::CounterBlockId cb) override;
+
+    /** Set counter idx to v (tracks the observed maximum). */
+    void set(std::uint64_t idx, addr::CounterValue v)
+    {
+        values_[idx] = v;
+        noteValue(v);
+    }
+
+    std::vector<addr::CounterValue> values_;
 };
 
 } // namespace rmcc::ctr

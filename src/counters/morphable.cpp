@@ -125,18 +125,11 @@ MorphableScheme::refreshSummary(addr::CounterBlockId cb)
 }
 
 MorphableScheme::MorphableScheme(std::uint64_t n)
-    : off_(n, 0),
+    : CounterScheme((n + kCoverage - 1) / kCoverage), off_(n, 0),
       majors_((n + kCoverage - 1) / kCoverage, 0),
       formats_(majors_.size(), MorphFormat::Uniform3),
       summaries_(majors_.size())
 {
-}
-
-std::pair<std::uint64_t, std::uint64_t>
-MorphableScheme::blockRange(addr::CounterBlockId cb) const
-{
-    const std::uint64_t first = cb * kCoverage;
-    return {first, std::min<std::uint64_t>(first + kCoverage, off_.size())};
 }
 
 std::vector<std::uint64_t>
@@ -282,7 +275,8 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
     assert(new_value > read(idx));
     const addr::CounterBlockId cb = blockOf(idx);
     const addr::CounterValue major = majors_[cb];
-    observed_max_ = std::max(observed_max_, new_value);
+    markDirty(cb);
+    noteValue(new_value);
     if (new_value >= major) {
         // Counter writes are monotone, so the one changed offset only
         // grows and the block digest updates in O(1) — no 128-offset
@@ -295,7 +289,7 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
         s.ge8 += old_off < 8 && new_off >= 8;
         if (const auto fmt = formatFromSummary(s)) {
             if (*fmt != formats_[cb]) {
-                ++morphs_;
+                ++totals_.morphs;
                 formats_[cb] = *fmt;
             }
             summaries_[cb] = s;
@@ -317,7 +311,7 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
         off_[idx] = static_cast<std::uint16_t>(new_value - vmin);
         majors_[cb] = vmin;
         formats_[cb] = *fmt;
-        ++morphs_;
+        ++totals_.morphs;
         refreshSummary(cb);
         return {new_value, false, 0};
     }
@@ -327,10 +321,10 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
     minmaxSpan(off_.data() + first, last - first, major, lo_unused, vmax);
     majors_[cb] = vmax;
     std::fill(off_.begin() + first, off_.begin() + last, 0);
-    observed_max_ = std::max(observed_max_, vmax);
+    noteValue(vmax);
     formats_[cb] = MorphFormat::Uniform3;
     summaries_[cb] = BlockSummary{};
-    ++overflows_;
+    ++totals_.overflows;
     return {vmax, true, last - first};
 }
 
@@ -370,80 +364,85 @@ MorphableScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
     const addr::CounterBlockId cb = blockOf(idx);
     const auto [first, last] = blockRange(cb);
     assert(target > blockMax(idx));
+    markDirty(cb);
     majors_[cb] = target;
     std::fill(off_.begin() + first, off_.begin() + last, 0);
-    observed_max_ = std::max(observed_max_, target);
+    noteValue(target);
     formats_[cb] = MorphFormat::Uniform3;
     summaries_[cb] = BlockSummary{};
     return {target, false, last - first};
 }
 
 void
-MorphableScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
+MorphableScheme::initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                           addr::CounterValue mean)
 {
-    // A block's draws land in `drift` (a later draw to one slot replaces
-    // an earlier one) and their slots in `touched`; the pass over
-    // `touched` below zeroes `drift` again for the next block.
+    const addr::CounterValue major =
+        rng.nextInRange(mean / 2, mean + mean / 2);
+    const auto [first, last] = blockRange(cb);
+    const std::size_t n = last - first;
+    // Releveling is the fixed point of split-counter dynamics: a block
+    // that has overflowed holds all-equal values, and subsequent writes
+    // add only a small drift.  Model exactly that: most blocks sit at
+    // their major with a handful of small drifted minors, and a few
+    // carry larger bitmap-encoded offsets.  Each minor is drawn before
+    // the slot it lands in; the draws land in `drift` (a later draw to
+    // one slot replaces an earlier one) and their slots in `touched`.
     std::uint16_t drift[kCoverage] = {};
     std::uint64_t touched[11 + 8]; // at most 11 small and 8 large draws
-    for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
-        const addr::CounterValue major =
-            rng.nextInRange(mean / 2, mean + mean / 2);
-        const auto [first, last] = blockRange(cb);
-        const std::size_t n = last - first;
-        // Releveling is the fixed point of split-counter dynamics: a block
-        // that has overflowed holds all-equal values, and subsequent
-        // writes add only a small drift.  Model exactly that: most blocks
-        // sit at their major with a handful of small drifted minors, and
-        // a few carry larger bitmap-encoded offsets.  Each minor is drawn
-        // before the slot it lands in.
-        unsigned n_touched = 0;
-        const unsigned drifted =
-            static_cast<unsigned>(rng.nextBelow(12));
-        for (unsigned k = 0; k < drifted; ++k) {
+    unsigned n_touched = 0;
+    const unsigned drifted = static_cast<unsigned>(rng.nextBelow(12));
+    for (unsigned k = 0; k < drifted; ++k) {
+        const auto minor = static_cast<std::uint16_t>(1 + rng.nextBelow(7));
+        const std::uint64_t slot = rng.nextBelow(n);
+        drift[slot] = minor;
+        touched[n_touched++] = slot;
+    }
+    if (rng.nextBool(0.1)) {
+        const unsigned big = 1 + static_cast<unsigned>(rng.nextBelow(8));
+        for (unsigned k = 0; k < big; ++k) {
             const auto minor =
-                static_cast<std::uint16_t>(1 + rng.nextBelow(7));
+                static_cast<std::uint16_t>(8 + rng.nextBelow(56));
             const std::uint64_t slot = rng.nextBelow(n);
             drift[slot] = minor;
             touched[n_touched++] = slot;
         }
-        if (rng.nextBool(0.1)) {
-            const unsigned big = 1 + static_cast<unsigned>(
-                                         rng.nextBelow(8));
-            for (unsigned k = 0; k < big; ++k) {
-                const auto minor =
-                    static_cast<std::uint16_t>(8 + rng.nextBelow(56));
-                const std::uint64_t slot = rng.nextBelow(n);
-                drift[slot] = minor;
-                touched[n_touched++] = slot;
-            }
-        }
-        // Only the drifted slots are written: a block whose exact
-        // summary shows no non-zero offset is all zeros already (as the
-        // constructor leaves every block).
-        if (summaries_[cb].nonzero != 0)
-            std::fill(off_.begin() + first, off_.begin() + last, 0);
-        // Every minor is non-zero, so a slot reads zero here once it has
-        // been taken (repeated slots count once, with their last minor).
-        BlockSummary s;
-        for (unsigned k = 0; k < n_touched; ++k) {
-            const std::uint16_t off = drift[touched[k]];
-            if (off == 0)
-                continue;
-            drift[touched[k]] = 0;
-            off_[first + touched[k]] = off;
-            s.max_off = std::max<std::uint64_t>(s.max_off, off);
-            ++s.nonzero;
-            s.ge8 += off >= 8;
-        }
-        const auto fmt = formatFromSummary(s);
-        if (!fmt)
-            util::panic("randomInit produced unencodable morphable block");
-        majors_[cb] = major;
-        formats_[cb] = *fmt;
-        summaries_[cb] = s;
-        observed_max_ = std::max(observed_max_, major + s.max_off);
     }
+    // Only the drifted slots are written: a block whose exact summary
+    // shows no non-zero offset is all zeros already (as the constructor
+    // leaves every block).
+    if (summaries_[cb].nonzero != 0)
+        std::fill(off_.begin() + first, off_.begin() + last, 0);
+    // Every minor is non-zero, so a slot reads zero here once it has been
+    // taken (repeated slots count once, with their last minor).
+    BlockSummary s;
+    for (unsigned k = 0; k < n_touched; ++k) {
+        const std::uint16_t off = drift[touched[k]];
+        if (off == 0)
+            continue;
+        drift[touched[k]] = 0;
+        off_[first + touched[k]] = off;
+        s.max_off = std::max<std::uint64_t>(s.max_off, off);
+        ++s.nonzero;
+        s.ge8 += off >= 8;
+    }
+    const auto fmt = formatFromSummary(s);
+    if (!fmt)
+        util::panic("randomInit produced unencodable morphable block");
+    majors_[cb] = major;
+    formats_[cb] = *fmt;
+    summaries_[cb] = s;
+    noteValue(major + s.max_off);
+}
+
+void
+MorphableScheme::clearBlock(addr::CounterBlockId cb)
+{
+    const auto [first, last] = blockRange(cb);
+    std::fill(off_.begin() + first, off_.begin() + last, 0);
+    majors_[cb] = 0;
+    formats_[cb] = MorphFormat::Uniform3;
+    summaries_[cb] = BlockSummary{};
 }
 
 util::BitVec512

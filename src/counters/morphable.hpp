@@ -93,11 +93,9 @@ class MorphableScheme final : public CounterScheme
     {
         return {off_.data(), sizeof(std::uint16_t)};
     }
-    addr::CounterValue observedMax() const override { return observed_max_; }
     addr::CounterValue blockMax(std::uint64_t idx) const override;
     std::uint64_t
     countInRanges(std::span<const ValueRange> ranges) const override;
-    void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
     /** Current format of a block (stats/tests). */
     MorphFormat format(addr::CounterBlockId cb) const
@@ -112,7 +110,7 @@ class MorphableScheme final : public CounterScheme
     }
 
     /** Number of format-morph events (no traffic cost). */
-    std::uint64_t morphs() const { return morphs_; }
+    std::uint64_t morphs() const { return totals_.morphs; }
 
     /**
      * Pack a block's current contents into its literal 512-bit layout;
@@ -128,6 +126,10 @@ class MorphableScheme final : public CounterScheme
     unpackBlock(const util::BitVec512 &bits);
 
   private:
+    void initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                   addr::CounterValue mean) override;
+    void clearBlock(addr::CounterBlockId cb) override;
+
     /**
      * Per-block digest of the offset distribution — exactly the facts the
      * format predicates test.  Lets the common write (major unchanged,
@@ -167,16 +169,10 @@ class MorphableScheme final : public CounterScheme
     shiftedFormat(addr::CounterBlockId cb, std::uint64_t idx,
                   addr::CounterValue new_value) const;
 
-    /** First/last+1 entity of a block. */
-    std::pair<std::uint64_t, std::uint64_t>
-    blockRange(addr::CounterBlockId cb) const;
-
     std::vector<std::uint16_t> off_; //!< Per entity: value - major.
     std::vector<addr::CounterValue> majors_;
     std::vector<MorphFormat> formats_;
     std::vector<BlockSummary> summaries_;
-    std::uint64_t morphs_ = 0;
-    addr::CounterValue observed_max_ = 0; //!< Largest value ever stored.
 };
 
 } // namespace rmcc::ctr

@@ -12,13 +12,12 @@
 #include <vector>
 
 #include "counters/scheme.hpp"
-#include "counters/store.hpp"
 
 namespace rmcc::ctr
 {
 
 /** SC-64 split-counter scheme. */
-class Sc64Scheme : public CounterScheme
+class Sc64Scheme final : public CounterScheme
 {
   public:
     /** Entities per counter block. */
@@ -41,16 +40,11 @@ class Sc64Scheme : public CounterScheme
                    addr::CounterValue new_value) const override;
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
-    std::uint64_t entities() const override { return store_.size(); }
+    std::uint64_t entities() const override { return values_.size(); }
     EntityStorage entityStorage() const override
     {
-        return {store_.data(), sizeof(addr::CounterValue)};
+        return {values_.data(), sizeof(addr::CounterValue)};
     }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
-    }
-    void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
     /** Major counter of a block (tests/diagnostics). */
     addr::CounterValue major(addr::CounterBlockId cb) const
@@ -59,7 +53,18 @@ class Sc64Scheme : public CounterScheme
     }
 
   private:
-    CounterStore store_;
+    void initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                   addr::CounterValue mean) override;
+    void clearBlock(addr::CounterBlockId cb) override;
+
+    /** Set counter idx to v (tracks the observed maximum). */
+    void set(std::uint64_t idx, addr::CounterValue v)
+    {
+        values_[idx] = v;
+        noteValue(v);
+    }
+
+    std::vector<addr::CounterValue> values_; //!< Logical counter values.
     std::vector<addr::CounterValue> majors_;
 };
 

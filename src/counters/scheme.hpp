@@ -145,15 +145,38 @@ class CounterScheme
     virtual EntityStorage entityStorage() const = 0;
 
     /** Largest counter value ever stored (feeds Observed-System-Max). */
-    virtual addr::CounterValue observedMax() const = 0;
+    addr::CounterValue observedMax() const { return totals_.observed_max; }
 
     /**
      * Randomize counter state, emulating the paper's write-intensive
      * initialization benchmark (Sec V, Lifetime Characterization): block
      * majors land uniformly in [mean/2, 3*mean/2), minors take small
      * in-range offsets, as repeated releveling leaves them.
+     *
+     * Blocks are drawn in order, one initBlock() each, from one rng
+     * stream.  The rng state at the start of every kChunkBlocks-block
+     * chunk is kept, so restoreInit() can redraw any chunk alone.
      */
-    virtual void randomInit(util::Rng &rng, addr::CounterValue mean) = 0;
+    void randomInit(util::Rng &rng, addr::CounterValue mean);
+
+    /**
+     * Return to the state right after the last randomInit() (all zeros
+     * if it never ran): every chunk a write() or relevelBlock() touched
+     * since is redrawn from its rng checkpoint, and observedMax(),
+     * overflows() and the morph count go back to their post-init values.
+     * Costs the dirty chunks only.
+     */
+    void restoreInit();
+
+    /** Counter blocks per init/restore chunk. */
+    static constexpr std::uint64_t kChunkBlocks = 64;
+
+    /** Chunks written since the last randomInit()/restoreInit(). */
+    std::uint64_t dirtyChunks() const
+    {
+        return static_cast<std::uint64_t>(
+            std::count(dirty_.begin(), dirty_.end(), std::uint8_t{1}));
+    }
 
     /** Counter block holding entity idx's counter. */
     addr::CounterBlockId blockOf(std::uint64_t idx) const
@@ -170,9 +193,7 @@ class CounterScheme
     virtual addr::CounterValue
     blockMax(std::uint64_t idx) const
     {
-        const std::uint64_t first = blockOf(idx) * coverage();
-        const std::uint64_t last =
-            std::min<std::uint64_t>(first + coverage(), entities());
+        const auto [first, last] = blockRange(blockOf(idx));
         addr::CounterValue m = 0;
         for (std::uint64_t i = first; i < last; ++i)
             m = std::max(m, read(i));
@@ -188,9 +209,7 @@ class CounterScheme
     std::vector<addr::CounterValue>
     blockValues(addr::CounterBlockId cb) const
     {
-        const std::uint64_t first = cb * coverage();
-        const std::uint64_t last =
-            std::min<std::uint64_t>(first + coverage(), entities());
+        const auto [first, last] = blockRange(cb);
         std::vector<addr::CounterValue> vals;
         vals.reserve(last - first);
         for (std::uint64_t i = first; i < last; ++i)
@@ -215,10 +234,57 @@ class CounterScheme
     }
 
     /** Total overflow events so far. */
-    std::uint64_t overflows() const { return overflows_; }
+    std::uint64_t overflows() const { return totals_.overflows; }
 
   protected:
-    std::uint64_t overflows_ = 0;
+    /** A scheme of `blocks` counter blocks, every counter zero. */
+    explicit CounterScheme(std::uint64_t blocks);
+
+    /**
+     * Draw block cb's initial state from rng, overwriting whatever the
+     * block holds.  randomInit() and restoreInit() call it block by block
+     * in order, so one chunk's draws depend only on its checkpoint.
+     */
+    virtual void initBlock(addr::CounterBlockId cb, util::Rng &rng,
+                           addr::CounterValue mean) = 0;
+
+    /** Zero block cb (the constructor's state). */
+    virtual void clearBlock(addr::CounterBlockId cb) = 0;
+
+    /** First/last+1 entity of block cb (the last block may be partial). */
+    std::pair<std::uint64_t, std::uint64_t>
+    blockRange(addr::CounterBlockId cb) const
+    {
+        const std::uint64_t first = cb * coverage();
+        return {first,
+                std::min<std::uint64_t>(first + coverage(), entities())};
+    }
+
+    /** Record that block cb changed; every mutator calls it. */
+    void markDirty(addr::CounterBlockId cb) { dirty_[cb / kChunkBlocks] = 1; }
+
+    /** Fold a stored value into the observed maximum. */
+    void noteValue(addr::CounterValue v)
+    {
+        totals_.observed_max = std::max(totals_.observed_max, v);
+    }
+
+    /** Whole-scheme event counts that restoreInit() rewinds. */
+    struct Totals
+    {
+        addr::CounterValue observed_max = 0;
+        std::uint64_t overflows = 0;
+        std::uint64_t morphs = 0; //!< Format morphs (morphing schemes).
+    };
+    Totals totals_;
+
+  private:
+    std::vector<std::uint8_t> dirty_; //!< Per chunk: 1 once mutated.
+    //! Per chunk: the rng state its first block was drawn from; empty
+    //! until randomInit() runs.
+    std::vector<util::Rng> chunk_rng_;
+    addr::CounterValue init_mean_ = 0;
+    Totals init_totals_; //!< totals_ right after randomInit().
 };
 
 /** Create a scheme of the given kind for n entities. */

@@ -87,6 +87,13 @@ IntegrityTree::randomInit(util::Rng &rng, addr::CounterValue mean)
         s->randomInit(rng, mean);
 }
 
+void
+IntegrityTree::restoreInit()
+{
+    for (auto &s : schemes_)
+        s->restoreInit();
+}
+
 addr::CounterValue
 IntegrityTree::observedMax() const
 {

@@ -64,6 +64,13 @@ class IntegrityTree
     /** Randomize all levels' counters around the given mean. */
     void randomInit(util::Rng &rng, addr::CounterValue mean);
 
+    /**
+     * Return every level to its state right after randomInit() (all
+     * zeros if it never ran), redrawing only the chunks mutated since;
+     * see CounterScheme::restoreInit.
+     */
+    void restoreInit();
+
     /** Largest counter value across all levels. */
     addr::CounterValue observedMax() const;
 

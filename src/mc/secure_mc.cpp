@@ -98,18 +98,20 @@ SecureMc::touchCounterBlock(unsigned level, addr::CounterBlockId cb,
     const addr::Addr a =
         meta_[level].base + (cb << addr::kBlockShift);
     const double decode = meta_[level].decode_ns;
-    if (ctr_cache_.accessIfPresent(a, dirty))
+    // One set scan: a miss allocates the line at once, and the victim is
+    // written back after the fetch is charged.
+    const cache::AccessResult acc = ctr_cache_.access(a, dirty);
+    if (acc.hit)
         return {now_ns + cfg_.lat.ctr_cache_ns + decode, false};
     const double done = chargeDram(a, false, now_ns, h_.dram_ctr_read);
-    const cache::AccessResult fill = ctr_cache_.fill(a, dirty);
-    if (fill.writeback) {
+    if (acc.writeback) {
         // Dirty victim: identify its level and block id from the address.
         for (unsigned l = 0; l < tree_.levels(); ++l) {
-            if (fill.victim_addr >= meta_[l].base &&
-                fill.victim_addr < meta_[l].end) {
+            if (acc.victim_addr >= meta_[l].base &&
+                acc.victim_addr < meta_[l].end) {
                 counterWriteback(
                     l,
-                    (fill.victim_addr - meta_[l].base) >> addr::kBlockShift,
+                    (acc.victim_addr - meta_[l].base) >> addr::kBlockShift,
                     now_ns);
                 break;
             }

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/record.hpp"
+
 namespace rmcc::sim
 {
 
@@ -58,6 +60,34 @@ class CpuModel
              count_ >= cfg_.mshrs))
             enforceLimits();
         return now_ns_;
+    }
+
+    /**
+     * advance() over every record of recs[0..n), without issue times: a
+     * run of quiet records (L1/L2 hits with no TLB miss and no
+     * writeback), which only move the core.  The clock and instruction
+     * count stay in registers between gate crossings, and each record
+     * makes advance()'s exact transitions.
+     */
+    void advanceRun(const trace::Record *recs, std::size_t n)
+    {
+        double now = now_ns_;
+        std::uint64_t insts = insts_;
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t step = recs[k].inst_gap + 1;
+            insts += step;
+            now += static_cast<double>(step) * ns_per_inst_;
+            if (count_ != 0 &&
+                (now >= gate_done_ns_ || insts >= gate_insts_ ||
+                 count_ >= cfg_.mshrs)) {
+                now_ns_ = now;
+                insts_ = insts;
+                enforceLimits();
+                now = now_ns_;
+            }
+        }
+        now_ns_ = now;
+        insts_ = insts;
     }
 
     /**

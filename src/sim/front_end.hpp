@@ -139,6 +139,24 @@ class FrontEndReplay
     }
 
     /**
+     * Whether the next record is quiet: code 0, an L1/L2 hit with no TLB
+     * miss and no writeback.  A quiet record only advances the core.
+     */
+    bool quietNext() const { return *codes_ == 0; }
+
+    /** Skip the quiet records ahead, at most max; returns how many. */
+    std::size_t skipQuiet(std::size_t max)
+    {
+        const std::uint8_t *p = codes_;
+        const std::uint8_t *const end = codes_ + max;
+        while (p != end && *p == 0)
+            ++p;
+        const auto n = static_cast<std::size_t>(p - codes_);
+        codes_ = p;
+        return n;
+    }
+
+    /**
      * Whether an LLC miss lies ahead of the replay; if so, its line
      * address goes to *paddr.  The lookahead the replays prefetch for.
      */

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 
 #include "core/rmcc_engine.hpp"
 #include "counters/tree.hpp"
@@ -57,6 +58,47 @@ tenantArenaBlocks(const SystemConfig &cfg)
 }
 
 /**
+ * A cell's counter tree in its initial state, leased from the calling
+ * thread's slot.
+ *
+ * The initial tree depends only on the key below, and building one
+ * (millions of counters and their randomInit draws) is most of a short
+ * replay's fixed cost.  So each thread keeps the tree of its last cell:
+ * a lease with the same key takes it and restores it
+ * (IntegrityTree::restoreInit, which redraws only the chunks that cell
+ * dirtied), and a lease with another key frees it and builds a fresh
+ * one.  The lease hands the tree back to the slot when it ends, however
+ * its cell ended.  A second lease taken while the first is held builds
+ * its own tree, and whichever ends last stays in the slot.
+ */
+class TreeLease
+{
+  public:
+    /** What a cell's initial tree depends on. */
+    struct Key
+    {
+        ctr::SchemeKind scheme = ctr::SchemeKind::Morphable;
+        std::uint64_t data_blocks = 0;
+        bool secure = false; //!< Only secure cells randomInit their tree.
+        std::uint64_t seed = 0;
+        addr::CounterValue init_mean = 0;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    explicit TreeLease(const SystemConfig &cfg);
+    ~TreeLease();
+    TreeLease(const TreeLease &) = delete;
+    TreeLease &operator=(const TreeLease &) = delete;
+
+    ctr::IntegrityTree &tree() const { return *tree_; }
+
+  private:
+    Key key_;
+    std::unique_ptr<ctr::IntegrityTree> tree_;
+};
+
+/**
  * All components of one simulated system behind the front end.  The front
  * end itself (translation, TLB, caches) is the trace's recording.
  */
@@ -66,15 +108,16 @@ struct SimRig
     //! First member: it rejects a bad phys_bytes before the tree is
     //! allocated.
     std::uint64_t arena_blocks;
-    ctr::IntegrityTree tree;
+    TreeLease lease; //!< Outlives every member that holds `tree`.
+    ctr::IntegrityTree &tree;
     core::RmccEngine engine;
     dram::Ddr4 dram;
     mc::SecureMc mc;
     addr::CounterValue init_max; //!< Observed max right after init.
 
     explicit SimRig(const SystemConfig &cfg)
-        : arena_blocks(tenantArenaBlocks(cfg)),
-          tree(cfg.scheme, cfg.phys_bytes / addr::kBlockSize),
+        : arena_blocks(tenantArenaBlocks(cfg)), lease(cfg),
+          tree(lease.tree()),
           engine(effectiveRmccConfig(cfg), tree),
           dram(cfg.dram),
           mc(mc::McConfig{cfg.secure, cfg.counter_cache_bytes,
@@ -104,9 +147,6 @@ struct SimRig
                     return static_cast<std::uint32_t>(blk / arena);
                 });
         }
-        util::Rng rng(cfg.seed ^ 0xc0c0);
-        if (cfg.secure)
-            tree.randomInit(rng, cfg.counter_init_mean);
         init_max = tree.observedMax();
     }
 };
@@ -141,9 +181,16 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     // is processed.
     const ctr::EntityStorage ctr0 = rig.tree.level(0).entityStorage();
     const std::size_t records = recording.codes.size();
-    for (std::size_t i = 0; i < records; ++i) {
+    std::size_t i = 0;
+    while (i < records) {
         if ((i & 0x1fff) == 0)
             util::pollCancel();
+        // Quiet records touch no counter: skip them, up to the next poll.
+        const std::size_t poll_at = std::min(records, (i | 0x1fff) + 1);
+        i += front.skipQuiet(poll_at - i);
+        if (i == poll_at)
+            continue;
+        ++i;
         const FrontEndOutcome h = front.next();
         if (h.llc_miss) {
             addr::Addr ahead = 0;

@@ -1,5 +1,7 @@
 #include "sim/timing_sim.hpp"
 
+#include <algorithm>
+
 #include "sim/cpu_model.hpp"
 #include "sim/obs_wiring.hpp"
 #include "sim/rig.hpp"
@@ -48,10 +50,17 @@ measuredLoop(const std::string &workload_name,
     const double llc_lookup_ns =
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
+    // With obs on, every record ticks the registry, so every record
+    // takes the per-record path.
+    const bool quiet_runs = obs == nullptr;
+
     // The trace supplies only each record's instruction gap; the front
     // end, physical addresses included, comes from the recording.
-    drive.forEachRecord(
-        [&](std::size_t i, const trace::Record &rec) {
+    drive.forEachWindow([&](std::size_t first, const trace::Record *recs,
+                            std::size_t n) {
+        const std::size_t end = first + n;
+        std::size_t i = first;
+        while (i < end) {
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // aborts here instead of running to the end.
             if ((i & 0x1fff) == 0)
@@ -62,8 +71,20 @@ measuredLoop(const std::string &workload_name,
                 insts_at_warm = cpu.instructions();
                 time_at_warm = cpu.now();
             }
+            if (quiet_runs && front.quietNext()) {
+                // A run of quiet records only moves the clock: one call,
+                // ending at the window's end, the next poll or the
+                // warm-up boundary.
+                std::size_t stop = std::min(end, (i | 0x1fff) + 1);
+                if (cfg.warmup_records > i)
+                    stop = std::min<std::size_t>(stop, cfg.warmup_records);
+                const std::size_t q = front.skipQuiet(stop - i);
+                cpu.advanceRun(recs + (i - first), q);
+                i += q;
+                continue;
+            }
 
-            const double issue = cpu.advance(rec.inst_gap);
+            const double issue = cpu.advance(recs[i - first].inst_gap);
             const detail::FrontEndOutcome h = front.next();
             if (h.tlb_miss)
                 side.inc(h_tlb_miss);
@@ -90,7 +111,9 @@ measuredLoop(const std::string &workload_name,
             }
             if (obs)
                 obs->tick();
-        });
+            ++i;
+        }
+    });
     const double end = cpu.finish();
     if (obs) {
         rig.mc.attachObs(nullptr);

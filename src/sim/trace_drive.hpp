@@ -39,16 +39,30 @@ class TraceDrive
     {
     }
 
+    /**
+     * Replay every window in trace order: body(first, recs, n), where
+     * recs[k] is record first + k.
+     */
+    template <class Body>
+    void forEachWindow(Body &&body)
+    {
+        std::size_t first = 0;
+        while (advance()) {
+            const trace::TraceWindow w = w_; // locals: body may alias *this
+            body(first, w.data, w.count);
+            first += w.count;
+        }
+    }
+
     /** Replay every record in trace order: body(i, rec) for record i. */
     template <class Body>
     void forEachRecord(Body &&body)
     {
-        std::size_t i = 0;
-        while (advance()) {
-            const trace::TraceWindow w = w_; // locals: body may alias *this
-            for (std::size_t k = 0; k < w.count; ++k, ++i)
-                body(i, w.data[k]);
-        }
+        forEachWindow(
+            [&](std::size_t first, const trace::Record *recs, std::size_t n) {
+                for (std::size_t k = 0; k < n; ++k)
+                    body(first + k, recs[k]);
+            });
     }
 
     /**

@@ -22,12 +22,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -38,55 +32,6 @@ Rng::Rng(std::uint64_t seed)
     // Guard against the all-zero state, which is a fixed point.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    // Lemire's multiply-shift with rejection for exact uniformity.
-    if (bound == 0)
-        return 0;
-    while (true) {
-        const std::uint64_t x = next();
-        const unsigned __int128 m =
-            static_cast<unsigned __int128>(x) * bound;
-        const std::uint64_t lo = static_cast<std::uint64_t>(m);
-        if (lo >= bound || lo >= static_cast<std::uint64_t>(-bound) % bound)
-            return static_cast<std::uint64_t>(m >> 64);
-    }
-}
-
-std::uint64_t
-Rng::nextInRange(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + nextBelow(hi - lo + 1);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    p = std::clamp(p, 0.0, 1.0);
-    return nextDouble() < p;
 }
 
 std::uint32_t

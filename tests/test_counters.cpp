@@ -604,3 +604,160 @@ TEST_P(CountInRanges, MatchesDenseCount)
 INSTANTIATE_TEST_SUITE_P(Schemes, CountInRanges,
                          ::testing::Values(SchemeKind::Morphable,
                                            SchemeKind::SC64));
+
+// ---------------------------------------------------------------------------
+// randomInit checkpoints and restoreInit
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Every observable of two trees is equal, level by level. */
+void
+expectSameTree(const IntegrityTree &a, const IntegrityTree &b)
+{
+    ASSERT_EQ(a.levels(), b.levels());
+    EXPECT_EQ(a.observedMax(), b.observedMax());
+    EXPECT_EQ(a.totalOverflows(), b.totalOverflows());
+    for (unsigned k = 0; k < a.levels(); ++k) {
+        const CounterScheme &x = a.level(k);
+        const CounterScheme &y = b.level(k);
+        ASSERT_EQ(x.entities(), y.entities());
+        for (std::uint64_t i = 0; i < x.entities(); ++i)
+            ASSERT_EQ(x.read(i), y.read(i)) << "level " << k << " i " << i;
+        EXPECT_EQ(x.observedMax(), y.observedMax()) << "level " << k;
+        EXPECT_EQ(x.overflows(), y.overflows()) << "level " << k;
+        const auto *mx = dynamic_cast<const MorphableScheme *>(&x);
+        const auto *my = dynamic_cast<const MorphableScheme *>(&y);
+        ASSERT_EQ(mx == nullptr, my == nullptr);
+        if (mx == nullptr)
+            continue;
+        EXPECT_EQ(mx->morphs(), my->morphs()) << "level " << k;
+        for (std::uint64_t cb = 0; cb < a.blocksAt(k); ++cb)
+            ASSERT_EQ(mx->packBlock(cb), my->packBlock(cb))
+                << "level " << k << " block " << cb;
+    }
+}
+
+/**
+ * A seeded mix of counter updates on one level of a tree: +1 and far
+ * writes through write(), or whole-block relevels, on entities drawn
+ * from [first, last).
+ */
+void
+mutate(IntegrityTree &tree, unsigned level, std::uint64_t first,
+       std::uint64_t last, bool writes, bool relevels, std::uint64_t seed)
+{
+    rmcc::util::Rng rng(seed);
+    CounterScheme &s = tree.level(level);
+    for (int op = 0; op < 400; ++op) {
+        const std::uint64_t idx = first + rng.nextBelow(last - first);
+        const bool relevel = relevels && (!writes || rng.nextBool(0.3));
+        if (relevel) {
+            s.relevelBlock(idx, s.blockMax(idx) + 1 + rng.nextBelow(300));
+        } else {
+            const CounterValue step =
+                rng.nextBool(0.2) ? 100 + rng.nextBelow(9000) : 1;
+            s.write(idx, s.read(idx) + step);
+        }
+    }
+}
+
+} // namespace
+
+/** randomInit checkpoints and restoreInit, for every scheme. */
+class CounterRestore : public ::testing::TestWithParam<SchemeKind>
+{
+  protected:
+    /** Data blocks: three full level-0 chunks and a partial fourth. */
+    std::uint64_t dataBlocks() const
+    {
+        return schemeCoverage(GetParam()) * CounterScheme::kChunkBlocks *
+                   3 +
+               37;
+    }
+};
+
+TEST_P(CounterRestore, RestoreEqualsFreshInit)
+{
+    IntegrityTree fresh(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_a(99);
+    fresh.randomInit(rng_a, 1u << 20);
+
+    IntegrityTree tree(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_b(99);
+    tree.randomInit(rng_b, 1u << 20);
+    expectSameTree(tree, fresh);
+    const std::uint64_t chunk =
+        schemeCoverage(GetParam()) * CounterScheme::kChunkBlocks;
+    for (int round = 0; round < 3; ++round) {
+        // Writes only in chunk 0, relevels only in chunk 2 and the
+        // partial last chunk, and both on level 1: each mutator has
+        // chunks of its own, so a mutator that forgot to mark its chunk
+        // leaves a difference restoreInit cannot hide.
+        mutate(tree, 0, 0, chunk, true, false, 10 + round);
+        mutate(tree, 0, 2 * chunk, dataBlocks(), false, true, 20 + round);
+        mutate(tree, 1, 0, tree.level(1).entities(), true, true,
+               30 + round);
+        tree.level(0).write(5, tree.observedMax() + 1000);
+        EXPECT_GE(tree.level(0).dirtyChunks(), 3u);
+        EXPECT_NE(tree.observedMax(), fresh.observedMax());
+        tree.restoreInit();
+        EXPECT_EQ(tree.level(0).dirtyChunks(), 0u);
+        expectSameTree(tree, fresh);
+    }
+}
+
+TEST_P(CounterRestore, OverflowsAndMorphsRewind)
+{
+    // Far writes overflow every scheme but monolithic and morph
+    // Morphable blocks; restore takes both counts back to the post-init
+    // zero.
+    IntegrityTree fresh(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_a(5);
+    fresh.randomInit(rng_a, 1000);
+    IntegrityTree tree(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_b(5);
+    tree.randomInit(rng_b, 1000);
+    CounterScheme &l0 = tree.level(0);
+    for (std::uint64_t i = 0; i < dataBlocks(); i += 3)
+        l0.write(i, l0.read(i) + 1 + (i % 7) * 40000);
+    if (GetParam() != SchemeKind::SgxMonolithic) {
+        EXPECT_GT(tree.totalOverflows(), 0u);
+    }
+    tree.restoreInit();
+    EXPECT_EQ(tree.totalOverflows(), 0u);
+    expectSameTree(tree, fresh);
+}
+
+TEST_P(CounterRestore, NeverInitialisedRestoresToZero)
+{
+    const IntegrityTree zeros(GetParam(), dataBlocks());
+    IntegrityTree tree(GetParam(), dataBlocks());
+    mutate(tree, 0, 0, dataBlocks(), true, true, 1);
+    mutate(tree, 1, 0, tree.level(1).entities(), true, true, 2);
+    tree.restoreInit();
+    expectSameTree(tree, zeros);
+    EXPECT_EQ(tree.observedMax(), 0u);
+}
+
+TEST_P(CounterRestore, CleanChunksKeepTheirState)
+{
+    // restoreInit redraws dirty chunks only: a tree restored with no
+    // mutation is the tree it was.
+    IntegrityTree fresh(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_a(3);
+    fresh.randomInit(rng_a, 777);
+    IntegrityTree tree(GetParam(), dataBlocks());
+    rmcc::util::Rng rng_b(3);
+    tree.randomInit(rng_b, 777);
+    tree.restoreInit();
+    expectSameTree(tree, fresh);
+    // randomInit leaves the caller's rng where a one-pass draw would.
+    EXPECT_EQ(rng_a.next(), rng_b.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, CounterRestore,
+                         ::testing::Values(SchemeKind::SgxMonolithic,
+                                           SchemeKind::SC64,
+                                           SchemeKind::Morphable));

@@ -5,7 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/cpu_model.hpp"
+#include "trace/record.hpp"
+#include "util/rng.hpp"
 
 using namespace rmcc::sim;
 
@@ -94,4 +98,52 @@ TEST(Cpu, MemoryBoundSlowerThanComputeBound)
         memory.recordLongLatency(t + 80.0);
     }
     EXPECT_GT(memory.finish(), compute.finish());
+}
+
+TEST(Cpu, AdvanceRunEqualsPerRecordAdvance)
+{
+    // Two cores see one seeded stream: bursts of long-latency ops (up to
+    // 24 back to back, past the 16 MSHRs), then runs of records whose
+    // gaps cross the 192-entry window and the ops' completion times.
+    // One core takes each run in one advanceRun call, the other record
+    // by record; clock and instruction count must agree bit for bit
+    // after every step.
+    CpuModel per_record, run;
+    rmcc::util::Rng rng(2024);
+    std::vector<rmcc::trace::Record> recs;
+    std::uint64_t crossings = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const unsigned ops = static_cast<unsigned>(rng.nextBelow(25));
+        for (unsigned k = 0; k < ops; ++k) {
+            const double issue = per_record.advance(0);
+            ASSERT_EQ(run.advance(0), issue);
+            const double done = issue + 5.0 + rng.nextDouble() * 400.0;
+            per_record.recordLongLatency(done);
+            run.recordLongLatency(done);
+        }
+        recs.assign(1 + rng.nextBelow(300), rmcc::trace::Record{});
+        for (rmcc::trace::Record &r : recs)
+            r.inst_gap = rng.nextBool(0.9) ? rng.nextBelow(8)
+                                           : rng.nextBelow(1000);
+        const double before = per_record.now();
+        for (const rmcc::trace::Record &r : recs)
+            per_record.advance(r.inst_gap);
+        run.advanceRun(recs.data(), recs.size());
+        ASSERT_EQ(run.now(), per_record.now()) << "round " << round;
+        ASSERT_EQ(run.instructions(), per_record.instructions());
+        // A run whose clock moved further than its instructions alone
+        // would take waited at a gate.
+        std::uint64_t insts = 0;
+        for (const rmcc::trace::Record &r : recs)
+            insts += r.inst_gap + 1;
+        crossings += per_record.now() - before >
+                     static_cast<double>(insts) / 12.8 + 1e-6;
+        if (rng.nextBool(0.05)) {
+            const double t = per_record.now() + rng.nextDouble() * 50.0;
+            per_record.stallUntil(t);
+            run.stallUntil(t);
+        }
+    }
+    EXPECT_GT(crossings, 100u);
+    EXPECT_EQ(run.finish(), per_record.finish());
 }

@@ -820,6 +820,36 @@ TEST(ObsEndToEnd, OffIsBitIdenticalAndWritesNothing)
     }
 }
 
+TEST(ObsEndToEnd, QuietRunsMatchThePerRecordPath)
+{
+    // With obs off, runTiming hands each run of quiet records (L1/L2
+    // hits with no TLB miss and no writeback) to one CpuModel call; with
+    // obs on, every record takes the per-record path.  On a
+    // cache-resident trace, with a warm-up boundary that is no multiple
+    // of the 8192-record poll stride, both must give the same result.
+    sim::NamedConfig nc = sim::rmccConfig(sim::SimMode::Timing);
+    shrink(nc.cfg);
+    nc.cfg.trace_records = 40000;
+    nc.cfg.warmup_records = 20001;
+    const auto *w = wl::findWorkload("omnetpp");
+    const auto trace = wl::generateTrace(*w, 40000, 42);
+
+    clearObsEnv();
+    const sim::SimResult runs = sim::runOne(w->name, trace, nc);
+    const std::string dir = freshDir("quiet");
+    sim::SimResult per_record;
+    {
+        ObsEnv env("epochs", dir);
+        per_record = sim::runOne(w->name, trace, nc);
+    }
+    EXPECT_GT(fileCount(dir), 0u) << "obs did not run";
+    EXPECT_EQ(runs.stats.all(), per_record.stats.all());
+    EXPECT_EQ(runs.instructions, per_record.instructions);
+    EXPECT_EQ(runs.elapsed_ns, per_record.elapsed_ns);
+    EXPECT_GT(runs.stats.get("sim.llc_misses"), 0.0);
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // TraceBuffer drop accounting
 // ---------------------------------------------------------------------------

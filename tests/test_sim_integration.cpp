@@ -7,7 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <thread>
+
 #include "sim/experiments.hpp"
+#include "sim/rig.hpp"
 
 using namespace rmcc;
 using namespace rmcc::sim;
@@ -196,4 +202,140 @@ TEST(Integration, RegistryLookupsIndependentOfTraceLength)
 
     EXPECT_EQ(short_lookups, long_lookups)
         << "string-keyed stat lookups must not scale with trace length";
+}
+
+// ---------------------------------------------------------------------------
+// Counter-tree leases: a thread reuses its last cell's tree
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Every simulated number of two results is equal. */
+void
+expectSameResult(const SimResult &a, const SimResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.stats.all(), b.stats.all()) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.elapsed_ns, b.elapsed_ns) << what;
+}
+
+/** nc's result on a new thread, whose tree slot is empty. */
+SimResult
+runOnFreshThread(const wl::Workload &w, const trace::TraceSource &trace,
+                 const NamedConfig &nc)
+{
+    SimResult r;
+    std::thread t([&] { r = runOne(w.name, trace, nc); });
+    t.join();
+    return r;
+}
+
+/** canneal at a length where every cell writes counters back. */
+NamedConfig
+leaseCell(const NamedConfig &base)
+{
+    NamedConfig nc = base;
+    shrink(nc.cfg);
+    return nc;
+}
+
+} // namespace
+
+TEST(TreeLease, ReusedTreeGivesTheFreshResult)
+{
+    // One RMCC cell three times on this thread, interleaved with a
+    // Morphable cell (same tree key: it restores the RMCC cell's tree)
+    // and an SC-64 cell (another key: the tree is rebuilt).  Every run
+    // must equal the same cell on a fresh thread.
+    const NamedConfig rmcc = leaseCell(rmccConfig(SimMode::Timing));
+    const NamedConfig morph = leaseCell(
+        baselineConfig(SimMode::Timing, ctr::SchemeKind::Morphable));
+    const NamedConfig sc64 = leaseCell(
+        baselineConfig(SimMode::Functional, ctr::SchemeKind::SC64));
+    const auto *w = wl::findWorkload("canneal");
+    const auto trace =
+        wl::generateTrace(*w, rmcc.cfg.trace_records, rmcc.cfg.seed);
+    const SimResult want_rmcc = runOnFreshThread(*w, trace, rmcc);
+    const SimResult want_morph = runOnFreshThread(*w, trace, morph);
+    const SimResult want_sc64 = runOnFreshThread(*w, trace, sc64);
+    EXPECT_GT(want_rmcc.stats.get("mc.writes"), 0.0);
+
+    for (int round = 0; round < 3; ++round) {
+        const std::string at = "round " + std::to_string(round);
+        expectSameResult(runOne(w->name, trace, rmcc), want_rmcc,
+                         "RMCC " + at);
+        expectSameResult(runOne(w->name, trace, morph), want_morph,
+                         "Morphable " + at);
+        if (round == 1)
+            expectSameResult(runOne(w->name, trace, sc64), want_sc64,
+                             "SC-64 " + at);
+    }
+}
+
+TEST(TreeLease, CancelledCellLeavesNoTrace)
+{
+    // A cell cancelled mid-run (RMCC_CELL_TIMEOUT_MS, with the cell hook
+    // stalling until just before the deadline) hands back a tree it has
+    // partly updated; the next cell with the same key must restore it.
+    NamedConfig nc = leaseCell(rmccConfig(SimMode::Timing));
+    nc.cfg.trace_records = 400000;
+    nc.cfg.warmup_records = 200000;
+    const auto *w = wl::findWorkload("canneal");
+    const auto trace =
+        wl::generateTrace(*w, nc.cfg.trace_records, nc.cfg.seed);
+    const SimResult want = runOnFreshThread(*w, trace, nc);
+
+    setenv("RMCC_CELL_TIMEOUT_MS", "60", 1);
+    detail::cell_fault_hook = [](const std::string &, const std::string &) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    };
+    const auto [cancelled, status] = runCellGuarded(w->name, trace, nc);
+    detail::cell_fault_hook = nullptr;
+    unsetenv("RMCC_CELL_TIMEOUT_MS");
+    EXPECT_EQ(status.state, CellState::TimedOut);
+    EXPECT_EQ(cancelled.instructions, 0u) << "the cell ran to its end";
+
+    expectSameResult(runOne(w->name, trace, nc), want, "after cancel");
+}
+
+TEST(TreeLease, TwoRigsOnOneThreadAreBothFresh)
+{
+    // The first rig takes this thread's kept tree and restores it, the
+    // second builds its own; both must hold the initial tree.  Whichever
+    // ends last stays in the slot, even after the other was updated, and
+    // the next cell must still see the initial tree.
+    const NamedConfig nc = leaseCell(rmccConfig(SimMode::Timing));
+    const auto *w = wl::findWorkload("canneal");
+    const auto trace =
+        wl::generateTrace(*w, nc.cfg.trace_records, nc.cfg.seed);
+    const SimResult want = runOnFreshThread(*w, trace, nc);
+
+    for (const bool first_ends_first : {true, false}) {
+        (void)runOne(w->name, trace, nc); // leaves a dirty tree kept
+        auto a = std::make_unique<detail::SimRig>(nc.cfg);
+        auto b = std::make_unique<detail::SimRig>(nc.cfg);
+        ASSERT_NE(&a->tree, &b->tree);
+        EXPECT_EQ(a->init_max, b->init_max);
+        const ctr::CounterScheme &la = a->tree.level(0);
+        const ctr::CounterScheme &lb = b->tree.level(0);
+        for (std::uint64_t i = 0; i < la.entities(); i += 97)
+            ASSERT_EQ(la.read(i), lb.read(i)) << "entity " << i;
+        // Dirty both, then end them in either order.
+        for (auto *rig : {a.get(), b.get()}) {
+            ctr::CounterScheme &l0 = rig->tree.level(0);
+            for (std::uint64_t i = 0; i < l0.entities(); i += 4099)
+                l0.write(i, l0.read(i) + 50000);
+        }
+        if (first_ends_first) {
+            a.reset();
+            b.reset();
+        } else {
+            b.reset();
+            a.reset();
+        }
+        expectSameResult(runOne(w->name, trace, nc), want,
+                         first_ends_first ? "a then b" : "b then a");
+    }
 }
