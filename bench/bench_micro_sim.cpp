@@ -260,8 +260,6 @@ main(int argc, char **argv)
         wl::generateTraceHandle(w, nc.cfg.trace_records, nc.cfg.seed);
     unsetenv("RMCC_TRACE_SPILL");
     unsetenv("RMCC_TRACE_DIR");
-    const std::uint64_t window_records =
-        trace::spillConfigFromEnv().window_records;
     double rps_spilled = 0.0;
     const double spill_ratio = pairedRatio(
         [&] { return replayRecordsPerSec(w.name, trace, nc.cfg, 3); },
@@ -312,7 +310,7 @@ main(int argc, char **argv)
     std::printf("spill:  %.0f rec/s (%.3fx in-RAM), window %llu records, "
                 "file %lld bytes, peak rss %ld KiB\n",
                 rps_spilled, spill_ratio,
-                static_cast<unsigned long long>(window_records),
+                static_cast<unsigned long long>(trace::kTraceChunkRecords),
                 trace_file_bytes, peak_rss_kib);
     std::printf("crypto: aes128 %.2fM blk/s (active%s), %.2fM blk/s (sw); "
                 "clmul128 %.2fM op/s (active), %.2fM op/s (sw)\n",
@@ -370,7 +368,7 @@ main(int argc, char **argv)
                  hw_aes ? "true" : "false", hw_clmul ? "true" : "false",
                  aes_active, aes_sw, clmul_active, clmul_sw,
                  spilled.spilled() ? "true" : "false",
-                 static_cast<unsigned long long>(window_records),
+                 static_cast<unsigned long long>(trace::kTraceChunkRecords),
                  rps_spilled, spill_ratio, trace_file_bytes,
                  peak_rss_kib, total_sec);
     std::fclose(f);

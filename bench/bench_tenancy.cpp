@@ -8,8 +8,7 @@
  * Cells:
  *  - solo-<archetype>: each component workload alone on the rig, the
  *    per-tenant latency baseline;
- *  - mixed: the Zipf-skewed N-tenant mix (RMCC_TENANTS /
- *    RMCC_TENANT_SKEW / RMCC_TENANT_ISOLATION);
+ *  - mixed: the Zipf-skewed mix of kMix's tenants;
  *  - storm: the same mix with a hot-tenant storm forcing an extra
  *    kStormShare of all draws onto tenant 0, run with the fault
  *    campaign's detection oracle attached under per-tenant data-plane
@@ -49,8 +48,10 @@ namespace
 //! Extra fraction of all draws the storm cell forces onto tenant 0.
 constexpr double kStormShare = 0.35;
 
-//! Tenants used when RMCC_TENANTS does not ask for a real mix.
-constexpr std::uint64_t kDefaultTenants = 4;
+//! The mix: 3 tenants (one per archetype), Zipf 0.99 traffic shares,
+//! strict isolation, no memo quota.
+const tenancy::TenancyConfig kMix{3, 0.99, tenancy::IsolationMode::Strict,
+                                  0};
 
 //! Component archetypes; tenant t runs archetypes[t % 3].  canneal /
 //! omnetpp / mcf rather than the GraphBig kernels so the 128 MB shared
@@ -106,14 +107,6 @@ readShare(const tenancy::TenantAccountant &acct, std::size_t t)
 int
 main()
 {
-    tenancy::TenancyConfig tcfg = tenancy::tenancyConfigFromEnv();
-    if (tcfg.tenants < 2) {
-        util::logInfo("bench_tenancy: RMCC_TENANTS < 2 gives no "
-                      "interference to measure; using %llu tenants",
-                      static_cast<unsigned long long>(kDefaultTenants));
-        tcfg.tenants = kDefaultTenants;
-    }
-
     std::vector<const wl::Workload *> archetypes;
     for (const char *name : kArchetypes) {
         const wl::Workload *w = wl::findWorkload(name);
@@ -154,7 +147,7 @@ main()
     bool storm_ok = true;
     for (const double storm_share : {0.0, kStormShare}) {
         tenancy::MixSpec spec;
-        spec.cfg = tcfg;
+        spec.cfg = kMix;
         spec.archetypes = archetypes;
         spec.records = base.trace_records;
         spec.component_records =
@@ -164,11 +157,11 @@ main()
         const tenancy::TenantMix mix = tenancy::generateMixHandle(spec);
 
         sim::SystemConfig cfg = base;
-        cfg.tenancy.tenants = tcfg.tenants;
+        cfg.tenancy.tenants = kMix.tenants;
         cfg.tenancy.tag_shift = mix.tag_shift;
         cfg.tenancy.strict =
-            tcfg.isolation == tenancy::IsolationMode::Strict;
-        cfg.tenancy.memo_quota = tcfg.memo_quota;
+            kMix.isolation == tenancy::IsolationMode::Strict;
+        cfg.tenancy.memo_quota = kMix.memo_quota;
 
         CellResult cell;
         cell.label = storm_share > 0.0 ? "storm" : "mixed";
@@ -211,10 +204,10 @@ main()
     // --- Interference summary -----------------------------------------
     // Degradation = mixed/storm mean read latency over the tenant's solo
     // baseline; tenant 0 runs archetypes[0], tenant 1 archetypes[1].
-    const util::ZipfSampler zipf(tcfg.tenants, tcfg.skew);
+    const util::ZipfSampler zipf(kMix.tenants, kMix.skew);
     util::Table table(
-        "Cross-tenant interference (" + std::to_string(tcfg.tenants) +
-            " tenants, Zipf " + std::to_string(tcfg.skew) + ")",
+        "Cross-tenant interference (" + std::to_string(kMix.tenants) +
+            " tenants, Zipf " + std::to_string(kMix.skew) + ")",
         {"cell", "jain", "hot lat (ns)", "hot x solo", "victim lat (ns)",
          "victim x solo", "hot share", "observed max", "SILENT"});
     std::ofstream icsv("tenancy_interference.csv");
@@ -249,7 +242,7 @@ main()
                       util::fmtPercent(cell.hot_share),
                       util::fmtDouble(omax),
                       std::to_string(cell.silent)});
-        icsv << cell.label << ',' << tcfg.tenants << ',' << cell.jain
+        icsv << cell.label << ',' << kMix.tenants << ',' << cell.jain
              << ',' << cell.hot_mean << ',' << hot_deg << ','
              << cell.victim_mean << ',' << victim_deg << ','
              << cell.hot_share << ',' << expected_hot << ',' << omax

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "mc/recovery.hpp"
 #include "sim/experiments.hpp"
 #include "util/log.hpp"
 
@@ -57,12 +58,14 @@ usage()
         "  RMCC_TRACE_SPILL=off|auto|on  out-of-core traces (default off):\n"
         "    on streams every trace to a checksummed file and replays it\n"
         "    through windowed mmap (bounded RSS, bit-identical results);\n"
-        "    auto spills only traces >= RMCC_TRACE_SPILL_THRESHOLD\n"
-        "    (default 8388608 records)\n"
+        "    auto spills only traces of 8388608 records or more\n"
         "  RMCC_TRACE_DIR=PATH         spill/cache dir (default\n"
         "    /tmp/rmcc_traces); files are keyed by workload fingerprint\n"
         "    and reused across runs when they validate\n"
-        "  RMCC_TRACE_WINDOW_RECORDS=N replay window (default 1048576)\n"
+        "  RMCC_RECOVERY=off|retry|full  self-healing read path (default\n"
+        "    off), tuned by RMCC_RECOVERY_RETRIES,\n"
+        "    RMCC_RECOVERY_STORM_WINDOW, RMCC_RECOVERY_STORM_THRESHOLD\n"
+        "    and RMCC_RECOVERY_DEGRADED_READS (docs/FAULTS.md)\n"
         "  RMCC_LOG_LEVEL=debug|info|warn|error|silent  (default info)");
 }
 
@@ -148,6 +151,7 @@ main(int argc, char **argv)
     }
     cfg.secure = secure;
     cfg.rmcc = rmcc_on && secure;
+    cfg.recovery = mc::recoveryConfigFromEnv();
     if (!warmup_set)
         cfg.warmup_records = cfg.trace_records / 2;
     nc.label = !secure ? "non-secure"

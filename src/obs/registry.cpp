@@ -428,6 +428,17 @@ makeRunRegistry(const std::string &cell)
     return std::make_unique<Registry>(cell, s.config(), &s);
 }
 
+std::unique_ptr<Registry>
+makeRunRegistry(const std::function<std::string()> &cell)
+{
+    {
+        util::MutexLock lock(g_session_mutex);
+        if (sessionLocked().config().mode == ObsMode::Off)
+            return nullptr;
+    }
+    return makeRunRegistry(cell());
+}
+
 void
 instantGlobal(InstantKind k, const std::string &detail)
 {

@@ -287,6 +287,10 @@ void reresolveObs();
  */
 std::unique_ptr<Registry> makeRunRegistry(const std::string &cell);
 
+/** As above, but calls cell() for the label only when obs is on. */
+std::unique_ptr<Registry>
+makeRunRegistry(const std::function<std::string()> &cell);
+
 /**
  * Raise a global instant event if a session exists in full mode.  Safe on
  * any thread; resolves the session lazily (strict env parsing applies).

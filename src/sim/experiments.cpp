@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "crypto/dispatch.hpp"
-#include "mc/recovery.hpp"
 #include "obs/registry.hpp"
 #include "util/cancel.hpp"
 #include "util/env.hpp"
@@ -72,12 +71,11 @@ runGrid(const std::vector<const wl::Workload *> &workloads,
         const std::vector<NamedConfig> &configs, const ProgressFn &progress)
 {
     validateTraceShape(configs);
-    // Resolve RMCC_OBS*, the crypto dispatch, and the recovery policy
-    // outside the per-cell guard: a malformed variable is a caller
-    // error that must fail loudly, not be recorded as a cell failure.
+    // Resolve RMCC_OBS* and the crypto dispatch outside the per-cell
+    // guard: a malformed variable is a caller error that must fail
+    // loudly, not be recorded as a cell failure.
     obs::session();
     crypto::hwAesActive();
-    mc::recoveryConfigFromEnv();
 
     const std::size_t n_wl = workloads.size();
     const std::size_t n_cfg = configs.size();

@@ -30,7 +30,11 @@
 namespace rmcc::sim::detail
 {
 
-/** The SystemConfig fields a record's TLB and cache outcome depends on. */
+/**
+ * The SystemConfig fields a record's TLB and cache outcome depends on: a
+ * projection of cellKey(cfg), so cells with equal cell keys share a
+ * front-end recording.
+ */
 struct FrontEndConfig
 {
     addr::PageMode page_mode = addr::PageMode::Huge2M;

@@ -45,7 +45,7 @@ measuredLoop(const std::string &workload_name,
     double fake_now = 0.0;
 
     std::unique_ptr<obs::Registry> obs =
-        obs::makeRunRegistry(detail::cellName(workload_name, cfg));
+        detail::makeCellRegistry(workload_name, cfg);
 
     // The drive walks the source's windows (one covering the whole
     // vector for in-RAM traces; mmap'd spans with next-window prefetch

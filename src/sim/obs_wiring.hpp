@@ -4,7 +4,7 @@
  * naming scheme and the standard probe catalog registered over a SimRig.
  *
  * Both runTiming() and runFunctional() create their run registry with
- * makeRunRegistry(cellName(...)), register the probes here, attach the
+ * makeCellRegistry(), register the probes here, attach the
  * registry to the secure MC, and tick() it once per trace record.  All
  * probes are pure reads, so sampling cannot perturb the simulated
  * results (the RMCC_OBS=off bit-identity guarantee).
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "crypto/dispatch.hpp"
@@ -50,10 +51,8 @@ schemeShortName(ctr::SchemeKind k)
 
 /**
  * Stable per-(workload, configuration) cell label: a readable prefix plus
- * a hash of everything describe() renders and of the experiment-shape
- * fields describe() leaves out (trace length, warm-up, seed, budget
- * fraction, memo-group geometry), so sensitivity sweeps that vary only a
- * latency or a budget still get distinct obs files.
+ * a hash of cellKey(cfg), so any two cells that differ in any input get
+ * distinct obs files.
  */
 inline std::string
 cellName(const std::string &workload, const SystemConfig &cfg)
@@ -68,23 +67,18 @@ cellName(const std::string &workload, const SystemConfig &cfg)
         if (cfg.rmcc)
             label += "-rmcc";
     }
-    std::string key = cfg.describe();
-    key += "|records=" + std::to_string(cfg.trace_records);
-    key += "|warmup=" + std::to_string(cfg.warmup_records);
-    key += "|seed=" + std::to_string(cfg.seed);
-    key += "|precond=" + std::to_string(cfg.precondition ? 1 : 0);
-    key += "|budget_frac=" +
-           std::to_string(cfg.precondition_budget_fraction);
-    key += "|epoch=" + std::to_string(cfg.rmcc_cfg.budget.epoch_accesses);
-    key += "|groups=" + std::to_string(cfg.rmcc_cfg.memo.groups);
-    key += "|gsize=" + std::to_string(cfg.rmcc_cfg.memo.group_size);
-    key += "|mlevels=" + std::to_string(cfg.rmcc_cfg.memo_levels);
-
     char hash[20];
     std::snprintf(hash, sizeof hash, "-%08llx",
-                  static_cast<unsigned long long>(fnv1a64(key) &
+                  static_cast<unsigned long long>(fnv1a64(cellKey(cfg)) &
                                                   0xffffffffULL));
     return obs::sanitizeCellName(label + hash);
+}
+
+/** The cell's run registry; null (and no name built) with obs off. */
+inline std::unique_ptr<obs::Registry>
+makeCellRegistry(const std::string &workload, const SystemConfig &cfg)
+{
+    return obs::makeRunRegistry([&] { return cellName(workload, cfg); });
 }
 
 /**
@@ -167,7 +161,7 @@ registerRigProbes(obs::Registry &o, SimRig &rig, const FrontEndReplay &front,
     o.addProbe("crypto.clmul_sw",
                [] { return double(crypto::cryptoOpCounts().clmul_sw); });
 
-    // Recovery datapath (zero-cost when RMCC_RECOVERY=off: no probes).
+    // Recovery datapath (zero-cost when recovery is off: no probes).
     const mc::RecoveryPolicy &rp = rig.mc.recovery();
     if (rp.active()) {
         o.addProbe("recovery.detections", [&rp] {

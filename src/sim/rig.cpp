@@ -17,9 +17,14 @@ thread_local TreeSlot t_slot;
 
 } // namespace
 
-TreeLease::TreeLease(const SystemConfig &cfg)
-    : key_{cfg.scheme, cfg.phys_bytes / addr::kBlockSize, cfg.secure,
-           cfg.seed, cfg.counter_init_mean}
+TreeLease::Key
+TreeLease::keyOf(const SystemConfig &cfg)
+{
+    return {cfg.scheme, cfg.phys_bytes / addr::kBlockSize, cfg.secure,
+            cfg.seed, cfg.counter_init_mean};
+}
+
+TreeLease::TreeLease(const SystemConfig &cfg) : key_(keyOf(cfg))
 {
     if (t_slot.tree && t_slot.key == key_) {
         tree_ = std::move(t_slot.tree);

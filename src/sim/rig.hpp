@@ -13,7 +13,6 @@
 #include "counters/tree.hpp"
 #include "crypto/dispatch.hpp"
 #include "dram/ddr4.hpp"
-#include "mc/recovery.hpp"
 #include "mc/secure_mc.hpp"
 #include "sim/front_end.hpp"
 #include "sim/system_config.hpp"
@@ -74,7 +73,10 @@ tenantArenaBlocks(const SystemConfig &cfg)
 class TreeLease
 {
   public:
-    /** What a cell's initial tree depends on. */
+    /**
+     * What a cell's initial tree depends on: a projection of
+     * cellKey(cfg), so cells with equal cell keys share a tree key.
+     */
     struct Key
     {
         ctr::SchemeKind scheme = ctr::SchemeKind::Morphable;
@@ -85,6 +87,9 @@ class TreeLease
 
         bool operator==(const Key &) const = default;
     };
+
+    /** cfg's tree key. */
+    static Key keyOf(const SystemConfig &cfg);
 
     explicit TreeLease(const SystemConfig &cfg);
     ~TreeLease();
@@ -121,8 +126,7 @@ struct SimRig
           engine(effectiveRmccConfig(cfg), tree),
           dram(cfg.dram),
           mc(mc::McConfig{cfg.secure, cfg.counter_cache_bytes,
-                          cfg.counter_cache_assoc, cfg.lat,
-                          mc::recoveryConfigFromEnv()},
+                          cfg.counter_cache_assoc, cfg.lat, cfg.recovery},
              tree, engine, dram),
           init_max(0)
     {

@@ -15,6 +15,7 @@
 #include "core/rmcc_engine.hpp"
 #include "counters/scheme.hpp"
 #include "dram/config.hpp"
+#include "mc/recovery.hpp"
 #include "mc/secure_mc.hpp"
 #include "sim/cpu_model.hpp"
 
@@ -97,6 +98,9 @@ struct SystemConfig
     // --- multi-tenant shape (inert at the default) ----------------------
     TenancyShape tenancy;
 
+    // --- fault recovery (off by default) --------------------------------
+    mc::RecoveryConfig recovery; //!< Self-healing read path (docs/FAULTS.md).
+
     /** gem5-like preset (Table I). */
     static SystemConfig timingDefault();
 
@@ -109,6 +113,20 @@ struct SystemConfig
     /** Render the Table I rows for bench_table1_config. */
     std::string describe() const;
 };
+
+namespace detail
+{
+
+/**
+ * The complete identity of a cell's configuration: every field of cfg,
+ * nested configurations included, serialised in declaration order.  Two
+ * configurations simulate the same cell exactly when their keys are
+ * equal.  cellName hashes it; the front-end key and the tree-lease key
+ * are projections of it.
+ */
+std::string cellKey(const SystemConfig &cfg);
+
+} // namespace detail
 
 } // namespace rmcc::sim
 

@@ -24,7 +24,7 @@ measuredLoop(const std::string &workload_name,
     detail::FrontEndReplay front(recording);
 
     std::unique_ptr<obs::Registry> obs =
-        obs::makeRunRegistry(detail::cellName(workload_name, cfg));
+        detail::makeCellRegistry(workload_name, cfg);
 
     // Windowed iteration (see TraceDrive); invisible to the simulated
     // state.

@@ -3,10 +3,6 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include <sys/stat.h>
-
-#include "trace/trace_file.hpp"
-#include "trace/trace_reader.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -117,53 +113,11 @@ TenantMixer::label() const
 TenantMix
 generateMixHandle(const MixSpec &spec)
 {
-    TenantMixer mixer(spec);
-    const unsigned tag_shift = mixer.addressMap().tagShift();
-    const trace::SpillConfig sc = trace::spillConfigFromEnv();
-    if (!sc.shouldSpill(spec.records)) {
-        trace::TraceBuffer buf(spec.records);
-        mixer.generate(buf);
-        return {wl::TraceHandle(std::move(buf)), tag_shift};
-    }
-
-    // Same spill-cache discipline as wl::generateTraceHandle: files are
-    // keyed by the mix label + length + seed, validated on open, and
-    // regenerated in place on any mismatch.
-    const std::string label = mixer.label();
-    const std::uint64_t fp =
-        trace::traceFingerprint(label, spec.records, spec.seed);
-    trace::ensureTraceDir(sc.dir);
-    char fphex[20];
-    std::snprintf(fphex, sizeof fphex, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    const std::string path = sc.dir + "/" + label + "-" + fphex +
-                             ".rmcctrc";
-
-    struct stat st{};
-    if (::stat(path.c_str(), &st) == 0) {
-        try {
-            auto rd = std::make_unique<trace::TraceFileReader>(
-                path, sc.window_records, fp);
-            util::logDebug("tenant mix: reusing cached '%s'",
-                           path.c_str());
-            return {wl::TraceHandle(std::move(rd)), tag_shift};
-        } catch (const std::exception &e) {
-            util::warn("tenant mix: cached '%s' rejected (%s); "
-                       "regenerating",
-                       path.c_str(), e.what());
-        }
-    }
-
-    {
-        trace::TraceFileWriter writer(
-            path, spec.records, fp, trace::kTraceChunkRecords,
-            sc.compress == trace::SpillConfig::Compress::Delta);
-        mixer.generate(writer);
-        writer.finalize();
-    }
-    return {wl::TraceHandle(std::make_unique<trace::TraceFileReader>(
-                path, sc.window_records, fp)),
-            tag_shift};
+    const TenantMixer mixer(spec);
+    return {wl::generateSpillable(
+                mixer.label(), spec.records, spec.seed,
+                [&](trace::TraceSink &sink) { mixer.generate(sink); }),
+            mixer.addressMap().tagShift()};
 }
 
 } // namespace rmcc::tenancy

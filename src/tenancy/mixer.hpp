@@ -7,15 +7,14 @@
  * spec's archetype list) but replays it from its own phase offset, so two
  * tenants sharing an archetype never issue the same access at the same
  * step.  Traffic share across tenants is Zipf-distributed (tenant 0 is
- * the hottest; RMCC_TENANT_SKEW is the exponent), with an optional
+ * the hottest; TenancyConfig::skew is the exponent), with an optional
  * hot-tenant storm that forces an extra fraction of all draws onto
  * tenant 0 — the adversarial mix the interference benchmarks measure.
  *
  * The mix streams through the ordinary TraceSink interface, so it is
- * spill-aware end to end: generateMixHandle() mirrors the workload
- * registry's spill-cache flow (RMCC_TRACE_SPILL / RMCC_TRACE_COMPRESS)
- * and 20 M+-record mixes land on disk as checksummed, optionally
- * delta-compressed trace files instead of in RAM.
+ * spill-aware end to end: generateMixHandle() goes through the workload
+ * registry's spill cache (RMCC_TRACE_SPILL), and 20 M+-record mixes land
+ * on disk as checksummed trace files instead of in RAM.
  */
 #ifndef RMCC_TENANCY_MIXER_HPP
 #define RMCC_TENANCY_MIXER_HPP
@@ -87,9 +86,8 @@ struct TenantMix
 };
 
 /**
- * Generate a mix honoring the RMCC_TRACE_SPILL policy, mirroring
- * wl::generateTraceHandle: in-RAM by default, streamed to a cached
- * checksummed file keyed by the mix fingerprint when spilling is on.
+ * Generate a mix honoring the RMCC_TRACE_SPILL policy through
+ * wl::generateSpillable, keyed by the mix label.
  */
 TenantMix generateMixHandle(const MixSpec &spec);
 

@@ -1,36 +1,13 @@
 #include "tenancy/tenancy.hpp"
 
 #include <bit>
-#include <stdexcept>
-#include <string>
 
 #include "address/page_mapper.hpp"
 #include "trace/record.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace rmcc::tenancy
 {
-
-TenancyConfig
-tenancyConfigFromEnv()
-{
-    TenancyConfig cfg;
-    cfg.tenants = util::envPositive("RMCC_TENANTS").value_or(1);
-    cfg.skew = util::envDoubleOr("RMCC_TENANT_SKEW", 0.99);
-    if (cfg.skew <= 0.0)
-        throw std::runtime_error(
-            "RMCC_TENANT_SKEW must be a positive Zipf exponent, got \"" +
-            std::to_string(cfg.skew) + "\"");
-    const std::string iso =
-        util::envChoice("RMCC_TENANT_ISOLATION", {"strict", "shared"},
-                        "strict");
-    cfg.isolation =
-        iso == "strict" ? IsolationMode::Strict : IsolationMode::Shared;
-    cfg.memo_quota = static_cast<unsigned>(
-        util::envUnsignedOr("RMCC_TENANT_MEMO_QUOTA", 0));
-    return cfg;
-}
 
 TenantAddressMap::TenantAddressMap(std::uint64_t tenants,
                                    addr::Addr max_component_vaddr)

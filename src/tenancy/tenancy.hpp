@@ -19,9 +19,9 @@
  *    schedules (crypto::deriveDomainKeys via OracleConfig
  *    key_domain_shift).
  *
- * Everything is driven by the strict-parsed RMCC_TENANT* environment
- * knobs; the default (RMCC_TENANTS=1) leaves every layer untouched and
- * bit-identical to the single-tenant simulator.
+ * A single tenant (TenancyConfig's default, and SystemConfig's inert
+ * TenancyShape) leaves every layer untouched and bit-identical to the
+ * single-tenant simulator.
  */
 #ifndef RMCC_TENANCY_TENANCY_HPP
 #define RMCC_TENANCY_TENANCY_HPP
@@ -44,25 +44,14 @@ enum class IsolationMode
     Shared,
 };
 
-/** Parsed multi-tenant knobs. */
+/** Shape of a tenant mix. */
 struct TenancyConfig
 {
-    std::uint64_t tenants = 1;  //!< RMCC_TENANTS (>= 1).
-    double skew = 0.99;         //!< RMCC_TENANT_SKEW (Zipf exponent, > 0).
-    IsolationMode isolation = IsolationMode::Strict; //!< RMCC_TENANT_ISOLATION.
-    unsigned memo_quota = 0;    //!< RMCC_TENANT_MEMO_QUOTA (groups, 0 = off).
-
-    /** True when the run is actually multi-tenant. */
-    bool active() const { return tenants > 1; }
+    std::uint64_t tenants = 1;  //!< Tenants in the mix (>= 1).
+    double skew = 0.99;         //!< Zipf exponent of traffic shares (> 0).
+    IsolationMode isolation = IsolationMode::Strict;
+    unsigned memo_quota = 0;    //!< Memo groups per tenant (0 = uncapped).
 };
-
-/**
- * Read RMCC_TENANTS / RMCC_TENANT_SKEW / RMCC_TENANT_ISOLATION /
- * RMCC_TENANT_MEMO_QUOTA with strict parsing.
- * @throws std::runtime_error on malformed values (util::env semantics);
- *         a zero skew is rejected like garbage (Zipf needs s > 0).
- */
-TenancyConfig tenancyConfigFromEnv();
 
 /**
  * The tenant address-space tag: tagged vaddr = (tenant << shift) | vaddr.

@@ -44,47 +44,6 @@ writeAll(int fd, const void *data, std::size_t len, const std::string &path)
     }
 }
 
-/** Append a LEB128 varint. */
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/** Read a LEB128 varint; returns false on truncation/overlong input. */
-bool
-getVarint(const std::uint8_t *data, std::size_t len, std::size_t &pos,
-          std::uint64_t &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (pos >= len)
-            return false;
-        const std::uint8_t b = data[pos++];
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return true;
-    }
-    return false;
-}
-
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
 } // namespace
 
 std::uint64_t
@@ -97,66 +56,6 @@ fnv1aBytes(const void *data, std::size_t len, std::uint64_t seed)
         h *= 1099511628211ULL;
     }
     return h;
-}
-
-void
-deltaEncodeChunk(const Record *recs, std::size_t n,
-                 std::vector<std::uint8_t> &out)
-{
-    out.clear();
-    if (n == 0)
-        return;
-    // First record raw: the decoder (and TraceWindow::ahead) can read it
-    // without unwinding any delta chain.
-    out.resize(sizeof(Record));
-    std::memcpy(out.data(), &recs[0], sizeof(Record));
-    std::uint64_t prev = recs[0].vaddr;
-    for (std::size_t i = 1; i < n; ++i) {
-        const std::uint64_t cur = recs[i].vaddr;
-        putVarint(out, zigzag(static_cast<std::int64_t>(cur) -
-                              static_cast<std::int64_t>(prev)));
-        putVarint(out, (static_cast<std::uint64_t>(recs[i].inst_gap) << 1) |
-                           recs[i].is_write);
-        prev = cur;
-    }
-}
-
-std::size_t
-deltaDecodeChunk(const std::uint8_t *data, std::size_t len, Record *out,
-                 std::size_t max_records)
-{
-    if (len == 0)
-        return 0;
-    if (len < sizeof(Record) || max_records == 0)
-        throw std::runtime_error(
-            "trace file: delta chunk shorter than one record");
-    std::memcpy(&out[0], data, sizeof(Record));
-    std::size_t n = 1;
-    std::size_t pos = sizeof(Record);
-    std::uint64_t prev = out[0].vaddr;
-    while (pos < len) {
-        std::uint64_t dv = 0, meta = 0;
-        if (!getVarint(data, len, pos, dv) ||
-            !getVarint(data, len, pos, meta))
-            throw std::runtime_error(
-                "trace file: truncated varint in delta chunk");
-        if (n >= max_records)
-            throw std::runtime_error(
-                "trace file: delta chunk overflows its record budget");
-        const std::uint64_t vaddr =
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(prev) +
-                                       unzigzag(dv));
-        const std::uint64_t gap = meta >> 1;
-        if (vaddr > kMaxRecordVaddr || gap > kMaxRecordGap)
-            throw std::runtime_error(
-                "trace file: out-of-range field in delta chunk");
-        out[n].vaddr = vaddr;
-        out[n].inst_gap = gap;
-        out[n].is_write = meta & 1;
-        prev = vaddr;
-        ++n;
-    }
-    return n;
 }
 
 std::uint64_t
@@ -182,15 +81,7 @@ spillConfigFromEnv()
     sc.mode = mode == "on"    ? SpillConfig::Mode::On
               : mode == "auto" ? SpillConfig::Mode::Auto
                                : SpillConfig::Mode::Off;
-    sc.compress = util::envChoice("RMCC_TRACE_COMPRESS", {"off", "delta"},
-                                  "off") == "delta"
-                      ? SpillConfig::Compress::Delta
-                      : SpillConfig::Compress::Off;
     sc.dir = util::envStringOr("RMCC_TRACE_DIR", "/tmp/rmcc_traces");
-    if (const auto w = util::envPositive("RMCC_TRACE_WINDOW_RECORDS"))
-        sc.window_records = *w;
-    if (const auto t = util::envPositive("RMCC_TRACE_SPILL_THRESHOLD"))
-        sc.threshold_records = *t;
     return sc;
 }
 
@@ -221,14 +112,13 @@ ensureTraceDir(const std::string &dir)
 
 TraceFileWriter::TraceFileWriter(std::string path, std::uint64_t capacity,
                                  std::uint64_t fingerprint,
-                                 std::uint64_t chunk_records, bool delta)
+                                 std::uint64_t chunk_records)
     : path_(std::move(path)),
       tmp_path_(path_ + ".tmp." + std::to_string(::getpid())),
       capacity_(capacity),
       fingerprint_(fingerprint),
       chunk_records_(chunk_records == 0 ? kTraceChunkRecords
                                         : chunk_records),
-      delta_(delta),
       distinct_(1 << 12)
 {
     fd_ = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -318,7 +208,6 @@ void
 TraceFileWriter::writerLoop()
 {
     std::vector<Record> chunk;
-    std::vector<std::uint8_t> encoded;
     for (;;) {
         {
             util::MutexLock lk(mu_);
@@ -331,17 +220,9 @@ TraceFileWriter::writerLoop()
             pending_valid_ = false;
             cv_.notify_all();
         }
-        // v2 checksums cover the encoded bytes — what is actually on
-        // disk — so corruption detection is as tight as v1's.
-        const void *data = chunk.data();
-        std::size_t bytes = chunk.size() * sizeof(Record);
-        if (delta_) {
-            deltaEncodeChunk(chunk.data(), chunk.size(), encoded);
-            data = encoded.data();
-            bytes = encoded.size();
-        }
+        const std::size_t bytes = chunk.size() * sizeof(Record);
         try {
-            writeAll(fd_, data, bytes, tmp_path_);
+            writeAll(fd_, chunk.data(), bytes, tmp_path_);
         } catch (const std::exception &e) {
             util::MutexLock lk(mu_);
             io_error_ = e.what();
@@ -350,9 +231,7 @@ TraceFileWriter::writerLoop()
         }
         util::MutexLock lk(mu_);
         bytes_written_ += bytes;
-        chunk_checksums_.push_back(fnv1aBytes(data, bytes));
-        if (delta_)
-            chunk_byte_lens_.push_back(bytes);
+        chunk_checksums_.push_back(fnv1aBytes(chunk.data(), bytes));
         chunk.clear();
     }
 }
@@ -392,34 +271,16 @@ TraceFileWriter::finalize()
     {
         util::MutexLock lk(mu_);
         n_chunks = chunk_checksums_.size();
-        if (delta_) {
-            // v2 index: {byte_len, checksum} per chunk — offsets are
-            // prefix sums, so lengths are enough to locate every chunk.
-            std::vector<std::uint64_t> index;
-            index.reserve(n_chunks * 2);
-            for (std::size_t c = 0; c < n_chunks; ++c) {
-                index.push_back(chunk_byte_lens_[c]);
-                index.push_back(chunk_checksums_[c]);
-            }
-            const std::size_t index_bytes =
-                index.size() * sizeof(std::uint64_t);
-            writeAll(fd_, index.data(), index_bytes, tmp_path_);
-            const std::uint64_t index_sum =
-                fnv1aBytes(index.data(), index_bytes);
-            writeAll(fd_, &index_sum, sizeof index_sum, tmp_path_);
-        } else {
-            const std::size_t index_bytes =
-                n_chunks * sizeof(std::uint64_t);
-            writeAll(fd_, chunk_checksums_.data(), index_bytes, tmp_path_);
-            const std::uint64_t index_sum =
-                fnv1aBytes(chunk_checksums_.data(), index_bytes);
-            writeAll(fd_, &index_sum, sizeof index_sum, tmp_path_);
-        }
+        const std::size_t index_bytes = n_chunks * sizeof(std::uint64_t);
+        writeAll(fd_, chunk_checksums_.data(), index_bytes, tmp_path_);
+        const std::uint64_t index_sum =
+            fnv1aBytes(chunk_checksums_.data(), index_bytes);
+        writeAll(fd_, &index_sum, sizeof index_sum, tmp_path_);
     }
 
     FileHeader h{};
     std::memcpy(h.magic, kTraceMagic, sizeof h.magic);
-    h.version = delta_ ? kTraceFormatVersionDelta : kTraceFormatVersion;
+    h.version = kTraceFormatVersion;
     h.endian = kTraceEndianMarker;
     h.record_count = count_;
     h.total_insts = total_insts_;

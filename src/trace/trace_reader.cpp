@@ -65,13 +65,10 @@ TraceFileReader::TraceFileReader(
     std::memcpy(&header_, map_, sizeof header_);
     if (std::memcmp(header_.magic, kTraceMagic, sizeof kTraceMagic) != 0)
         fail(path_, "bad magic (not a trace file, or torn write)");
-    if (header_.version != kTraceFormatVersion &&
-        header_.version != kTraceFormatVersionDelta)
+    if (header_.version != kTraceFormatVersion)
         fail(path_, "format version " + std::to_string(header_.version) +
-                        " not in {" +
-                        std::to_string(kTraceFormatVersion) + ", " +
-                        std::to_string(kTraceFormatVersionDelta) + "}");
-    compressed_ = header_.version == kTraceFormatVersionDelta;
+                        ", expected " +
+                        std::to_string(kTraceFormatVersion));
     if (header_.endian != kTraceEndianMarker)
         fail(path_, "foreign endianness");
     if (header_.record_bytes != sizeof(Record) ||
@@ -86,14 +83,6 @@ TraceFileReader::TraceFileReader(
         fail(path_, "workload fingerprint mismatch (stale cache entry)");
     if (header_.chunk_records == 0)
         fail(path_, "zero chunk size");
-
-    if (compressed_) {
-        // Variable-length chunks replay chunk-at-a-time: the decode
-        // window is pinned to the chunk geometry.
-        window_records_ = header_.chunk_records;
-        validateAndPlanDelta();
-        return;
-    }
 
     const std::uint64_t n_chunks =
         (header_.record_count + header_.chunk_records - 1) /
@@ -133,17 +122,8 @@ TraceFileReader::adviseRecords(std::uint64_t first, std::uint64_t count,
 {
     if (count == 0)
         return;
-    adviseBytes(sizeof(FileHeader) + first * sizeof(Record),
-                sizeof(FileHeader) + (first + count) * sizeof(Record),
-                advice);
-}
-
-void
-TraceFileReader::adviseBytes(std::uint64_t lo, std::uint64_t hi,
-                             int advice) const
-{
-    if (hi <= lo)
-        return;
+    std::uint64_t lo = sizeof(FileHeader) + first * sizeof(Record);
+    std::uint64_t hi = sizeof(FileHeader) + (first + count) * sizeof(Record);
     const std::uint64_t ps = hostPageSize();
     if (advice == MADV_DONTNEED) {
         // Round inward: never drop a page shared with a neighboring
@@ -191,77 +171,7 @@ TraceFileReader::validateAndPlan()
         adviseRecords(first, count, MADV_DONTNEED);
     }
     plan_ = builder.finish();
-    checkTotals();
 
-    logOpened();
-}
-
-void
-TraceFileReader::validateAndPlanDelta()
-{
-    const std::uint64_t n = header_.record_count;
-    const std::uint64_t chunk = header_.chunk_records;
-    const std::uint64_t n_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-
-    // The {byte_len, checksum} index plus its own checksum sit at the
-    // tail; chunk offsets are prefix sums from just after the header.
-    const std::uint64_t index_bytes =
-        n_chunks * 2 * sizeof(std::uint64_t) + sizeof(std::uint64_t);
-    if (map_len_ < sizeof(FileHeader) + index_bytes)
-        fail(path_, "truncated: no room for the chunk index");
-    // The index sits at an arbitrary byte offset (encoded chunks have any
-    // length), so copy it out rather than load through a misaligned
-    // pointer.
-    const char *base = static_cast<const char *>(map_);
-    std::vector<std::uint64_t> index(n_chunks * 2 + 1);
-    std::memcpy(index.data(), base + map_len_ - index_bytes, index_bytes);
-    const std::uint64_t index_sum_stored = index[n_chunks * 2];
-    if (fnv1aBytes(index.data(), n_chunks * 2 * sizeof(std::uint64_t)) !=
-        index_sum_stored)
-        fail(path_, "checksum index corrupt");
-
-    chunk_off_.assign(n_chunks + 1, sizeof(FileHeader));
-    for (std::uint64_t c = 0; c < n_chunks; ++c)
-        chunk_off_[c + 1] = chunk_off_[c] + index[c * 2];
-    if (chunk_off_[n_chunks] != map_len_ - index_bytes)
-        fail(path_, "chunk byte lengths disagree with file length");
-
-    // Single streaming pass: per-chunk checksum over the encoded bytes,
-    // decode into a scratch window, feed the totals, drop the span behind.
-    std::vector<Record> scratch(chunk ? chunk : 1);
-    TracePlanBuilder builder;
-    for (std::uint64_t c = 0; c < n_chunks; ++c) {
-        const std::uint64_t len = chunk_off_[c + 1] - chunk_off_[c];
-        const auto *data = reinterpret_cast<const std::uint8_t *>(
-            base + chunk_off_[c]);
-        if (fnv1aBytes(data, len) != index[c * 2 + 1])
-            fail(path_, "chunk " + std::to_string(c) +
-                            " checksum mismatch (corrupt records)");
-        const std::uint64_t first = c * chunk;
-        const std::uint64_t want = n - first < chunk ? n - first : chunk;
-        std::size_t got = 0;
-        try {
-            got = deltaDecodeChunk(data, len, scratch.data(),
-                                   scratch.size());
-        } catch (const std::exception &e) {
-            fail(path_, "chunk " + std::to_string(c) + ": " + e.what());
-        }
-        if (got != want)
-            fail(path_, "chunk " + std::to_string(c) + " decodes to " +
-                            std::to_string(got) + " records, expected " +
-                            std::to_string(want));
-        builder.addSpan(scratch.data(), want);
-        adviseBytes(chunk_off_[c], chunk_off_[c + 1], MADV_DONTNEED);
-    }
-    plan_ = builder.finish();
-    checkTotals();
-
-    logOpened();
-}
-
-void
-TraceFileReader::checkTotals() const
-{
     // The recomputed totals must match the header's claims: a mismatch
     // means the file lies about itself even though per-chunk checksums
     // passed (e.g. a header from a different generation).
@@ -270,11 +180,7 @@ TraceFileReader::checkTotals() const
         plan_.writes != header_.writes ||
         plan_.distinct_blocks != header_.distinct_blocks)
         fail(path_, "stream totals disagree with header");
-}
 
-void
-TraceFileReader::logOpened() const
-{
     util::logDebug("trace file: opened %s (%llu records, %llu windows "
                    "of %llu, %llu distinct blocks)",
                    path_.c_str(),
@@ -374,104 +280,9 @@ class FileCursor final : public TraceCursor
     TraceIoStats stats_;
 };
 
-/**
- * Forward pass over a delta-compressed reader: each next() decodes one
- * chunk into an owned window buffer (the mapping holds encoded bytes, so
- * the simulators never see them), with the same prefetch/drop advice
- * stream as FileCursor over the encoded byte spans.
- */
-class DeltaCursor final : public TraceCursor
-{
-  public:
-    explicit DeltaCursor(const TraceFileReader &reader)
-        : reader_(reader),
-          n_windows_(reader.size() == 0 ? 0
-                                        : reader.windowCount()),
-          buf_(reader.header().chunk_records
-                   ? reader.header().chunk_records
-                   : 1)
-    {
-    }
-
-    TraceWindow next() override
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (idx_ > 0) {
-            span(idx_ - 1, MADV_DONTNEED);
-            ++stats_.windows_dropped;
-        }
-        if (idx_ >= n_windows_)
-            return {};
-
-        if (idx_ == 0) {
-            span(0, MADV_WILLNEED);
-            ++stats_.prefetches;
-        }
-        if (idx_ + 1 < n_windows_) {
-            span(idx_ + 1, MADV_WILLNEED);
-            ++stats_.prefetches;
-        }
-
-        const std::uint64_t chunk = reader_.header().chunk_records;
-        const std::uint64_t first = idx_ * chunk;
-        const std::uint64_t count = decodeChunk(idx_);
-        TraceWindow w;
-        w.data = buf_.data();
-        w.count = count;
-        w.first = first;
-        if (idx_ + 1 < n_windows_) {
-            // The next chunk's first record is stored raw, so the
-            // one-record lookahead needs no delta unwinding.
-            std::memcpy(&ahead_rec_, base() + reader_.chunk_off_[idx_ + 1],
-                        sizeof(Record));
-            w.ahead = &ahead_rec_;
-        }
-        ++idx_;
-        ++stats_.windows_served;
-        stats_.wait_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        return w;
-    }
-
-    const TraceIoStats *ioStats() const override { return &stats_; }
-
-  private:
-    const char *base() const
-    {
-        return static_cast<const char *>(reader_.map_);
-    }
-    std::uint64_t decodeChunk(std::uint64_t c)
-    {
-        const std::uint64_t len =
-            reader_.chunk_off_[c + 1] - reader_.chunk_off_[c];
-        const auto *data = reinterpret_cast<const std::uint8_t *>(
-            base() + reader_.chunk_off_[c]);
-        // The opening pass already checksummed and size-checked every
-        // chunk; decode failures here would mean the file changed
-        // underneath us, which deltaDecodeChunk still throws on.
-        return deltaDecodeChunk(data, len, buf_.data(), buf_.size());
-    }
-    void span(std::uint64_t c, int advice) const
-    {
-        reader_.adviseBytes(reader_.chunk_off_[c],
-                            reader_.chunk_off_[c + 1], advice);
-    }
-
-    const TraceFileReader &reader_;
-    std::uint64_t n_windows_;
-    std::vector<Record> buf_;
-    Record ahead_rec_{};
-    std::uint64_t idx_ = 0;
-    TraceIoStats stats_;
-};
-
 std::unique_ptr<TraceCursor>
 TraceFileReader::cursor() const
 {
-    if (compressed_)
-        return std::make_unique<DeltaCursor>(*this);
     return std::make_unique<FileCursor>(*this);
 }
 

@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "trace/trace_file.hpp"
 #include "trace/trace_plan.hpp"
@@ -92,24 +91,14 @@ class TraceFileReader final : public TraceSource
 
     const std::string &path() const { return path_; }
 
-    /** Whether the file is delta-compressed (format v2). */
-    bool compressed() const { return compressed_; }
-
   private:
     friend class FileCursor;
-    friend class DeltaCursor;
 
     const Record *recordAt(std::uint64_t i) const;
     void validateAndPlan();
-    void validateAndPlanDelta();
-    /** Throw unless plan_'s recomputed totals match the header. */
-    void checkTotals() const;
-    void logOpened() const;
     /** madvise over the byte span of records [first, first+count). */
     void adviseRecords(std::uint64_t first, std::uint64_t count,
                        int advice) const;
-    /** madvise over a raw byte span of the mapping. */
-    void adviseBytes(std::uint64_t lo, std::uint64_t hi, int advice) const;
 
     std::string path_;
     FileHeader header_{};
@@ -117,9 +106,6 @@ class TraceFileReader final : public TraceSource
     void *map_ = nullptr;
     std::size_t map_len_ = 0;
     TracePlan plan_;
-    bool compressed_ = false;
-    //!< v2 only: byte offset of each chunk, plus the end sentinel.
-    std::vector<std::uint64_t> chunk_off_;
 };
 
 } // namespace rmcc::trace

@@ -43,7 +43,7 @@ std::uint64_t envUnsignedOr(const char *name, std::uint64_t fallback);
 std::optional<std::uint64_t> envPositive(const char *name);
 
 /**
- * Value of a floating-point environment variable (e.g. RMCC_TENANT_SKEW).
+ * Value of a floating-point environment variable.
  *
  * @return nullopt when the variable is unset or empty.
  * @throws std::runtime_error when the value is not a plain finite

@@ -219,10 +219,6 @@ Graph
 Graph::powerLawCached(std::uint64_t vertices, std::uint64_t edges,
                       double zipf_exponent, std::uint64_t seed)
 {
-    const auto toggle = util::envString("RMCC_GRAPH_CACHE");
-    if (toggle && *toggle == "0")
-        return powerLaw(vertices, edges, zipf_exponent, seed);
-
     std::uint64_t zipf_bits = 0;
     static_assert(sizeof zipf_bits == sizeof zipf_exponent);
     std::memcpy(&zipf_bits, &zipf_exponent, sizeof zipf_bits);

@@ -44,8 +44,8 @@ struct Graph
      * named by RMCC_GRAPH_CACHE_DIR (default /tmp), so the ~seconds-long
      * generation runs once per machine instead of once per bench
      * process.  A stale, corrupt, or unwritable cache silently falls
-     * back to building; RMCC_GRAPH_CACHE=0 disables the cache entirely.
-     * The returned graph is byte-identical to powerLaw()'s either way.
+     * back to building.  The returned graph is byte-identical to
+     * powerLaw()'s either way.
      */
     static Graph powerLawCached(std::uint64_t vertices,
                                 std::uint64_t edges,

@@ -134,29 +134,39 @@ TraceHandle
 generateTraceHandle(const Workload &w, std::size_t records,
                     std::uint64_t seed)
 {
-    const trace::SpillConfig sc = trace::spillConfigFromEnv();
-    if (!sc.shouldSpill(records))
-        return TraceHandle(generateTrace(w, records, seed));
+    return generateSpillable(
+        w.name, records, seed,
+        [&](trace::TraceSink &sink) { w.generate(sink, seed); });
+}
 
-    const std::uint64_t fp =
-        trace::traceFingerprint(w.name, records, seed);
+TraceHandle
+generateSpillable(const std::string &name, std::size_t records,
+                  std::uint64_t seed,
+                  const std::function<void(trace::TraceSink &)> &generate)
+{
+    const trace::SpillConfig sc = trace::spillConfigFromEnv();
+    if (!sc.shouldSpill(records)) {
+        trace::TraceBuffer buf(records);
+        generate(buf);
+        return TraceHandle(std::move(buf));
+    }
+
+    const std::uint64_t fp = trace::traceFingerprint(name, records, seed);
     trace::ensureTraceDir(sc.dir);
     char fphex[20];
     std::snprintf(fphex, sizeof fphex, "%016llx",
                   static_cast<unsigned long long>(fp));
-    const std::string path =
-        sc.dir + "/" + w.name + "-" + fphex + ".rmcctrc";
+    const std::string path = sc.dir + "/" + name + "-" + fphex + ".rmcctrc";
 
-    // Spill cache: a finalized file for this exact (workload, records,
-    // seed, generator version) is replayed as-is — the fingerprint in
-    // the header plus the opening checksum pass make reuse safe.  Any
-    // mismatch, truncation, or corruption falls through to regeneration.
+    // Spill cache: a finalized file for this exact (name, records, seed,
+    // generator version) is replayed as-is — the fingerprint in the
+    // header plus the opening checksum pass make reuse safe.  Any
+    // mismatch, truncation, corruption or other format version falls
+    // through to regeneration.
     struct stat st{};
-    const bool exists = ::stat(path.c_str(), &st) == 0;
-    if (exists) {
+    if (::stat(path.c_str(), &st) == 0) {
         try {
-            auto rd = std::make_unique<trace::TraceFileReader>(
-                path, sc.window_records, fp);
+            auto rd = std::make_unique<trace::TraceFileReader>(path, 0, fp);
             util::logDebug("trace spill: reusing cached '%s'",
                            path.c_str());
             return TraceHandle(std::move(rd));
@@ -168,14 +178,12 @@ generateTraceHandle(const Workload &w, std::size_t records,
     }
 
     {
-        trace::TraceFileWriter writer(
-            path, records, fp, trace::kTraceChunkRecords,
-            sc.compress == trace::SpillConfig::Compress::Delta);
-        w.generate(writer, seed);
+        trace::TraceFileWriter writer(path, records, fp);
+        generate(writer);
         writer.finalize();
     }
-    return TraceHandle(std::make_unique<trace::TraceFileReader>(
-        path, sc.window_records, fp));
+    return TraceHandle(
+        std::make_unique<trace::TraceFileReader>(path, 0, fp));
 }
 
 } // namespace rmcc::wl

@@ -93,6 +93,16 @@ class TraceHandle
 TraceHandle generateTraceHandle(const Workload &w, std::size_t records,
                                 std::uint64_t seed);
 
+/**
+ * generateTraceHandle's spill policy and cache for any generator: the
+ * trace `generate` streams is kept in RAM unless RMCC_TRACE_SPILL asks
+ * for a file, which is keyed by traceFingerprint(name, records, seed).
+ */
+TraceHandle
+generateSpillable(const std::string &name, std::size_t records,
+                  std::uint64_t seed,
+                  const std::function<void(trace::TraceSink &)> &generate);
+
 } // namespace rmcc::wl
 
 #endif // RMCC_WORKLOADS_REGISTRY_HPP

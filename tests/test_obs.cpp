@@ -13,9 +13,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
@@ -25,6 +27,7 @@
 #include "sim/experiments.hpp"
 #include "sim/front_end.hpp"
 #include "sim/obs_wiring.hpp"
+#include "sim/rig.hpp"
 #include "trace/trace_buffer.hpp"
 #include "util/log.hpp"
 
@@ -533,14 +536,207 @@ TEST(ObsCellName, SanitizesAndDisambiguates)
     sim::SystemConfig b = a;
     const std::string na = sim::detail::cellName("mcf", a);
     EXPECT_EQ(na, sim::detail::cellName("mcf", b)); // deterministic
-    // Fields describe() omits still distinguish the cell.
+    // Fields describe() omits still distinguish the cell, among them the
+    // inputs Figs 19/20 (budget fraction) and Fig 10 (MRU recent values)
+    // sweep.
     b.precondition_budget_fraction = 7.0;
     EXPECT_NE(na, sim::detail::cellName("mcf", b));
     b = a;
     b.seed = 43;
     EXPECT_NE(na, sim::detail::cellName("mcf", b));
+    b = a;
+    b.rmcc_cfg.budget.fraction = 0.02;
+    EXPECT_NE(na, sim::detail::cellName("mcf", b));
+    b = a;
+    b.rmcc_cfg.memo.recent_values = 0;
+    EXPECT_NE(na, sim::detail::cellName("mcf", b));
     // And the readable prefix reflects the scheme stack.
     EXPECT_NE(na.find("mcf-timing-morphable"), std::string::npos);
+}
+
+namespace
+{
+
+using Perturbation =
+    std::pair<const char *, std::function<void(sim::SystemConfig &)>>;
+
+/** One change per SystemConfig field, nested fields included. */
+std::vector<Perturbation>
+fieldPerturbations()
+{
+    using sim::SystemConfig;
+    return {
+        {"mode", [](SystemConfig &c) { c.mode = sim::SimMode::Functional; }},
+        {"secure", [](SystemConfig &c) { c.secure = !c.secure; }},
+        {"scheme",
+         [](SystemConfig &c) { c.scheme = ctr::SchemeKind::SC64; }},
+        {"rmcc", [](SystemConfig &c) { c.rmcc = !c.rmcc; }},
+        {"memo.groups", [](SystemConfig &c) { ++c.rmcc_cfg.memo.groups; }},
+        {"memo.group_size",
+         [](SystemConfig &c) { ++c.rmcc_cfg.memo.group_size; }},
+        {"memo.shadow_groups",
+         [](SystemConfig &c) { ++c.rmcc_cfg.memo.shadow_groups; }},
+        {"memo.recent_values",
+         [](SystemConfig &c) { ++c.rmcc_cfg.memo.recent_values; }},
+        {"memo.domains", [](SystemConfig &c) { ++c.rmcc_cfg.memo.domains; }},
+        {"memo.quota_groups",
+         [](SystemConfig &c) { ++c.rmcc_cfg.memo.quota_groups; }},
+        {"monitor.trigger_reads",
+         [](SystemConfig &c) { ++c.rmcc_cfg.monitor.trigger_reads; }},
+        {"monitor.coverage_goal",
+         [](SystemConfig &c) { c.rmcc_cfg.monitor.coverage_goal += 1e-9; }},
+        {"budget.fraction",
+         [](SystemConfig &c) { c.rmcc_cfg.budget.fraction *= 2; }},
+        {"budget.epoch_accesses",
+         [](SystemConfig &c) { ++c.rmcc_cfg.budget.epoch_accesses; }},
+        {"budget.initial_pool_accesses",
+         [](SystemConfig &c) {
+             c.rmcc_cfg.budget.initial_pool_accesses += 1;
+         }},
+        {"memo_levels", [](SystemConfig &c) { --c.rmcc_cfg.memo_levels; }},
+        {"read_update",
+         [](SystemConfig &c) {
+             c.rmcc_cfg.read_update = !c.rmcc_cfg.read_update;
+         }},
+        {"enabled",
+         [](SystemConfig &c) { c.rmcc_cfg.enabled = !c.rmcc_cfg.enabled; }},
+        {"counter_cache_bytes",
+         [](SystemConfig &c) { c.counter_cache_bytes *= 2; }},
+        {"counter_cache_assoc",
+         [](SystemConfig &c) { c.counter_cache_assoc *= 2; }},
+        {"lat.aes_ns", [](SystemConfig &c) { c.lat.aes_ns += 1; }},
+        {"lat.clmul_ns", [](SystemConfig &c) { c.lat.clmul_ns += 1; }},
+        {"lat.mac_dot_ns", [](SystemConfig &c) { c.lat.mac_dot_ns += 1; }},
+        {"lat.otp_xor_ns", [](SystemConfig &c) { c.lat.otp_xor_ns += 1; }},
+        {"lat.ctr_cache_ns",
+         [](SystemConfig &c) { c.lat.ctr_cache_ns += 1; }},
+        {"dram.channels", [](SystemConfig &c) { ++c.dram.channels; }},
+        {"dram.ranks", [](SystemConfig &c) { ++c.dram.ranks; }},
+        {"dram.banks_per_rank",
+         [](SystemConfig &c) { ++c.dram.banks_per_rank; }},
+        {"dram.row_bytes", [](SystemConfig &c) { c.dram.row_bytes *= 2; }},
+        {"dram.data_rate_gtps",
+         [](SystemConfig &c) { c.dram.data_rate_gtps += 0.1; }},
+        {"dram.bus_bytes", [](SystemConfig &c) { c.dram.bus_bytes *= 2; }},
+        {"dram.tCL_ns", [](SystemConfig &c) { c.dram.tCL_ns += 1; }},
+        {"dram.tRCD_ns", [](SystemConfig &c) { c.dram.tRCD_ns += 1; }},
+        {"dram.tRP_ns", [](SystemConfig &c) { c.dram.tRP_ns += 1; }},
+        {"dram.tRFC_ns", [](SystemConfig &c) { c.dram.tRFC_ns += 1; }},
+        {"dram.tREFI_ns", [](SystemConfig &c) { c.dram.tREFI_ns += 1; }},
+        {"dram.row_timeout_ns",
+         [](SystemConfig &c) { c.dram.row_timeout_ns += 1; }},
+        {"dram.queue_entries",
+         [](SystemConfig &c) { ++c.dram.queue_entries; }},
+        {"dram.frfcfs_cap", [](SystemConfig &c) { ++c.dram.frfcfs_cap; }},
+        {"cpu.freq_ghz", [](SystemConfig &c) { c.cpu.freq_ghz += 0.1; }},
+        {"cpu.width", [](SystemConfig &c) { ++c.cpu.width; }},
+        {"cpu.rob", [](SystemConfig &c) { ++c.cpu.rob; }},
+        {"cpu.mshrs", [](SystemConfig &c) { ++c.cpu.mshrs; }},
+        {"l1.size_bytes", [](SystemConfig &c) { c.l1.size_bytes *= 2; }},
+        {"l1.assoc", [](SystemConfig &c) { c.l1.assoc *= 2; }},
+        {"l1.latency_ns", [](SystemConfig &c) { c.l1.latency_ns += 1; }},
+        {"l2.size_bytes", [](SystemConfig &c) { c.l2.size_bytes *= 2; }},
+        {"l2.assoc", [](SystemConfig &c) { c.l2.assoc *= 2; }},
+        {"l2.latency_ns", [](SystemConfig &c) { c.l2.latency_ns += 1; }},
+        {"llc.size_bytes", [](SystemConfig &c) { c.llc.size_bytes *= 2; }},
+        {"llc.assoc", [](SystemConfig &c) { c.llc.assoc *= 2; }},
+        {"llc.latency_ns", [](SystemConfig &c) { c.llc.latency_ns += 1; }},
+        {"tlb_entries", [](SystemConfig &c) { c.tlb_entries *= 2; }},
+        {"tlb_assoc", [](SystemConfig &c) { c.tlb_assoc *= 2; }},
+        {"page_mode",
+         [](SystemConfig &c) { c.page_mode = addr::PageMode::Small4K; }},
+        {"phys_bytes", [](SystemConfig &c) { c.phys_bytes *= 2; }},
+        {"trace_records", [](SystemConfig &c) { ++c.trace_records; }},
+        {"warmup_records", [](SystemConfig &c) { ++c.warmup_records; }},
+        {"precondition",
+         [](SystemConfig &c) { c.precondition = !c.precondition; }},
+        {"precondition_budget_fraction",
+         [](SystemConfig &c) { c.precondition_budget_fraction += 1; }},
+        {"counter_init_mean",
+         [](SystemConfig &c) { ++c.counter_init_mean; }},
+        {"seed", [](SystemConfig &c) { ++c.seed; }},
+        {"tenancy.tenants", [](SystemConfig &c) { c.tenancy.tenants = 2; }},
+        {"tenancy.tag_shift",
+         [](SystemConfig &c) { c.tenancy.tag_shift = 30; }},
+        {"tenancy.strict",
+         [](SystemConfig &c) { c.tenancy.strict = !c.tenancy.strict; }},
+        {"tenancy.memo_quota",
+         [](SystemConfig &c) { ++c.tenancy.memo_quota; }},
+        {"recovery.mode",
+         [](SystemConfig &c) { c.recovery.mode = mc::RecoveryMode::Full; }},
+        {"recovery.max_refetch",
+         [](SystemConfig &c) { ++c.recovery.max_refetch; }},
+        {"recovery.refetch_backoff_ns",
+         [](SystemConfig &c) { c.recovery.refetch_backoff_ns += 1; }},
+        {"recovery.storm_window_reads",
+         [](SystemConfig &c) { ++c.recovery.storm_window_reads; }},
+        {"recovery.storm_threshold",
+         [](SystemConfig &c) { ++c.recovery.storm_threshold; }},
+        {"recovery.degraded_residency_reads",
+         [](SystemConfig &c) { ++c.recovery.degraded_residency_reads; }},
+    };
+}
+
+} // namespace
+
+TEST(CellKey, EveryFieldChangesTheKey)
+{
+    // A field cellKey forgot would let two different cells share a name
+    // (and, for a dedup keyed on it, a result).  The sizeof asserts next
+    // to cellKey catch a new field; this catches a field left unkeyed.
+    const sim::SystemConfig base = sim::SystemConfig::timingDefault();
+    const std::string key = sim::detail::cellKey(base);
+    EXPECT_EQ(key, sim::detail::cellKey(base));
+    std::map<std::string, std::string> seen;
+    for (const auto &[name, perturb] : fieldPerturbations()) {
+        sim::SystemConfig c = base;
+        perturb(c);
+        const std::string k = sim::detail::cellKey(c);
+        EXPECT_NE(k, key) << name << " does not enter the cell key";
+        const auto [it, fresh] = seen.emplace(k, name);
+        EXPECT_TRUE(fresh) << name << " and " << it->second
+                           << " give the same key";
+    }
+}
+
+TEST(CellKey, FrontEndAndTreeKeysAreProjections)
+{
+    // Equal cell keys must give equal front-end and tree-lease keys.
+    // Over single-field changes: whenever a projection changes, the cell
+    // key changes too.
+    using sim::detail::TreeLease;
+    using sim::detail::frontEndConfig;
+    const sim::SystemConfig base = sim::SystemConfig::timingDefault();
+    const std::string key = sim::detail::cellKey(base);
+    unsigned fe_moved = 0, tree_moved = 0;
+    for (const auto &[name, perturb] : fieldPerturbations()) {
+        sim::SystemConfig c = base;
+        perturb(c);
+        const bool same_key = sim::detail::cellKey(c) == key;
+        if (!(frontEndConfig(c) == frontEndConfig(base))) {
+            ++fe_moved;
+            EXPECT_FALSE(same_key) << name;
+        }
+        if (!(TreeLease::keyOf(c) == TreeLease::keyOf(base))) {
+            ++tree_moved;
+            EXPECT_FALSE(same_key) << name;
+        }
+    }
+    EXPECT_GT(fe_moved, 0u);
+    EXPECT_GT(tree_moved, 0u);
+
+    // Two configurations built by different routes to the same key.
+    const sim::SystemConfig a = sim::SystemConfig::functionalDefault();
+    sim::SystemConfig b;
+    b.mode = sim::SimMode::Functional;
+    b.l2 = a.l2;
+    b.llc = a.llc;
+    b.counter_cache_bytes = a.counter_cache_bytes;
+    b.trace_records = a.trace_records;
+    b.warmup_records = a.warmup_records;
+    ASSERT_EQ(sim::detail::cellKey(a), sim::detail::cellKey(b));
+    EXPECT_TRUE(frontEndConfig(a) == frontEndConfig(b));
+    EXPECT_TRUE(TreeLease::keyOf(a) == TreeLease::keyOf(b));
 }
 
 // ---------------------------------------------------------------------------

@@ -277,19 +277,17 @@ TEST(RecoveryStorm, PerModeInvariantsHold)
 
 TEST(RecoveryStorm, ArmedIdlePolicyIsFreeOnCleanTraffic)
 {
-    // RMCC_RECOVERY=full on a fault-free cell must not change a single
-    // stat: recovery only acts after a detection, and there are none.
+    // Full recovery on a fault-free cell must not change a single stat:
+    // recovery only acts after a detection, and there are none.
     const auto *w = wl::findWorkload("omnetpp");
     std::vector<sim::NamedConfig> configs = {
         sim::rmccConfig(sim::SimMode::Timing)};
     configs[0].cfg.trace_records = 5000;
     configs[0].cfg.warmup_records = 2500;
 
-    unsetenv("RMCC_RECOVERY");
     const sim::SuiteRow off = sim::runWorkload(*w, configs);
-    setenv("RMCC_RECOVERY", "full", 1);
+    configs[0].cfg.recovery.mode = RecoveryMode::Full;
     const sim::SuiteRow armed = sim::runWorkload(*w, configs);
-    unsetenv("RMCC_RECOVERY");
 
     ASSERT_TRUE(off.allOk());
     ASSERT_TRUE(armed.allOk());

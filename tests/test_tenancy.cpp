@@ -1,6 +1,6 @@
 /**
  * @file
- * Tenancy subsystem tests: strict env parsing, the tenant address tag,
+ * Tenancy subsystem tests: the tenant address tag,
  * mixer determinism and traffic shares, per-tenant accounting, and the
  * isolation invariants — two tenants touching the same component
  * virtual address must never share physical frames, memoized counter
@@ -9,11 +9,10 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <stdexcept>
+#include <string>
 
 #include "address/page_mapper.hpp"
 #include "core/memo_table.hpp"
@@ -30,30 +29,6 @@ using namespace rmcc::tenancy;
 
 namespace
 {
-
-/** RAII env-var setter that restores the prior value. */
-struct EnvGuard
-{
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        old_ = had_ ? old : "";
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-    std::string name_, old_;
-    bool had_ = false;
-};
 
 /** Two-tenant strict mix spec over cheap non-graph workloads. */
 MixSpec
@@ -73,65 +48,6 @@ smallSpec(std::uint64_t tenants, double storm = 0.0)
 }
 
 } // namespace
-
-// --- env parsing ------------------------------------------------------
-
-TEST(TenancyEnv, DefaultsWhenUnset)
-{
-    EnvGuard g1("RMCC_TENANTS", nullptr);
-    EnvGuard g2("RMCC_TENANT_SKEW", nullptr);
-    EnvGuard g3("RMCC_TENANT_ISOLATION", nullptr);
-    EnvGuard g4("RMCC_TENANT_MEMO_QUOTA", nullptr);
-    const TenancyConfig cfg = tenancyConfigFromEnv();
-    EXPECT_EQ(cfg.tenants, 1u);
-    EXPECT_DOUBLE_EQ(cfg.skew, 0.99);
-    EXPECT_EQ(cfg.isolation, IsolationMode::Strict);
-    EXPECT_EQ(cfg.memo_quota, 0u);
-    EXPECT_FALSE(cfg.active());
-}
-
-TEST(TenancyEnv, ParsesAllKnobs)
-{
-    EnvGuard g1("RMCC_TENANTS", "12");
-    EnvGuard g2("RMCC_TENANT_SKEW", "1.5");
-    EnvGuard g3("RMCC_TENANT_ISOLATION", "shared");
-    EnvGuard g4("RMCC_TENANT_MEMO_QUOTA", "4");
-    const TenancyConfig cfg = tenancyConfigFromEnv();
-    EXPECT_EQ(cfg.tenants, 12u);
-    EXPECT_DOUBLE_EQ(cfg.skew, 1.5);
-    EXPECT_EQ(cfg.isolation, IsolationMode::Shared);
-    EXPECT_EQ(cfg.memo_quota, 4u);
-    EXPECT_TRUE(cfg.active());
-}
-
-TEST(TenancyEnv, GarbageIsRejectedNotDefaulted)
-{
-    {
-        EnvGuard g("RMCC_TENANTS", "many");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-    {
-        EnvGuard g("RMCC_TENANTS", "0");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-    {
-        EnvGuard g("RMCC_TENANT_SKEW", "steep");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-    {
-        // Zipf needs s > 0: an explicit zero is garbage, not a default.
-        EnvGuard g("RMCC_TENANT_SKEW", "0");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-    {
-        EnvGuard g("RMCC_TENANT_ISOLATION", "porous");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-    {
-        EnvGuard g("RMCC_TENANT_MEMO_QUOTA", "lots");
-        EXPECT_THROW(tenancyConfigFromEnv(), std::runtime_error);
-    }
-}
 
 // --- the tenant address tag -------------------------------------------
 

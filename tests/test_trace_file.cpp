@@ -152,11 +152,6 @@ TEST(SpillEnv, StrictParsing)
         EnvGuard g("RMCC_TRACE_SPILL", "sometimes");
         EXPECT_THROW(trace::spillConfigFromEnv(), std::runtime_error);
     }
-    {
-        EnvGuard g1("RMCC_TRACE_SPILL", "auto");
-        EnvGuard g2("RMCC_TRACE_WINDOW_RECORDS", "banana");
-        EXPECT_THROW(trace::spillConfigFromEnv(), std::runtime_error);
-    }
 }
 
 TEST(TraceFile, RoundTripPreservesRecordsAndTotals)
@@ -379,6 +374,59 @@ TEST(SpillCache, ReusesValidFileAndRegeneratesCorruptOne)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SpillCache, OlderFormatVersionIsRegenerated)
+{
+    // A cache directory left behind by a build that wrote format 2 (the
+    // retired delta encoding) holds files under the same fingerprinted
+    // paths.  Opening one must fail, and the cache must replace it with a
+    // current file that replays exactly like the in-RAM trace.
+    const std::string dir = tmpPath("rmcc_spill_cache_v2");
+    EnvGuard g1("RMCC_TRACE_SPILL", "on");
+    EnvGuard g2("RMCC_TRACE_DIR", dir.c_str());
+    const wl::Workload &w = wl::workloadSuite().front();
+    sim::NamedConfig nc = sim::rmccConfig(sim::SimMode::Functional);
+    nc.cfg.trace_records = 4000;
+    nc.cfg.warmup_records = 2000;
+    const std::uint64_t fp = trace::traceFingerprint(
+        w.name, nc.cfg.trace_records, nc.cfg.seed);
+
+    std::string path;
+    {
+        const wl::TraceHandle h =
+            wl::generateTraceHandle(w, nc.cfg.trace_records, nc.cfg.seed);
+        ASSERT_TRUE(h.spilled());
+        path = h.path();
+    }
+    {
+        // Restamp the header as version 2, checksum kept valid, so the
+        // version is the only thing wrong with the file.
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        trace::FileHeader h{};
+        f.read(reinterpret_cast<char *>(&h), sizeof h);
+        h.version = 2;
+        h.header_checksum = 0;
+        h.header_checksum = trace::fnv1aBytes(&h, sizeof h);
+        f.seekp(0);
+        f.write(reinterpret_cast<const char *>(&h), sizeof h);
+        ASSERT_TRUE(f.good());
+    }
+    EXPECT_THROW(trace::TraceFileReader(path, 0, fp), std::runtime_error);
+
+    const wl::TraceHandle h =
+        wl::generateTraceHandle(w, nc.cfg.trace_records, nc.cfg.seed);
+    ASSERT_TRUE(h.spilled());
+    EXPECT_EQ(h.path(), path);
+    EXPECT_EQ(trace::TraceFileReader(path, 0, fp).header().version,
+              trace::kTraceFormatVersion);
+    const trace::TraceBuffer ram =
+        wl::generateTrace(w, nc.cfg.trace_records, nc.cfg.seed);
+    const sim::SimResult a = sim::runFunctional(w.name, ram, nc.cfg);
+    const sim::SimResult b = sim::runFunctional(w.name, h.source(), nc.cfg);
+    EXPECT_EQ(b.instructions, a.instructions);
+    EXPECT_EQ(b.stats.all(), a.stats.all());
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SpillSuite, SpilledSuiteMatchesInRamRun)
 {
     // A spilled suite on a pool of four must equal a serial in-RAM run:
@@ -418,163 +466,4 @@ TEST(SpillSuite, SpilledSuiteMatchesInRamRun)
         }
     }
     std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Delta-compressed chunks (format v2, RMCC_TRACE_COMPRESS=delta)
-// ---------------------------------------------------------------------
-
-TEST(TraceDelta, RoundTripBitIdenticalToRamAndV1)
-{
-    const wl::Workload &w = wl::workloadSuite().front();
-    constexpr std::uint64_t kRecords = 5000, kSeed = 7;
-    const trace::TraceBuffer ram = wl::generateTrace(w, kRecords, kSeed);
-    const std::uint64_t fp =
-        trace::traceFingerprint(w.name, kRecords, kSeed);
-
-    const std::string v1 =
-        writeWorkloadFile(w, kRecords, kSeed, "rmcc_trc_delta_v1");
-    const std::string v2 = tmpPath("rmcc_trc_delta_v2");
-    {
-        trace::TraceFileWriter writer(v2, kRecords, fp,
-                                      trace::kTraceChunkRecords, true);
-        w.generate(writer, kSeed);
-        writer.finalize();
-    }
-
-    const trace::TraceFileReader plain(v1, 0, fp);
-    const trace::TraceFileReader delta(v2, 0, fp);
-    EXPECT_EQ(delta.size(), ram.size());
-    EXPECT_EQ(delta.totalInstructions(), ram.totalInstructions());
-    EXPECT_EQ(delta.writes(), ram.writes());
-    EXPECT_EQ(delta.distinctBlocks(), ram.distinctBlocks());
-    expectSameStream(drain(delta), drain(ram));
-    expectSameStream(drain(delta), drain(plain));
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
-}
-
-TEST(TraceDelta, WindowedReplayCrossesChunkBoundaries)
-{
-    // Windows smaller than chunks force the cursor to decode one chunk
-    // and serve it across several windows, lookahead included.
-    const wl::Workload &w = wl::workloadSuite().front();
-    constexpr std::uint64_t kRecords = 5000, kSeed = 7, kWindow = 700;
-    const trace::TraceBuffer ram = wl::generateTrace(w, kRecords, kSeed);
-    const std::string path = tmpPath("rmcc_trc_delta_windows");
-    {
-        trace::TraceFileWriter writer(
-            path, kRecords,
-            trace::traceFingerprint(w.name, kRecords, kSeed), 1024, true);
-        w.generate(writer, kSeed);
-        writer.finalize();
-    }
-    const trace::TraceFileReader reader(path, kWindow);
-    expectSameStream(drain(reader), drain(ram));
-    std::remove(path.c_str());
-}
-
-TEST(TraceDelta, SequentialStreamShrinksOnDisk)
-{
-    // A sequential sweep is the delta encoder's best case: vaddr deltas
-    // are one varint byte instead of eight fixed bytes.  The property
-    // asserted is the point of the format — the file gets materially
-    // smaller, checksums and all.
-    constexpr std::uint64_t kRecords = 20000;
-    const auto sequential = [](trace::TraceSink &sink) {
-        for (std::uint64_t i = 0; i < kRecords; ++i)
-            sink.append(0x10000 + i * 64, (i & 7) == 0, 3);
-    };
-    const std::string v1 = tmpPath("rmcc_trc_seq_v1");
-    {
-        trace::TraceFileWriter writer(v1, kRecords, 1);
-        sequential(writer);
-        writer.finalize();
-    }
-    const std::string v2 = tmpPath("rmcc_trc_seq_v2");
-    {
-        trace::TraceFileWriter writer(v2, kRecords, 1,
-                                      trace::kTraceChunkRecords, true);
-        sequential(writer);
-        writer.finalize();
-    }
-    const auto v1_size = std::filesystem::file_size(v1);
-    const auto v2_size = std::filesystem::file_size(v2);
-    EXPECT_LT(v2_size * 2, v1_size)
-        << "delta file " << v2_size << " B vs fixed " << v1_size << " B";
-    expectSameStream(drain(trace::TraceFileReader(v2, 0, 1)),
-                     drain(trace::TraceFileReader(v1, 0, 1)));
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
-}
-
-TEST(TraceDelta, CorruptEncodedPayloadRejected)
-{
-    const wl::Workload &w = wl::workloadSuite().front();
-    constexpr std::uint64_t kRecords = 3000, kSeed = 11;
-    const std::string path = tmpPath("rmcc_trc_delta_bad");
-    {
-        trace::TraceFileWriter writer(
-            path, kRecords,
-            trace::traceFingerprint(w.name, kRecords, kSeed),
-            trace::kTraceChunkRecords, true);
-        w.generate(writer, kSeed);
-        writer.finalize();
-    }
-    // The chunk checksums cover the ENCODED bytes, so one flipped bit in
-    // the varint stream must be caught before any record is decoded.
-    flipByte(path, sizeof(trace::FileHeader) + 257);
-    EXPECT_THROW(
-        {
-            const trace::TraceFileReader reader(path);
-            drain(reader);
-        },
-        std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceDelta, CompressEnvStrictParsing)
-{
-    {
-        EnvGuard g("RMCC_TRACE_COMPRESS", nullptr);
-        EXPECT_EQ(trace::spillConfigFromEnv().compress,
-                  trace::SpillConfig::Compress::Off);
-    }
-    {
-        EnvGuard g("RMCC_TRACE_COMPRESS", "delta");
-        EXPECT_EQ(trace::spillConfigFromEnv().compress,
-                  trace::SpillConfig::Compress::Delta);
-    }
-    {
-        EnvGuard g("RMCC_TRACE_COMPRESS", "zstd");
-        EXPECT_THROW(trace::spillConfigFromEnv(), std::runtime_error);
-    }
-}
-
-TEST(TraceDelta, FunctionalReplayMatchesRam)
-{
-    // End to end: a functional run replayed from a delta-compressed
-    // spill file must produce the exact counters of the in-RAM run.
-    const wl::Workload &w = wl::workloadSuite().front();
-    sim::NamedConfig nc = sim::rmccConfig(sim::SimMode::Functional);
-    nc.cfg.trace_records = 20000;
-    nc.cfg.warmup_records = 10000;
-    const trace::TraceBuffer ram =
-        wl::generateTrace(w, nc.cfg.trace_records, nc.cfg.seed);
-    const std::string path = tmpPath("rmcc_trc_delta_replay");
-    {
-        trace::TraceFileWriter writer(
-            path, nc.cfg.trace_records,
-            trace::traceFingerprint(w.name, nc.cfg.trace_records,
-                                    nc.cfg.seed),
-            4096, true);
-        w.generate(writer, nc.cfg.seed);
-        writer.finalize();
-    }
-    const trace::TraceFileReader reader(path, 4096);
-    const sim::SimResult a = sim::runFunctional(w.name, ram, nc.cfg);
-    const sim::SimResult b = sim::runFunctional(w.name, reader, nc.cfg);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.stats.all(), b.stats.all());
-    std::remove(path.c_str());
 }
