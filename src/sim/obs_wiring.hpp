@@ -22,21 +22,10 @@
 #include "obs/registry.hpp"
 #include "sim/rig.hpp"
 #include "trace/trace_source.hpp"
+#include "util/checksum.hpp"
 
 namespace rmcc::sim::detail
 {
-
-/** 64-bit FNV-1a over a string (cell-name disambiguation hash). */
-inline std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 inline const char *
 schemeShortName(ctr::SchemeKind k)
@@ -69,8 +58,8 @@ cellName(const std::string &workload, const SystemConfig &cfg)
     }
     char hash[20];
     std::snprintf(hash, sizeof hash, "-%08llx",
-                  static_cast<unsigned long long>(fnv1a64(cellKey(cfg)) &
-                                                  0xffffffffULL));
+                  static_cast<unsigned long long>(
+                      util::checksum64(cellKey(cfg)) & 0xffffffffULL));
     return obs::sanitizeCellName(label + hash);
 }
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "address/types.hpp"
+#include "util/checksum.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 
@@ -47,18 +48,6 @@ writeAll(int fd, const void *data, std::size_t len, const std::string &path)
 } // namespace
 
 std::uint64_t
-fnv1aBytes(const void *data, std::size_t len, std::uint64_t seed)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 traceFingerprint(const std::string &workload_name, std::uint64_t records,
                  std::uint64_t seed)
 {
@@ -69,7 +58,7 @@ traceFingerprint(const std::string &workload_name, std::uint64_t records,
     key += std::to_string(seed);
     key += "|gen";
     key += std::to_string(kTraceFormatVersion);
-    return fnv1aBytes(key.data(), key.size());
+    return util::checksum64(key);
 }
 
 SpillConfig
@@ -231,7 +220,7 @@ TraceFileWriter::writerLoop()
         }
         util::MutexLock lk(mu_);
         bytes_written_ += bytes;
-        chunk_checksums_.push_back(fnv1aBytes(chunk.data(), bytes));
+        chunk_checksums_.push_back(util::checksum64(chunk.data(), bytes));
         chunk.clear();
     }
 }
@@ -262,7 +251,7 @@ TraceFileWriter::finalize()
     writer_.join();
     throwIfIoFailed();
 
-    // Checksum index: one FNV-1a per chunk, then a checksum over the
+    // Checksum index: one checksum per chunk, then a checksum over the
     // index itself, so the reader can localize corruption.  The writer
     // thread is joined, but chunk_checksums_ is lock-protected state —
     // take mu_ so the discipline is uniform (and provable to the
@@ -274,7 +263,7 @@ TraceFileWriter::finalize()
         const std::size_t index_bytes = n_chunks * sizeof(std::uint64_t);
         writeAll(fd_, chunk_checksums_.data(), index_bytes, tmp_path_);
         const std::uint64_t index_sum =
-            fnv1aBytes(chunk_checksums_.data(), index_bytes);
+            util::checksum64(chunk_checksums_.data(), index_bytes);
         writeAll(fd_, &index_sum, sizeof index_sum, tmp_path_);
     }
 
@@ -293,7 +282,7 @@ TraceFileWriter::finalize()
     h.record_bytes = sizeof(Record);
     h.block_bytes = addr::kBlockSize;
     h.header_checksum = 0;
-    h.header_checksum = fnv1aBytes(&h, sizeof h);
+    h.header_checksum = util::checksum64(&h, sizeof h);
     if (::pwrite(fd_, &h, sizeof h, 0) !=
         static_cast<ssize_t>(sizeof h))
         throwErrno("write header of", tmp_path_);

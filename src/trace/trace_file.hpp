@@ -13,10 +13,11 @@
  * The header carries the stream totals (record count, instructions,
  * writes, drops, distinct blocks), the chunk geometry, a workload
  * fingerprint (name/length/seed/generator-version hash) so a cached file
- * is never replayed for the wrong workload, and an FNV-1a checksum of
- * itself.  Each fixed-size record chunk gets its own FNV-1a checksum so
- * truncation or corruption anywhere in a multi-GB file is caught by the
- * reader's opening pass without trusting the data.
+ * is never replayed for the wrong workload, and a checksum of itself
+ * (util::checksum64, like every checksum here).  Each fixed-size record
+ * chunk gets its own checksum so truncation or corruption anywhere in a
+ * multi-GB file is caught by the reader's opening pass without trusting
+ * the data.
  *
  * Generation streams through TraceFileWriter: the generator fills one
  * in-RAM chunk while a background thread writes the previous one, so
@@ -42,8 +43,12 @@
 namespace rmcc::trace
 {
 
-/** Bump when the record layout or header semantics change. */
-inline constexpr std::uint32_t kTraceFormatVersion = 1;
+/**
+ * Bump when the record layout, header semantics or checksum change.
+ * Never reuse 2: that was a retired delta encoding, whose files may
+ * still sit in old spill caches.
+ */
+inline constexpr std::uint32_t kTraceFormatVersion = 3;
 
 /** Endianness marker as written by the producing host. */
 inline constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
@@ -53,10 +58,6 @@ inline constexpr std::uint64_t kTraceChunkRecords = 1ULL << 20;
 
 /** RMCC_TRACE_SPILL=auto spills traces of at least this many records. */
 inline constexpr std::uint64_t kTraceSpillThresholdRecords = 8ULL << 20;
-
-/** FNV-1a over a byte range (chunk and header checksums). */
-std::uint64_t fnv1aBytes(const void *data, std::size_t len,
-                         std::uint64_t seed = 1469598103934665603ULL);
 
 /** On-disk file header; trivially copyable, 128 bytes. */
 struct FileHeader
@@ -75,7 +76,8 @@ struct FileHeader
     std::uint32_t record_bytes;   //!< sizeof(Record) == 8
     std::uint32_t block_bytes;    //!< addr::kBlockSize == 64
     std::uint8_t reserved[32];
-    std::uint64_t header_checksum; //!< FNV-1a of this struct, field zeroed.
+    std::uint64_t header_checksum; //!< checksum64 of this struct, field
+                                   //!< zeroed.
 };
 
 static_assert(sizeof(FileHeader) == 128, "fixed header size");

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "address/types.hpp"
+#include "util/checksum.hpp"
 #include "util/log.hpp"
 
 namespace rmcc::trace
@@ -76,7 +77,7 @@ TraceFileReader::TraceFileReader(
         fail(path_, "record/block geometry mismatch");
     FileHeader check = header_;
     check.header_checksum = 0;
-    if (fnv1aBytes(&check, sizeof check) != header_.header_checksum)
+    if (util::checksum64(&check, sizeof check) != header_.header_checksum)
         fail(path_, "header checksum mismatch");
     if (expected_fingerprint &&
         header_.fingerprint != *expected_fingerprint)
@@ -151,7 +152,7 @@ TraceFileReader::validateAndPlan()
     const std::uint64_t *index = reinterpret_cast<const std::uint64_t *>(
         base + sizeof(FileHeader) + n * sizeof(Record));
     const std::uint64_t index_sum_stored = index[n_chunks];
-    if (fnv1aBytes(index, n_chunks * sizeof(std::uint64_t)) !=
+    if (util::checksum64(index, n_chunks * sizeof(std::uint64_t)) !=
         index_sum_stored)
         fail(path_, "checksum index corrupt");
 
@@ -163,7 +164,7 @@ TraceFileReader::validateAndPlan()
         const std::uint64_t first = c * chunk;
         const std::uint64_t count = n - first < chunk ? n - first : chunk;
         const std::uint64_t sum =
-            fnv1aBytes(recordAt(first), count * sizeof(Record));
+            util::checksum64(recordAt(first), count * sizeof(Record));
         if (sum != index[c])
             fail(path_, "chunk " + std::to_string(c) +
                             " checksum mismatch (corrupt records)");

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -59,33 +58,6 @@ envPositive(const char *name)
                                  (raw ? raw : "") + "\"");
     }
     return v;
-}
-
-std::optional<double>
-envDouble(const char *name)
-{
-    const char *value = std::getenv(name);
-    if (!value || value[0] == '\0')
-        return std::nullopt;
-    // Reject signs, whitespace, and the inf/nan spellings up front:
-    // strtod accepts all of them, and none make sense for a knob.
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) &&
-        value[0] != '.')
-        rejectValue(name, value, "a non-negative number");
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        rejectValue(name, value, "a non-negative number");
-    if (errno == ERANGE || !std::isfinite(v))
-        rejectValue(name, value, "a finite number");
-    return v;
-}
-
-double
-envDoubleOr(const char *name, double fallback)
-{
-    return envDouble(name).value_or(fallback);
 }
 
 std::string

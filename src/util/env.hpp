@@ -43,19 +43,6 @@ std::uint64_t envUnsignedOr(const char *name, std::uint64_t fallback);
 std::optional<std::uint64_t> envPositive(const char *name);
 
 /**
- * Value of a floating-point environment variable.
- *
- * @return nullopt when the variable is unset or empty.
- * @throws std::runtime_error when the value is not a plain finite
- *         non-negative decimal number ("banana", "-1.5", "inf", trailing
- *         junk); the message names the variable and quotes the value.
- */
-std::optional<double> envDouble(const char *name);
-
-/** envDouble() with a fallback for the unset/empty case. */
-double envDoubleOr(const char *name, double fallback);
-
-/**
  * Value of an enumerated environment variable (e.g. RMCC_CRYPTO_IMPL).
  *
  * @return fallback when the variable is unset or empty, otherwise the

@@ -10,11 +10,11 @@
 #include <utility>
 #include <vector>
 
+#include "util/checksum.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
-#include "util/thread_pool.hpp"
 
 #ifdef __unix__
 #include <unistd.h>
@@ -39,70 +39,11 @@ gcdU64(std::uint64_t a, std::uint64_t b)
 
 using EdgePair = std::pair<std::uint32_t, std::uint32_t>;
 
-/**
- * Sort the edge list, fanning chunk sorts and pairwise merges across
- * RMCC_JOBS threads when that pays.  The sorted sequence of a multiset
- * is unique, so the result is bit-identical to a plain std::sort no
- * matter the thread count.
- */
-void
-sortEdgePairs(std::vector<EdgePair> &pairs)
-{
-    const unsigned jobs = util::ThreadPool::envJobs();
-    if (jobs <= 1 || pairs.size() < (1u << 16)) {
-        std::sort(pairs.begin(), pairs.end());
-        return;
-    }
-    util::ThreadPool pool(jobs);
-    const std::size_t n = pairs.size();
-    const std::size_t n_runs = std::min<std::size_t>(jobs, 16);
-    std::vector<std::size_t> bounds(n_runs + 1);
-    for (std::size_t i = 0; i <= n_runs; ++i)
-        bounds[i] = n * i / n_runs;
-    util::parallelFor(pool, n_runs, [&](std::size_t i) {
-        std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                  pairs.begin() +
-                      static_cast<std::ptrdiff_t>(bounds[i + 1]));
-    });
-
-    // Merge adjacent runs pairwise, ping-ponging between two buffers.
-    std::vector<EdgePair> scratch(n);
-    std::vector<EdgePair> *src = &pairs, *dst = &scratch;
-    while (bounds.size() > 2) {
-        const std::size_t runs = bounds.size() - 1;
-        std::vector<std::size_t> next_bounds = {0};
-        for (std::size_t j = 0; j + 2 <= runs; j += 2)
-            next_bounds.push_back(bounds[j + 2]);
-        if (runs % 2)
-            next_bounds.push_back(bounds[runs]);
-        util::parallelFor(pool, runs / 2 + runs % 2, [&](std::size_t j) {
-            const std::size_t lo = bounds[2 * j];
-            if (2 * j + 2 <= runs) {
-                const std::size_t mid = bounds[2 * j + 1];
-                const std::size_t hi = bounds[2 * j + 2];
-                std::merge(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                           src->begin() + static_cast<std::ptrdiff_t>(mid),
-                           src->begin() + static_cast<std::ptrdiff_t>(mid),
-                           src->begin() + static_cast<std::ptrdiff_t>(hi),
-                           dst->begin() + static_cast<std::ptrdiff_t>(lo));
-            } else {
-                // Odd run out: carry it into the destination buffer.
-                std::copy(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                          src->begin() +
-                              static_cast<std::ptrdiff_t>(bounds[runs]),
-                          dst->begin() + static_cast<std::ptrdiff_t>(lo));
-            }
-        });
-        std::swap(src, dst);
-        bounds = std::move(next_bounds);
-    }
-    if (src != &pairs)
-        pairs.swap(*src);
-}
-
 // "RMCCGRPH" — identifies (and versions, below) the graph cache files.
 constexpr std::uint64_t kCacheMagic = 0x524d434347525048ULL;
-constexpr std::uint64_t kCacheVersion = 1;
+// Bump when the payload or its checksum changes.  The version is part of
+// the file name, so files of other versions are never opened.
+constexpr std::uint64_t kCacheVersion = 2;
 
 /**
  * Fixed-size cache-file header; every field is uint64_t so the struct
@@ -117,30 +58,17 @@ struct CacheHeader
     std::uint64_t zipf_bits; //!< bit pattern of the double exponent.
     std::uint64_t seed;
     std::uint64_t num_edges; //!< actual edges.size() in the payload.
-    std::uint64_t checksum;  //!< FNV-1a over offsets then edges bytes.
+    std::uint64_t checksum;  //!< checksum64 over offsets then edges bytes.
 };
 static_assert(sizeof(CacheHeader) == 8 * sizeof(std::uint64_t));
 
 std::uint64_t
-fnv1a(const void *data, std::size_t n,
-      std::uint64_t h = 0xcbf29ce484222325ULL)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 graphChecksum(const Graph &g)
 {
-    const std::uint64_t h =
-        fnv1a(g.offsets.data(),
-              g.offsets.size() * sizeof(std::uint64_t));
-    return fnv1a(g.edges.data(), g.edges.size() * sizeof(std::uint32_t),
-                 h);
+    const std::uint64_t h = util::checksum64(
+        g.offsets.data(), g.offsets.size() * sizeof(std::uint64_t));
+    return util::checksum64(g.edges.data(),
+                            g.edges.size() * sizeof(std::uint32_t), h);
 }
 
 bool
@@ -265,9 +193,6 @@ Graph
 Graph::powerLaw(std::uint64_t vertices, std::uint64_t num_edges,
                 double zipf_exponent, std::uint64_t seed)
 {
-    util::Rng rng(seed);
-    util::ZipfSampler zipf(vertices, zipf_exponent);
-
     // Scatter popularity ranks over the id space with an affine bijection:
     // real graphs' hubs have arbitrary ids, not a contiguous prefix (a
     // contiguous hot prefix would be unrealistically cache-friendly).
@@ -279,29 +204,37 @@ Graph::powerLaw(std::uint64_t vertices, std::uint64_t num_edges,
             (rank * mult + 12345) % vertices);
     };
 
-    // Cap per-source degree so no single hub's adjacency dominates a
-    // simulation window (LDBC-scale degree ceilings relative to |V|).
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(64, 64 * num_edges / vertices);
-    std::vector<std::uint32_t> degree(vertices, 0);
-
     // Draw (src, dst) pairs: Zipf sources give hub vertices; half the
     // targets are Zipf (popular destinations), half uniform.  This loop
     // is inherently serial — the degree-cap fallback draws extra RNG
     // values conditionally, so every edge depends on its predecessors.
+    // The draw tables are freed at the end of this block, before the CSR
+    // is allocated, so a build peaks at about the pairs plus the CSR.
     std::vector<EdgePair> pairs;
-    pairs.reserve(num_edges);
-    for (std::uint64_t e = 0; e < num_edges; ++e) {
-        std::uint64_t src_rank = zipf(rng);
-        if (degree[src_rank] >= cap)
-            src_rank = rng.nextBelow(vertices);
-        ++degree[src_rank];
-        const std::uint64_t dst_rank =
-            rng.nextBool(0.5) ? zipf(rng) : rng.nextBelow(vertices);
-        pairs.emplace_back(perm(src_rank), perm(dst_rank));
+    {
+        util::Rng rng(seed);
+        util::ZipfSampler zipf(vertices, zipf_exponent);
+        // Cap per-source degree so no single hub's adjacency dominates a
+        // simulation window (LDBC-scale degree ceilings relative to |V|).
+        const std::uint64_t cap =
+            std::max<std::uint64_t>(64, 64 * num_edges / vertices);
+        std::vector<std::uint32_t> degree(vertices, 0);
+        pairs.reserve(num_edges);
+        for (std::uint64_t e = 0; e < num_edges; ++e) {
+            std::uint64_t src_rank = zipf(rng);
+            if (degree[src_rank] >= cap)
+                src_rank = rng.nextBelow(vertices);
+            ++degree[src_rank];
+            const std::uint64_t dst_rank =
+                rng.nextBool(0.5) ? zipf(rng) : rng.nextBelow(vertices);
+            pairs.emplace_back(perm(src_rank), perm(dst_rank));
+        }
     }
-    sortEdgePairs(pairs);
 
+    // Counting sort by source: offsets[v + 1] counts v's edges, the
+    // prefix sum turns them into start offsets, and each dst is scattered
+    // through offsets[src]++.  That leaves offsets[v] at v's end, which is
+    // v + 1's start, so shifting the array up one slot restores it.
     Graph g;
     g.num_vertices = vertices;
     g.offsets.assign(vertices + 1, 0);
@@ -310,22 +243,31 @@ Graph::powerLaw(std::uint64_t vertices, std::uint64_t num_edges,
     for (std::uint64_t v = 0; v < vertices; ++v)
         g.offsets[v + 1] += g.offsets[v];
     g.edges.resize(pairs.size());
-    for (std::uint64_t e = 0; e < pairs.size(); ++e)
-        g.edges[e] = pairs[e].second;
-    // Per-vertex adjacency is already sorted by the pair sort; that makes
-    // triangle counting's sorted-intersection realistic.
+    for (const auto &[src, dst] : pairs)
+        g.edges[g.offsets[src]++] = dst;
+    std::vector<EdgePair>().swap(pairs);
+    std::copy_backward(g.offsets.begin(), g.offsets.end() - 1,
+                       g.offsets.end());
+    g.offsets[0] = 0;
+
+    // Sorted per-vertex adjacency (the order a sort of the (src, dst)
+    // pairs gives) makes triangle counting's sorted intersection
+    // realistic.
+    for (std::uint64_t v = 0; v < vertices; ++v)
+        std::sort(g.edges.begin() +
+                      static_cast<std::ptrdiff_t>(g.offsets[v]),
+                  g.edges.begin() +
+                      static_cast<std::ptrdiff_t>(g.offsets[v + 1]));
     return g;
 }
 
 TracedGraph::TracedGraph(const Graph &g, trace::TracedHeap &heap)
-    : g_(&g),
-      offsets_(heap, g.num_vertices + 1, "csr-offsets"),
-      edges_(heap, g.numEdges(), "csr-edges")
+    : g_(&g), heap_(&heap),
+      offsets_base_(heap.allocate(g.num_vertices + 1,
+                                  sizeof(std::uint64_t), "csr-offsets")),
+      edges_base_(heap.allocate(g.numEdges(), sizeof(std::uint32_t),
+                                "csr-edges"))
 {
-    for (std::uint64_t v = 0; v <= g.num_vertices; ++v)
-        offsets_.raw(v) = g.offsets[v];
-    for (std::uint64_t e = 0; e < g.numEdges(); ++e)
-        edges_.raw(e) = g.edges[e];
 }
 
 } // namespace rmcc::wl

@@ -53,8 +53,9 @@ struct Graph
 };
 
 /**
- * The graph's CSR arrays copied into a traced heap so kernel traversals
- * are recorded, plus the untraced host copy for fast control decisions.
+ * The graph's CSR arrays mapped into a traced heap so kernel traversals
+ * are recorded.  The heap reserves the two virtual ranges; loads read the
+ * shared host graph in place, since the kernels never write it.
  */
 class TracedGraph
 {
@@ -62,10 +63,18 @@ class TracedGraph
     TracedGraph(const Graph &g, trace::TracedHeap &heap);
 
     /** Recorded load of offsets[v]. */
-    std::uint64_t offset(std::uint64_t v) { return offsets_.get(v); }
+    std::uint64_t offset(std::uint64_t v)
+    {
+        heap_->load(offsets_base_, v, sizeof(std::uint64_t));
+        return g_->offsets[v];
+    }
 
     /** Recorded load of edges[e]. */
-    std::uint32_t edge(std::uint64_t e) { return edges_.get(e); }
+    std::uint32_t edge(std::uint64_t e)
+    {
+        heap_->load(edges_base_, e, sizeof(std::uint32_t));
+        return g_->edges[e];
+    }
 
     std::uint64_t numVertices() const { return g_->num_vertices; }
     std::uint64_t numEdges() const { return g_->numEdges(); }
@@ -78,8 +87,10 @@ class TracedGraph
 
   private:
     const Graph *g_;
-    trace::TracedArray<std::uint64_t> offsets_;
-    trace::TracedArray<std::uint32_t> edges_;
+    trace::TracedHeap *heap_;
+    addr::Addr offsets_base_; //!< Declared first: allocation order
+                              //!< fixes both ranges' addresses.
+    addr::Addr edges_base_;
 };
 
 } // namespace rmcc::wl

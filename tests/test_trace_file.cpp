@@ -24,6 +24,7 @@
 #include "trace/trace_file.hpp"
 #include "trace/trace_plan.hpp"
 #include "trace/trace_reader.hpp"
+#include "util/checksum.hpp"
 #include "workloads/registry.hpp"
 
 using namespace rmcc;
@@ -405,7 +406,7 @@ TEST(SpillCache, OlderFormatVersionIsRegenerated)
         f.read(reinterpret_cast<char *>(&h), sizeof h);
         h.version = 2;
         h.header_checksum = 0;
-        h.header_checksum = trace::fnv1aBytes(&h, sizeof h);
+        h.header_checksum = util::checksum64(&h, sizeof h);
         f.seekp(0);
         f.write(reinterpret_cast<const char *>(&h), sizeof h);
         ASSERT_TRUE(f.good());

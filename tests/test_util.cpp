@@ -1,18 +1,22 @@
 /**
  * @file
  * Unit tests for the util module: RNG determinism and distributions,
- * statistics, bit packing, table rendering, and the thread pool.
+ * statistics, bit packing, table rendering, the thread pool, and the
+ * shared checksum.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "util/bitvec.hpp"
+#include "util/checksum.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -467,25 +471,72 @@ TEST(Zipf, MassSumsToOneAndSteepensWithSkew)
     EXPECT_GT(flat.mass(0), flat.mass(1));
 }
 
-TEST(EnvParse, DoubleAcceptsPlainNumbersOnly)
+TEST(Checksum, MatchesPublishedXxh64Values)
 {
-    setenv("RMCC_TEST_ENV", "0.99", 1);
-    EXPECT_DOUBLE_EQ(*envDouble("RMCC_TEST_ENV"), 0.99);
-    EXPECT_DOUBLE_EQ(envDoubleOr("RMCC_TEST_ENV", 7.0), 0.99);
-    setenv("RMCC_TEST_ENV", "2", 1);
-    EXPECT_DOUBLE_EQ(*envDouble("RMCC_TEST_ENV"), 2.0);
-    unsetenv("RMCC_TEST_ENV");
-    EXPECT_EQ(envDouble("RMCC_TEST_ENV"), std::nullopt);
-    EXPECT_DOUBLE_EQ(envDoubleOr("RMCC_TEST_ENV", 7.0), 7.0);
+    // Published XXH64 (seed 0) values: the empty input, a tail-only input
+    // and one that fills a 32-byte block before its tail.
+    EXPECT_EQ(checksum64(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(checksum64("abc"), 0x44bc2cf5ad770999ULL);
+    EXPECT_EQ(checksum64("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ULL);
+}
 
-    for (const char *bad :
-         {"banana", "1.2banana", " 1.2", "-0.5", "+1", "inf", "nan"}) {
-        setenv("RMCC_TEST_ENV", bad, 1);
-        EXPECT_THROW(envDouble("RMCC_TEST_ENV"), std::runtime_error)
-            << "value '" << bad << "' should be rejected";
-        EXPECT_THROW(envDoubleOr("RMCC_TEST_ENV", 7.0),
-                     std::runtime_error)
-            << "fallback must not mask garbage '" << bad << "'";
+namespace
+{
+
+/** 1007 pseudo-random bytes: 31 whole 32-byte blocks, then 8 + 4 + 3. */
+std::vector<unsigned char>
+checksumInput()
+{
+    std::vector<unsigned char> buf(31 * 32 + 15);
+    Rng rng(7);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    return buf;
+}
+
+} // namespace
+
+TEST(Checksum, EverySingleByteFlipChangesTheResult)
+{
+    std::vector<unsigned char> buf = checksumInput();
+    const std::uint64_t base = checksum64(buf.data(), buf.size());
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+            buf[i] ^= mask;
+            EXPECT_NE(checksum64(buf.data(), buf.size()), base)
+                << "byte " << i << " mask " << int(mask);
+            buf[i] ^= mask;
+        }
     }
-    unsetenv("RMCC_TEST_ENV");
+}
+
+TEST(Checksum, EveryLengthChangesTheResult)
+{
+    // Appending a zero byte must change the result too, so the length is
+    // mixed in and not only the bytes.
+    const std::vector<unsigned char> zeros(100, 0);
+    std::set<std::uint64_t> seen;
+    for (std::size_t n = 0; n <= zeros.size(); ++n)
+        EXPECT_TRUE(seen.insert(checksum64(zeros.data(), n)).second)
+            << "length " << n;
+    const std::vector<unsigned char> buf = checksumInput();
+    EXPECT_NE(checksum64(buf.data(), buf.size()),
+              checksum64(buf.data(), buf.size() - 1));
+}
+
+TEST(Checksum, UnalignedInputHashesLikeAnAlignedCopy)
+{
+    const std::vector<unsigned char> buf = checksumInput();
+    std::vector<unsigned char> shifted(buf.size() + 3);
+    std::memcpy(shifted.data() + 3, buf.data(), buf.size());
+    EXPECT_EQ(checksum64(shifted.data() + 3, buf.size()),
+              checksum64(buf.data(), buf.size()));
+}
+
+TEST(Checksum, SeedChangesTheResult)
+{
+    const std::vector<unsigned char> buf = checksumInput();
+    EXPECT_NE(checksum64(buf.data(), buf.size(), 1),
+              checksum64(buf.data(), buf.size()));
 }

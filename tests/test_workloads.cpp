@@ -8,17 +8,63 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include <unistd.h>
 
+#include "trace/trace_buffer.hpp"
 #include "trace/trace_file.hpp"
+#include "util/checksum.hpp"
+#include "workloads/graphbig.hpp"
 #include "workloads/registry.hpp"
 
 using namespace rmcc;
 using namespace rmcc::wl;
+
+namespace
+{
+
+/** Checksum of a CSR: offsets, then edges. */
+std::uint64_t
+graphDigest(const Graph &g)
+{
+    const std::uint64_t h = util::checksum64(
+        g.offsets.data(), g.offsets.size() * sizeof(std::uint64_t));
+    return util::checksum64(g.edges.data(),
+                            g.edges.size() * sizeof(std::uint32_t), h);
+}
+
+/** Checksum of the records a graph kernel traces over g. */
+std::uint64_t
+kernelTraceDigest(void (*kernel)(const Graph &, trace::TracedHeap &,
+                                 std::uint64_t),
+                  const Graph &g, double gap)
+{
+    trace::TraceBuffer buf(20000);
+    trace::TracedHeap heap(buf, gap, 5);
+    kernel(g, heap, 5);
+    EXPECT_EQ(buf.size(), 20000u);
+    return util::checksum64(buf.records().data(),
+                            buf.size() * sizeof(trace::Record));
+}
+
+/** Flip one byte of a file in place. */
+void
+flipFileByte(const std::string &path, std::streamoff off)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(off);
+    const int orig = f.get();
+    ASSERT_NE(orig, EOF);
+    f.seekp(off);
+    f.put(static_cast<char>(orig ^ 0x7f));
+}
+
+} // namespace
 
 TEST(Graph, PowerLawShape)
 {
@@ -74,6 +120,26 @@ TEST(Graph, DeterministicForSeed)
     EXPECT_EQ(a.offsets, b.offsets);
 }
 
+TEST(Graph, PowerLawDigestPinned)
+{
+    // Above 65,536 edges, where an earlier build sorted the edge list in
+    // parallel; pinned from that build, so the counting sort must give
+    // the same bytes.
+    const Graph g = Graph::powerLaw(16384, 131072, 0.8, 2);
+    EXPECT_EQ(graphDigest(g), 0xa7fd5112368e4e0eULL);
+}
+
+TEST(Graph, KernelTraceDigestsPinned)
+{
+    // Pinned from a build whose TracedGraph copied the CSR into traced
+    // arrays: reading the host CSR in place must record the same loads
+    // at the same addresses.
+    const Graph g = Graph::powerLaw(4096, 32768, 0.8, 3);
+    EXPECT_EQ(kernelTraceDigest(&runPageRank, g, 5.0),
+              0x14c1ce734a53ccf3ULL);
+    EXPECT_EQ(kernelTraceDigest(&runBfs, g, 4.0), 0xd3e51a3ad834a1dbULL);
+}
+
 TEST(Graph, DiskCacheRoundTripsAndSurvivesCorruption)
 {
     // Point the cache at a scratch dir so this test owns its files.
@@ -81,7 +147,7 @@ TEST(Graph, DiskCacheRoundTripsAndSurvivesCorruption)
     const std::string dir =
         ::testing::TempDir() + "rmcc_graph_cache_test";
     const std::string cache_file =
-        dir + "/rmcc_graph_v1_3e8_1f40_3fe999999999999a_9.bin";
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
     ASSERT_EQ(setenv("RMCC_GRAPH_CACHE_DIR", dir.c_str(), 1), 0);
     ASSERT_EQ(system(("rm -rf '" + dir + "'").c_str()), 0);
 
@@ -103,16 +169,7 @@ TEST(Graph, DiskCacheRoundTripsAndSurvivesCorruption)
     EXPECT_EQ(warm.edges, base.edges);
 
     // Corrupt the payload: the checksum must reject it and rebuild.
-    {
-        std::fstream f(cache_file,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.good());
-        f.seekg(200);
-        const int orig = f.get();
-        ASSERT_NE(orig, EOF);
-        f.seekp(200);
-        f.put(static_cast<char>(orig ^ 0x7f));
-    }
+    flipFileByte(cache_file, 200);
     const Graph rebuilt = Graph::powerLawCached(1000, 8000, 0.8, 9);
     EXPECT_EQ(rebuilt.offsets, base.offsets);
     EXPECT_EQ(rebuilt.edges, base.edges);
@@ -124,7 +181,7 @@ TEST(Graph, DiskCacheRejectsTornWritesAndBadChecksums)
     const std::string dir =
         ::testing::TempDir() + "rmcc_graph_torn_test";
     const std::string cache_file =
-        dir + "/rmcc_graph_v1_3e8_1f40_3fe999999999999a_9.bin";
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
     ASSERT_EQ(system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'")
                          .c_str()),
               0);
@@ -148,17 +205,7 @@ TEST(Graph, DiskCacheRejectsTornWritesAndBadChecksums)
 
     // The rebuild above re-populated the cache; now flip one byte of the
     // stored checksum (last header field) so header and payload disagree.
-    {
-        std::fstream f(cache_file,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f.good());
-        const std::streamoff checksum_off = 7 * 8; // 8th u64 field
-        f.seekg(checksum_off);
-        const int orig = f.get();
-        ASSERT_NE(orig, EOF);
-        f.seekp(checksum_off);
-        f.put(static_cast<char>(orig ^ 0x01));
-    }
+    flipFileByte(cache_file, 7 * 8); // the 8th u64 field
     const Graph badsum = Graph::powerLawCached(1000, 8000, 0.8, 9);
     EXPECT_EQ(badsum.offsets, base.offsets);
     EXPECT_EQ(badsum.edges, base.edges);
@@ -256,4 +303,91 @@ TEST(WorkloadCharacter, WriteIntensityVaries)
     // PageRank pushes (writes); triangle counting only reads adjacency.
     EXPECT_GT(pr.writes() * 10, pr.size());
     EXPECT_LT(tc.writes() * 10, tc.size());
+}
+
+TEST(Graph, DiskCacheIgnoresVersion1Files)
+{
+    // A directory left behind by a build that wrote version 1 (FNV-1a
+    // checksum) holds a file under the version-1 name.  Plant one that
+    // version 1 would accept but whose payload is wrong: the loader must
+    // never open it, and must write the version-2 file beside it.
+    const std::string dir = ::testing::TempDir() + "rmcc_graph_v1_test";
+    const std::string v1_file =
+        dir + "/rmcc_graph_v1_3e8_1f40_3fe999999999999a_9.bin";
+    const std::string v2_file =
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
+    ASSERT_EQ(system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'")
+                         .c_str()),
+              0);
+
+    const Graph base = Graph::powerLaw(1000, 8000, 0.8, 9);
+    Graph wrong = base;
+    wrong.edges[0] ^= 1;
+    // The byte-serial FNV-1a that version-1 files carried.
+    std::uint64_t fnv = 0xcbf29ce484222325ULL;
+    const auto fnvBytes = [&fnv](const void *p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            fnv ^= static_cast<const unsigned char *>(p)[i];
+            fnv *= 0x100000001b3ULL;
+        }
+    };
+    fnvBytes(wrong.offsets.data(),
+             wrong.offsets.size() * sizeof(std::uint64_t));
+    fnvBytes(wrong.edges.data(), wrong.edges.size() * sizeof(std::uint32_t));
+    const std::uint64_t header[8] = {0x524d434347525048ULL, // "RMCCGRPH"
+                                     1,
+                                     1000,
+                                     8000,
+                                     0x3fe999999999999aULL,
+                                     9,
+                                     8000,
+                                     fnv};
+    {
+        std::ofstream f(v1_file, std::ios::binary);
+        f.write(reinterpret_cast<const char *>(header), sizeof header);
+        f.write(reinterpret_cast<const char *>(wrong.offsets.data()),
+                static_cast<std::streamsize>(wrong.offsets.size() *
+                                             sizeof(std::uint64_t)));
+        f.write(reinterpret_cast<const char *>(wrong.edges.data()),
+                static_cast<std::streamsize>(wrong.edges.size() *
+                                             sizeof(std::uint32_t)));
+        ASSERT_TRUE(f.good());
+    }
+
+    ASSERT_EQ(setenv("RMCC_GRAPH_CACHE_DIR", dir.c_str(), 1), 0);
+    const Graph g = Graph::powerLawCached(1000, 8000, 0.8, 9);
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
+    EXPECT_EQ(g.offsets, base.offsets);
+    EXPECT_EQ(g.edges, base.edges);
+    EXPECT_TRUE(std::ifstream(v2_file).good())
+        << "version-2 file not written beside the version-1 file";
+    EXPECT_TRUE(std::ifstream(v1_file).good());
+}
+
+TEST(Graph, DiskCacheRejectsAFlippedLastEdgeByte)
+{
+    // The last 4 bytes of the payload are the last edge, past the final
+    // whole 8-byte word when the edge count is odd: the checksum's tail
+    // must still cover them.
+    const std::string dir = ::testing::TempDir() + "rmcc_graph_tail_test";
+    const std::string cache_file =
+        dir + "/rmcc_graph_v2_3e8_1f41_3fe999999999999a_9.bin";
+    ASSERT_EQ(system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'")
+                         .c_str()),
+              0);
+    ASSERT_EQ(setenv("RMCC_GRAPH_CACHE_DIR", dir.c_str(), 1), 0);
+
+    const Graph base = Graph::powerLaw(1000, 8001, 0.8, 9);
+    (void)Graph::powerLawCached(1000, 8001, 0.8, 9); // populate
+    std::ifstream probe(cache_file, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(probe.good());
+    const std::streamoff size = probe.tellg();
+    probe.close();
+    for (std::streamoff back = 1; back <= 4; ++back) {
+        flipFileByte(cache_file, size - back);
+        const Graph g = Graph::powerLawCached(1000, 8001, 0.8, 9);
+        EXPECT_EQ(g.edges, base.edges) << "byte " << back << " from the end";
+        EXPECT_EQ(g.offsets, base.offsets);
+    }
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
 }
