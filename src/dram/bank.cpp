@@ -7,7 +7,7 @@ namespace rmcc::dram
 
 double
 Bank::issue(double t_ns, std::uint64_t row, const DramConfig &cfg,
-            RowOutcome &outcome)
+            double burst_ns, RowOutcome &outcome)
 {
     double t = std::max(t_ns, ready_ns_);
 
@@ -32,7 +32,7 @@ Bank::issue(double t_ns, std::uint64_t row, const DramConfig &cfg,
     // The bank can overlap CAS of back-to-back hits; approximate command
     // occupancy with the burst time for hits and the full activate path
     // otherwise.
-    ready_ns_ = data_at - cfg.tCL_ns + cfg.burstNs();
+    ready_ns_ = data_at - cfg.tCL_ns + burst_ns;
     return data_at;
 }
 

@@ -33,12 +33,13 @@ class Bank
      * @param t_ns earliest issue time (ns).
      * @param row target row.
      * @param cfg timing parameters.
+     * @param burst_ns cfg.burstNs(), which the caller computes once.
      * @param[out] outcome row-buffer outcome for statistics.
      * @return time the requested data is available at the bank (before
      *         bus transfer), ns.
      */
     double issue(double t_ns, std::uint64_t row, const DramConfig &cfg,
-                 RowOutcome &outcome);
+                 double burst_ns, RowOutcome &outcome);
 
     /** Open row, or -1 when precharged. */
     std::int64_t openRow() const { return open_row_; }

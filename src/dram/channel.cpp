@@ -7,6 +7,7 @@ namespace rmcc::dram
 
 Channel::Channel(const DramConfig &cfg, unsigned channel_index)
     : cfg_(cfg),
+      burst_ns_(cfg.burstNs()),
       banks_(static_cast<std::size_t>(cfg.ranks) * cfg.banks_per_rank),
       next_refresh_(cfg.ranks, 0.0),
       hit_streak_(banks_.size(), 0)
@@ -46,7 +47,7 @@ Channel::serve(const DramCoord &coord, bool is_write, double t_ns)
     double t = refreshAdjust(coord.rank, t_ns);
 
     RowOutcome outcome;
-    double data_at = bank.issue(t, coord.row, cfg_, outcome);
+    double data_at = bank.issue(t, coord.row, cfg_, burst_ns_, outcome);
 
     // FR-FCFS-Capped: after `cap` consecutive row hits the scheduler lets
     // an older row-miss request in, which closes our row; charge the full
@@ -75,9 +76,9 @@ Channel::serve(const DramCoord &coord, bool is_write, double t_ns)
 
     // Serialize the burst on the shared data bus.
     const double burst_start = std::max(data_at, bus_free_ns_);
-    const double done = burst_start + cfg_.burstNs();
+    const double done = burst_start + burst_ns_;
     bus_free_ns_ = done;
-    stats_.bus_busy_ns += cfg_.burstNs();
+    stats_.bus_busy_ns += burst_ns_;
 
     if (is_write)
         ++stats_.writes;

@@ -62,6 +62,7 @@ class Channel
     double refreshAdjust(unsigned rank, double t_ns);
 
     DramConfig cfg_;
+    double burst_ns_; //!< cfg_.burstNs(), computed once.
     std::vector<Bank> banks_;           // ranks * banks_per_rank
     std::vector<double> next_refresh_;  // per rank
     std::vector<std::uint64_t> hit_streak_; // per bank, for the cap

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "trace/traced_memory.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -66,7 +67,8 @@ TenantMixer::generate(trace::TraceSink &sink) const
     // map because the tenant count may be in the millions while only the
     // drawn tenants ever materialize.
     std::unordered_map<std::uint64_t, std::uint64_t> pos;
-    for (std::size_t i = 0; i < spec_.records && !sink.full(); ++i) {
+    trace::SinkStager out(sink);
+    for (std::size_t i = 0; i < spec_.records && !out.full(); ++i) {
         std::uint64_t t = zipf(rng);
         if (spec_.storm_share > 0.0 && rng.nextBool(spec_.storm_share))
             t = 0; // the storm rides on top of the Zipf draw
@@ -78,10 +80,11 @@ TenantMixer::generate(trace::TraceSink &sink) const
                      .first;
         const trace::Record &rec = base.records()[it->second];
         it->second = (it->second + 1) % base.size();
-        sink.append(map_.tag(t, static_cast<addr::Addr>(rec.vaddr)),
-                    rec.is_write != 0,
-                    static_cast<std::uint32_t>(rec.inst_gap));
+        out.push(map_.tag(t, static_cast<addr::Addr>(rec.vaddr)),
+                 rec.is_write != 0,
+                 static_cast<std::uint32_t>(rec.inst_gap));
     }
+    out.flush();
 }
 
 double

@@ -36,6 +36,15 @@ class BufferCursor final : public TraceCursor
 
 } // namespace
 
+void
+recordOutOfRange(addr::Addr vaddr, std::uint32_t inst_gap)
+{
+    if (vaddr > kMaxRecordVaddr)
+        util::fatal("trace record vaddr 0x%llx exceeds 47 bits",
+                    static_cast<unsigned long long>(vaddr));
+    util::fatal("trace record inst_gap %u exceeds 16 bits", inst_gap);
+}
+
 TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity)
 {
     records_.reserve(std::min<std::size_t>(capacity, 1 << 22));
@@ -79,29 +88,26 @@ TraceBuffer::operator=(TraceBuffer &&other) noexcept
 }
 
 void
-TraceBuffer::append(addr::Addr vaddr, bool is_write, std::uint32_t inst_gap)
+TraceBuffer::appendBlock(const Record *records, std::size_t n)
 {
-    if (full()) {
-        if (dropped_++ == 0)
+    const std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, remaining()));
+    if (take < n) {
+        if (dropped_ == 0)
             util::warn("trace buffer full (configured capacity %zu "
                        "records): dropping further appends; set "
                        "RMCC_TRACE_SPILL=on to stream traces larger than "
                        "RAM to disk instead",
                        capacity_);
-        return;
+        dropped_ += n - take;
     }
-    if (vaddr > kMaxRecordVaddr)
-        util::fatal("trace record vaddr 0x%llx exceeds 47 bits",
-                    static_cast<unsigned long long>(vaddr));
-    if (inst_gap > kMaxRecordGap)
-        util::fatal("trace record inst_gap %u exceeds 16 bits", inst_gap);
-    Record r{};
-    r.vaddr = vaddr;
-    r.inst_gap = inst_gap;
-    r.is_write = is_write;
-    records_.push_back(r);
-    total_insts_ += 1 + inst_gap;
-    writes_ += is_write ? 1 : 0;
+    if (take == 0)
+        return;
+    records_.insert(records_.end(), records, records + take);
+    for (std::size_t i = 0; i < take; ++i) {
+        total_insts_ += 1 + records[i].inst_gap;
+        writes_ += records[i].is_write;
+    }
     distinct_valid_ = false;
     memo().clear();
 }

@@ -17,11 +17,11 @@ namespace rmcc::trace
 /**
  * A bounded trace of memory operations.
  *
- * Workload models append to the buffer; generation stops automatically once
- * the configured capacity is reached (checked by the workload's isDone()
- * via full()).  Appends past capacity are counted in dropped() and warned
- * about once — a workload that keeps generating after full() indicates a
- * miswired loop, not data to discard silently.
+ * Workload models append to the buffer; generation stops once the
+ * configured capacity is reached (checked through full()).  Appends past
+ * capacity are counted in dropped() and warned about once — a workload
+ * that keeps generating after full() indicates a miswired loop, not data
+ * to discard silently.
  *
  * The buffer is both a TraceSink (generators stream into it) and a
  * TraceSource (the simulators replay from it as a single window covering
@@ -52,17 +52,16 @@ class TraceBuffer : public TraceSink, public TraceSource
     TraceBuffer &operator=(const TraceBuffer &) = default;
 
     /**
-     * Append a load/store.  Once full, the record is counted as dropped
-     * (with a one-time warning) instead of being stored.  Out-of-range
-     * values (vaddr above 47 bits, gap above 16) are fatal: the packed
-     * Record cannot represent them and truncation would silently corrupt
-     * the trace.  Drops the memo: its values describe the old records.
+     * Append a block of records.  Those past capacity are counted as
+     * dropped (with a one-time warning) instead of being stored.  Drops
+     * the memo: its values describe the old records.
      */
-    void append(addr::Addr vaddr, bool is_write,
-                std::uint32_t inst_gap) override;
+    void appendBlock(const Record *records, std::size_t n) override;
 
-    /** True once capacity records have been recorded. */
-    bool full() const override { return records_.size() >= capacity_; }
+    std::uint64_t remaining() const override
+    {
+        return capacity_ - records_.size();
+    }
 
     /** Recorded operations. */
     const std::vector<Record> &records() const { return records_; }

@@ -1,5 +1,6 @@
 #include "trace/trace_file.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -145,32 +146,33 @@ TraceFileWriter::~TraceFileWriter()
 }
 
 void
-TraceFileWriter::append(addr::Addr vaddr, bool is_write,
-                        std::uint32_t inst_gap)
+TraceFileWriter::appendBlock(const Record *records, std::size_t n)
 {
-    if (full()) {
-        if (dropped_++ == 0)
+    std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, remaining()));
+    if (take < n) {
+        if (dropped_ == 0)
             util::warn("trace file full (configured capacity %llu "
                        "records): dropping further appends",
                        static_cast<unsigned long long>(capacity_));
-        return;
+        dropped_ += n - take;
     }
-    if (vaddr > kMaxRecordVaddr)
-        util::fatal("trace record vaddr 0x%llx exceeds 47 bits",
-                    static_cast<unsigned long long>(vaddr));
-    if (inst_gap > kMaxRecordGap)
-        util::fatal("trace record inst_gap %u exceeds 16 bits", inst_gap);
-    Record r{};
-    r.vaddr = vaddr;
-    r.inst_gap = inst_gap;
-    r.is_write = is_write;
-    active_.push_back(r);
-    ++count_;
-    total_insts_ += 1 + inst_gap;
-    writes_ += is_write ? 1 : 0;
-    distinct_.insert(addr::blockOf(vaddr));
-    if (active_.size() >= chunk_records_)
-        flushChunk();
+    for (std::size_t i = 0; i < take; ++i) {
+        total_insts_ += 1 + records[i].inst_gap;
+        writes_ += records[i].is_write;
+        distinct_.insert(addr::blockOf(records[i].vaddr));
+    }
+    count_ += take;
+    // Fill the active chunk, handing it to the writer each time it fills.
+    while (take > 0) {
+        const std::size_t k =
+            std::min<std::size_t>(take, chunk_records_ - active_.size());
+        active_.insert(active_.end(), records, records + k);
+        records += k;
+        take -= k;
+        if (active_.size() >= chunk_records_)
+            flushChunk();
+    }
 }
 
 void

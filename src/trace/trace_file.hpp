@@ -130,10 +130,10 @@ void ensureTraceDir(const std::string &dir);
 
 /**
  * Streaming trace writer: a TraceSink backed by a double-buffered
- * background I/O thread.  append() fills the active chunk; when it is
- * full the chunk is handed to the writer thread and generation continues
- * into the other buffer.  Call finalize() to flush, write the checksum
- * index and header, fsync, and atomically rename into place.
+ * background I/O thread.  appendBlock() fills the active chunk; when it
+ * is full the chunk is handed to the writer thread and generation
+ * continues into the other buffer.  Call finalize() to flush, write the
+ * checksum index and header, fsync, and atomically rename into place.
  */
 class TraceFileWriter final : public TraceSink
 {
@@ -156,10 +156,9 @@ class TraceFileWriter final : public TraceSink
     TraceFileWriter(const TraceFileWriter &) = delete;
     TraceFileWriter &operator=(const TraceFileWriter &) = delete;
 
-    void append(addr::Addr vaddr, bool is_write,
-                std::uint32_t inst_gap) override;
+    void appendBlock(const Record *records, std::size_t n) override;
 
-    bool full() const override { return count_ >= capacity_; }
+    std::uint64_t remaining() const override { return capacity_ - count_; }
 
     /** Records accepted so far. */
     std::uint64_t size() const { return count_; }
@@ -184,7 +183,7 @@ class TraceFileWriter final : public TraceSink
     void writerLoop();
     void throwIfIoFailed();
 
-    // Generation-thread-only state: touched by append()/finalize() and
+    // Generation-thread-only state: touched by appendBlock()/finalize() and
     // the ctor/dtor, never by the background writer.
     std::string path_;
     std::string tmp_path_;

@@ -2,10 +2,11 @@
  * @file
  * The two sides of the out-of-core trace engine:
  *
- *  - TraceSink: what workload generators write into.  Implemented by the
- *    in-RAM TraceBuffer and by the spilling TraceFileWriter, so a
- *    generator streams records without knowing whether they land in a
- *    vector or on disk.
+ *  - TraceSink: what workload generators write into, a block of records
+ *    at a time (SinkStager stages them).  Implemented by the in-RAM
+ *    TraceBuffer and by the spilling TraceFileWriter, so a generator
+ *    streams records without knowing whether they land in a vector or on
+ *    disk.
  *  - TraceSource: what the simulators replay from, as a sequence of
  *    contiguous record windows.  Implemented by TraceBuffer (one window
  *    covering the whole vector — the pre-PR-8 fast path, bit-identical)
@@ -33,23 +34,35 @@ namespace rmcc::trace
 
 struct TracePlan;
 
-/** Destination of a workload generator's record stream. */
+/**
+ * Destination of a workload generator's record stream.  Records arrive
+ * in blocks (appendBlock), usually through a SinkStager, so a sink costs
+ * one virtual call per block, not per record.
+ */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
 
     /**
-     * Append a load/store.  Out-of-range values (vaddr above 47 bits,
-     * gap above 16) are fatal: the packed Record cannot represent them
-     * and truncation would silently corrupt the trace.  Appends past the
-     * sink's capacity are counted as dropped, not stored.
+     * Append n records (each built by makeRecord, so in range).  Records
+     * past the sink's capacity are counted as dropped, with a one-time
+     * warning, not stored.
      */
-    virtual void append(addr::Addr vaddr, bool is_write,
-                        std::uint32_t inst_gap) = 0;
+    virtual void appendBlock(const Record *records, std::size_t n) = 0;
+
+    /** Records the sink still accepts before it is full. */
+    virtual std::uint64_t remaining() const = 0;
 
     /** True once the capacity is reached; generators should stop. */
-    virtual bool full() const = 0;
+    bool full() const { return remaining() == 0; }
+
+    /** Append one load/store: appendBlock() of its makeRecord(). */
+    void append(addr::Addr vaddr, bool is_write, std::uint32_t inst_gap)
+    {
+        const Record r = makeRecord(vaddr, is_write, inst_gap);
+        appendBlock(&r, 1);
+    }
 };
 
 /**

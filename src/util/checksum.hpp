@@ -14,6 +14,10 @@
  * fixed length a change confined to any one of the words it reads (an
  * 8-byte word, the 4-byte word or one tail byte) always changes the
  * result.
+ *
+ * ChecksumStream is the one implementation: it takes the bytes in pieces
+ * of any size, so a reader can checksum a file chunk by chunk while each
+ * chunk is still in cache, and checksum64() is one update() of it.
  */
 #ifndef RMCC_UTIL_CHECKSUM_HPP
 #define RMCC_UTIL_CHECKSUM_HPP
@@ -25,9 +29,40 @@
 namespace rmcc::util
 {
 
+/**
+ * checksum64() of a byte stream fed in pieces: any split of the same
+ * bytes gives the same digest() as one checksum64() call over them.
+ */
+class ChecksumStream
+{
+  public:
+    explicit ChecksumStream(std::uint64_t seed = 0);
+
+    /** Append len bytes at data (any alignment) to the stream. */
+    void update(const void *data, std::size_t len);
+
+    /** Checksum of every byte so far; the stream can keep growing. */
+    std::uint64_t digest() const;
+
+  private:
+    //! Bytes per stripe: one 8-byte word for each of the four lanes.
+    static constexpr std::size_t kStripe = 32;
+
+    std::uint64_t seed_;
+    std::uint64_t lanes_[4];
+    std::uint64_t total_ = 0;            //!< Bytes fed so far.
+    unsigned char tail_[kStripe] = {};   //!< Bytes short of a stripe.
+    std::size_t tail_len_ = 0;
+};
+
 /** 64-bit checksum of len bytes at data (any alignment). */
-std::uint64_t checksum64(const void *data, std::size_t len,
-                         std::uint64_t seed = 0);
+inline std::uint64_t
+checksum64(const void *data, std::size_t len, std::uint64_t seed = 0)
+{
+    ChecksumStream s(seed);
+    s.update(data, len);
+    return s.digest();
+}
 
 /** checksum64() over a string's bytes. */
 inline std::uint64_t

@@ -35,6 +35,7 @@ graphWorkload(std::string name, double gap, KernelFn kernel)
             [kernel, gap](trace::TraceSink &buf, std::uint64_t seed) {
                 trace::TracedHeap heap(buf, gap, seed);
                 kernel(sharedGraph(), heap, seed);
+                heap.flush();
             }};
 }
 
@@ -69,16 +70,19 @@ workloadSuite()
                      [](trace::TraceSink &buf, std::uint64_t seed) {
                          trace::TracedHeap heap(buf, 6.0, seed);
                          runCanneal(CannealConfig(), heap, seed);
+                         heap.flush();
                      }});
         v.push_back({"omnetpp", 10.0,
                      [](trace::TraceSink &buf, std::uint64_t seed) {
                          trace::TracedHeap heap(buf, 10.0, seed);
                          runOmnetpp(OmnetppConfig(), heap, seed);
+                         heap.flush();
                      }});
         v.push_back({"mcf", 8.0,
                      [](trace::TraceSink &buf, std::uint64_t seed) {
                          trace::TracedHeap heap(buf, 8.0, seed);
                          runMcf(McfConfig(), heap, seed);
+                         heap.flush();
                      }});
         return v;
     }();

@@ -68,15 +68,16 @@ TEST(Mapping, XorHashSpreadsRowStrides)
 TEST(Bank, RowHitFasterThanClosedFasterThanConflict)
 {
     const DramConfig cfg = quietConfig();
+    const double burst = cfg.burstNs();
     Bank bank;
     RowOutcome out;
-    const double closed = bank.issue(0.0, 5, cfg, out);
+    const double closed = bank.issue(0.0, 5, cfg, burst, out);
     EXPECT_EQ(out, RowOutcome::Closed);
     const double t1 = bank.readyAt();
-    const double hit = bank.issue(t1, 5, cfg, out) - t1;
+    const double hit = bank.issue(t1, 5, cfg, burst, out) - t1;
     EXPECT_EQ(out, RowOutcome::Hit);
     const double t2 = bank.readyAt();
-    const double conflict = bank.issue(t2, 9, cfg, out) - t2;
+    const double conflict = bank.issue(t2, 9, cfg, burst, out) - t2;
     EXPECT_EQ(out, RowOutcome::Conflict);
     EXPECT_LT(hit, closed);
     EXPECT_LT(closed, conflict);
@@ -87,11 +88,12 @@ TEST(Bank, RowHitFasterThanClosedFasterThanConflict)
 TEST(Bank, RowTimeoutClosesIdleRow)
 {
     const DramConfig cfg = quietConfig();
+    const double burst = cfg.burstNs();
     Bank bank;
     RowOutcome out;
-    bank.issue(0.0, 5, cfg, out);
+    bank.issue(0.0, 5, cfg, burst, out);
     // Long idle: the 500 ns timeout precharges the row in the background.
-    bank.issue(10000.0, 5, cfg, out);
+    bank.issue(10000.0, 5, cfg, burst, out);
     EXPECT_EQ(out, RowOutcome::Closed);
 }
 

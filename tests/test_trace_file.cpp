@@ -468,3 +468,37 @@ TEST(SpillSuite, SpilledSuiteMatchesInRamRun)
     }
     std::filesystem::remove_all(dir);
 }
+
+/** One staged-heap generation per suite workload, into both sinks. */
+class StagedSinks : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(StagedSinks, InRamAndSpilledGenerationsAgree)
+{
+    // 4099-record chunks: the heap's blocks straddle chunk boundaries.
+    const wl::Workload *w = wl::findWorkload(GetParam());
+    ASSERT_NE(w, nullptr);
+    constexpr std::uint64_t kRecords = 30000, kSeed = 5, kChunk = 4099;
+    const trace::TraceBuffer ram = wl::generateTrace(*w, kRecords, kSeed);
+    const std::string path = writeWorkloadFile(
+        *w, kRecords, kSeed, std::string("rmcc_trc_staged_") + GetParam(),
+        kChunk);
+    const trace::TraceFileReader reader(path, 0);
+    EXPECT_EQ(ram.size(), kRecords);
+    EXPECT_EQ(ram.dropped(), 0u);
+    EXPECT_EQ(reader.size(), ram.size());
+    EXPECT_EQ(reader.dropped(), 0u);
+    EXPECT_EQ(reader.totalInstructions(), ram.totalInstructions());
+    EXPECT_EQ(reader.writes(), ram.writes());
+    EXPECT_EQ(reader.distinctBlocks(), ram.distinctBlocks());
+    expectSameStream(drain(reader), ram.records());
+    std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, StagedSinks,
+                         ::testing::Values("pageRank", "graphColoring",
+                                           "connectedComp", "degreeCentr",
+                                           "DFS", "BFS", "triangleCount",
+                                           "shortestPath", "canneal",
+                                           "omnetpp", "mcf"));

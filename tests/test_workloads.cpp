@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
@@ -46,6 +47,7 @@ kernelTraceDigest(void (*kernel)(const Graph &, trace::TracedHeap &,
     trace::TraceBuffer buf(20000);
     trace::TracedHeap heap(buf, gap, 5);
     kernel(g, heap, 5);
+    heap.flush();
     EXPECT_EQ(buf.size(), 20000u);
     return util::checksum64(buf.records().data(),
                             buf.size() * sizeof(trace::Record));
@@ -389,5 +391,143 @@ TEST(Graph, DiskCacheRejectsAFlippedLastEdgeByte)
         EXPECT_EQ(g.edges, base.edges) << "byte " << back << " from the end";
         EXPECT_EQ(g.offsets, base.offsets);
     }
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
+}
+
+namespace
+{
+
+/**
+ * Write a version-2 cache file for g under the (vertices, edges_requested,
+ * 0.8, 9) parameters, with a correct checksum, only the first
+ * stored_edges edges of the payload and extra_bytes zero bytes after it.
+ */
+void
+writeCacheFile(const std::string &path, const Graph &g,
+               std::uint64_t edges_requested, std::size_t stored_edges,
+               std::size_t extra_bytes)
+{
+    const std::uint64_t header[8] = {0x524d434347525048ULL, // "RMCCGRPH"
+                                     2,
+                                     g.num_vertices,
+                                     edges_requested,
+                                     0x3fe999999999999aULL, // 0.8
+                                     9,
+                                     g.numEdges(),
+                                     graphDigest(g)};
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(header), sizeof header);
+    f.write(reinterpret_cast<const char *>(g.offsets.data()),
+            static_cast<std::streamsize>(g.offsets.size() *
+                                         sizeof(std::uint64_t)));
+    f.write(reinterpret_cast<const char *>(g.edges.data()),
+            static_cast<std::streamsize>(stored_edges *
+                                         sizeof(std::uint32_t)));
+    const std::string extra(extra_bytes, '\0');
+    f.write(extra.data(), static_cast<std::streamsize>(extra.size()));
+    ASSERT_TRUE(f.good());
+}
+
+/** A fresh cache directory, set as RMCC_GRAPH_CACHE_DIR. */
+std::string
+freshCacheDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + name;
+    EXPECT_EQ(system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'")
+                         .c_str()),
+              0);
+    EXPECT_EQ(setenv("RMCC_GRAPH_CACHE_DIR", dir.c_str(), 1), 0);
+    return dir;
+}
+
+} // namespace
+
+TEST(Graph, DiskCacheLoadsAPayloadOfSeveralUnevenChunks)
+{
+    // 100000 vertices and 300001 edges make a 2000012-byte payload: the
+    // loader reads it in 1 MiB chunks, and the last one is neither whole
+    // nor a multiple of the checksum's 32-byte stripes.  The planted
+    // graph differs from the built one, so returning it proves the file
+    // was read and verified, not rebuilt.
+    const std::string dir = freshCacheDir("rmcc_graph_chunks_test");
+    const std::string cache_file =
+        dir + "/rmcc_graph_v2_186a0_493e1_3fe999999999999a_9.bin";
+    const Graph base = Graph::powerLaw(100000, 300001, 0.8, 9);
+    Graph planted = base;
+    planted.edges.front() ^= 1;
+    planted.edges[planted.numEdges() / 2] ^= 1;
+    planted.edges.back() ^= 1;
+    writeCacheFile(cache_file, planted, 300001, planted.numEdges(), 0);
+    const Graph loaded = Graph::powerLawCached(100000, 300001, 0.8, 9);
+    EXPECT_EQ(loaded.num_vertices, planted.num_vertices);
+    EXPECT_EQ(loaded.offsets, planted.offsets);
+    EXPECT_EQ(loaded.edges, planted.edges);
+
+    // A flipped byte in the second chunk fails the checksum: rebuilt.
+    flipFileByte(cache_file, 64 + (1 << 20) + 12345);
+    const Graph rebuilt = Graph::powerLawCached(100000, 300001, 0.8, 9);
+    EXPECT_EQ(rebuilt.offsets, base.offsets);
+    EXPECT_EQ(rebuilt.edges, base.edges);
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
+}
+
+TEST(Graph, DiskCacheRejectsAFileOneByteTooLong)
+{
+    const std::string dir = freshCacheDir("rmcc_graph_long_test");
+    const std::string cache_file =
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
+    const Graph base = Graph::powerLaw(1000, 8000, 0.8, 9);
+    Graph planted = base;
+    planted.edges[7] ^= 1;
+
+    // Control: the exact file is accepted as it stands.
+    writeCacheFile(cache_file, planted, 8000, planted.numEdges(), 0);
+    EXPECT_EQ(Graph::powerLawCached(1000, 8000, 0.8, 9).edges,
+              planted.edges);
+
+    // The same file with one trailing byte is rejected and rebuilt.
+    writeCacheFile(cache_file, planted, 8000, planted.numEdges(), 1);
+    const Graph g = Graph::powerLawCached(1000, 8000, 0.8, 9);
+    EXPECT_EQ(g.offsets, base.offsets);
+    EXPECT_EQ(g.edges, base.edges);
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
+}
+
+TEST(Graph, DiskCacheRejectsAHeaderClaimingMoreEdgesThanTheFileHolds)
+{
+    // The header and checksum describe 8000 edges, the file holds 7000:
+    // the size check rejects it before any payload read, so the loader
+    // never reads past the end of the file.
+    const std::string dir = freshCacheDir("rmcc_graph_short_test");
+    const std::string cache_file =
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
+    const Graph base = Graph::powerLaw(1000, 8000, 0.8, 9);
+    Graph planted = base;
+    planted.edges[7] ^= 1;
+    writeCacheFile(cache_file, planted, 8000, 7000, 0);
+    const Graph g = Graph::powerLawCached(1000, 8000, 0.8, 9);
+    EXPECT_EQ(g.offsets, base.offsets);
+    EXPECT_EQ(g.edges, base.edges);
+    unsetenv("RMCC_GRAPH_CACHE_DIR");
+}
+
+TEST(Graph, DiskCacheFileBytesArePinned)
+{
+    // The bytes of a written cache file, pinned against the writer that
+    // introduced format version 2, so every version-2 file on disk is
+    // still one this loader reads (the warm load below).
+    const std::string dir = freshCacheDir("rmcc_graph_pinned_test");
+    const std::string cache_file =
+        dir + "/rmcc_graph_v2_3e8_1f40_3fe999999999999a_9.bin";
+    const Graph base = Graph::powerLaw(1000, 8000, 0.8, 9);
+    (void)Graph::powerLawCached(1000, 8000, 0.8, 9); // populate
+    std::ifstream f(cache_file, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 64u + 1001 * 8 + 8000 * 4);
+    EXPECT_EQ(util::checksum64(bytes), 0xa553af7c44930ee9ULL);
+    const Graph warm = Graph::powerLawCached(1000, 8000, 0.8, 9);
+    EXPECT_EQ(warm.offsets, base.offsets);
+    EXPECT_EQ(warm.edges, base.edges);
     unsetenv("RMCC_GRAPH_CACHE_DIR");
 }
