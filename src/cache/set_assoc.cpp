@@ -13,11 +13,13 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
     : name_(std::move(name)), assoc_(assoc), line_(line_bytes),
       policy_(policy)
 {
-    if (assoc_ == 0 || line_ == 0 ||
+    if (assoc_ == 0 || assoc_ > kMaxAssoc || line_ == 0 ||
         size_bytes % (static_cast<std::uint64_t>(assoc_) * line_) != 0) {
-        util::fatal("cache %s: size %llu not divisible by assoc*line",
+        util::fatal("cache %s: size %llu not divisible by assoc*line, or "
+                    "assoc %u not in 1..%u",
                     name_.c_str(),
-                    static_cast<unsigned long long>(size_bytes));
+                    static_cast<unsigned long long>(size_bytes), assoc_,
+                    kMaxAssoc);
     }
     sets_count_ = size_bytes / (static_cast<std::uint64_t>(assoc_) * line_);
     line_pow2_ = std::has_single_bit(line_);
@@ -27,10 +29,9 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
     if (sets_pow2_)
         set_mask_ = sets_count_ - 1;
     tags_.assign(sets_count_ * assoc_, kInvalidTag);
-    lru_.assign(sets_count_ * assoc_, 0);
+    links_.assign(sets_count_ * assoc_, Link{});
     dirty_.assign(sets_count_ * assoc_, 0);
-    mru_.assign(sets_count_, 0);
-    filled_.assign(sets_count_, 0);
+    sets_.assign(sets_count_, SetState{});
 }
 
 // rmcc-lint: hot-path
@@ -38,8 +39,9 @@ int
 SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
 {
     const addr::Addr *tags = &tags_[set * assoc_];
-    if (tags[mru_[set]] == tag)
-        return static_cast<int>(mru_[set]);
+    const unsigned hint = sets_[set].mru;
+    if (tags[hint] == tag)
+        return static_cast<int>(hint);
     // The hint way cannot match again, so rescanning it is one harmless
     // compare; keeping the loop branch-free lets it vectorize.
     for (unsigned w = 0; w < assoc_; ++w)
@@ -52,24 +54,47 @@ SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
 unsigned
 SetAssocCache::victimWay(std::uint64_t set) const
 {
-    // Invalid ways first; otherwise smallest recency (LRU) or insertion
-    // order (FIFO — lru field records fill time in that mode).
-    const std::uint64_t *lru = &lru_[set * assoc_];
-    if (filled_[set] < assoc_) {
+    // Invalid ways first (lowest numbered); otherwise the oldest line of
+    // the recency list: least recently used (LRU) or earliest filled
+    // (FIFO).
+    const SetState &st = sets_[set];
+    if (st.filled < assoc_) {
         const addr::Addr *tags = &tags_[set * assoc_];
         for (unsigned w = 0; w < assoc_; ++w)
             if (tags[w] == kInvalidTag)
                 return w;
     }
-    unsigned victim = 0;
-    std::uint64_t best = ~0ULL;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (lru[w] < best) {
-            best = lru[w];
-            victim = w;
-        }
-    }
-    return victim;
+    return st.oldest;
+}
+
+void
+SetAssocCache::unlink(std::uint64_t set, unsigned way)
+{
+    Link *links = &links_[set * assoc_];
+    SetState &st = sets_[set];
+    const Link l = links[way];
+    if (l.older != kNoWay)
+        links[l.older].newer = l.newer;
+    else
+        st.oldest = l.newer;
+    if (l.newer != kNoWay)
+        links[l.newer].older = l.older;
+    else
+        st.newest = l.older;
+}
+
+void
+SetAssocCache::pushNewest(std::uint64_t set, unsigned way)
+{
+    Link *links = &links_[set * assoc_];
+    SetState &st = sets_[set];
+    const auto w = static_cast<std::uint8_t>(way);
+    links[way] = {st.newest, kNoWay};
+    if (st.newest != kNoWay)
+        links[st.newest].newer = w;
+    else
+        st.oldest = w;
+    st.newest = w;
 }
 
 AccessResult
@@ -84,13 +109,14 @@ SetAssocCache::replaceIn(std::uint64_t set, addr::Addr tag, bool dirty)
         res.victim_addr = tags_[li] * line_;
         if (dirty_[li])
             ++writebacks_;
+        unlink(set, way);
     } else {
-        ++filled_[set];
+        ++sets_[set].filled;
     }
     tags_[li] = tag;
     dirty_[li] = dirty ? 1 : 0;
-    lru_[li] = clock_;
-    mru_[set] = way;
+    pushNewest(set, way);
+    sets_[set].mru = static_cast<std::uint8_t>(way);
     return res;
 }
 
@@ -99,24 +125,20 @@ SetAssocCache::access(addr::Addr a, bool is_write)
 {
     const addr::Addr tag = tagOf(a);
     const std::uint64_t set = setIndex(a);
-    ++clock_;
     const int way = findWay(set, tag);
     if (way >= 0) {
-        const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
+        const auto w = static_cast<unsigned>(way);
         if (policy_ == ReplPolicy::LRU)
-            lru_[li] = clock_;
+            touch(set, w);
         if (is_write)
-            dirty_[li] = 1;
-        mru_[set] = static_cast<std::uint32_t>(way);
+            dirty_[set * assoc_ + w] = 1;
+        sets_[set].mru = static_cast<std::uint8_t>(w);
         ++hits_;
         return {true, false, false, 0};
     }
     ++misses_;
     // Inline the fill, skipping its redundant findWay: the set cannot
-    // have gained the tag since the probe above.  The clock still
-    // advances exactly as the old access() -> fill() pair did, so every
-    // LRU stamp (and therefore every victim choice) is unchanged.
-    ++clock_;
+    // have gained the tag since the probe above.
     return replaceIn(set, tag, is_write);
 }
 
@@ -125,16 +147,14 @@ SetAssocCache::fill(addr::Addr a, bool dirty)
 {
     const addr::Addr tag = tagOf(a);
     const std::uint64_t set = setIndex(a);
-    ++clock_;
     const int existing = findWay(set, tag);
     if (existing >= 0) {
-        const std::size_t li =
-            set * assoc_ + static_cast<unsigned>(existing);
+        const auto w = static_cast<unsigned>(existing);
         if (dirty)
-            dirty_[li] = 1;
+            dirty_[set * assoc_ + w] = 1;
         if (policy_ == ReplPolicy::LRU)
-            lru_[li] = clock_;
-        mru_[set] = static_cast<std::uint32_t>(existing);
+            touch(set, w);
+        sets_[set].mru = static_cast<std::uint8_t>(w);
         return {true, false, false, 0};
     }
     return replaceIn(set, tag, dirty);
@@ -165,15 +185,16 @@ SetAssocCache::countValidIn(addr::Addr lo, addr::Addr hi) const
 bool
 SetAssocCache::invalidate(addr::Addr a)
 {
-    const int way = findWay(setIndex(a), tagOf(a));
+    const std::uint64_t set = setIndex(a);
+    const int way = findWay(set, tagOf(a));
     if (way < 0)
         return false;
-    const std::size_t li =
-        setIndex(a) * assoc_ + static_cast<unsigned>(way);
+    const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
     const bool was_dirty = dirty_[li] != 0;
     tags_[li] = kInvalidTag;
     dirty_[li] = 0;
-    --filled_[setIndex(a)];
+    unlink(set, static_cast<unsigned>(way));
+    --sets_[set].filled;
     return was_dirty;
 }
 

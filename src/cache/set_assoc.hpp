@@ -41,11 +41,14 @@ struct AccessResult
 class SetAssocCache
 {
   public:
+    //! Way numbers are stored in bytes, with 0xff meaning "none".
+    static constexpr unsigned kMaxAssoc = 255;
+
     /**
      * @param name stat label.
      * @param size_bytes total capacity; must be divisible by
      *        assoc * line_bytes.
-     * @param assoc ways per set.
+     * @param assoc ways per set, at most kMaxAssoc.
      * @param line_bytes line size (64 for all caches in the paper).
      * @param policy replacement policy.
      */
@@ -80,9 +83,11 @@ class SetAssocCache
      */
     void prefetchSet(addr::Addr a) const
     {
-        const std::size_t base = setIndex(a) * assoc_;
+        const std::uint64_t set = setIndex(a);
+        const std::size_t base = set * assoc_;
         __builtin_prefetch(&tags_[base]);
-        __builtin_prefetch(&lru_[base]);
+        __builtin_prefetch(&links_[base]);
+        __builtin_prefetch(&sets_[set]);
     }
 
     /**
@@ -129,8 +134,23 @@ class SetAssocCache
     /** Pick a victim way in the set according to the policy. */
     unsigned victimWay(std::uint64_t set) const;
 
-    /** Place tag in the set (which must not hold it) at clock_. */
+    /** Place tag in the set (which must not hold it) as its newest line. */
     AccessResult replaceIn(std::uint64_t set, addr::Addr tag, bool dirty);
+
+    /** Unlink a valid way from its set's recency list. */
+    void unlink(std::uint64_t set, unsigned way);
+
+    /** Link a way at the most-recent end of its set's recency list. */
+    void pushNewest(std::uint64_t set, unsigned way);
+
+    /** An LRU hit: make the way its set's most recent line. */
+    void touch(std::uint64_t set, unsigned way)
+    {
+        if (sets_[set].newest != way) {
+            unlink(set, way);
+            pushNewest(set, way);
+        }
+    }
 
     std::string name_;
     std::uint64_t sets_count_;
@@ -146,21 +166,35 @@ class SetAssocCache
     //! divided by the line size, so ~0 is unreachable; encoding validity
     //! in the tag itself makes findWay a pure tag compare.
     static constexpr addr::Addr kInvalidTag = ~addr::Addr{0};
+    static constexpr std::uint8_t kNoWay = 0xff;
+
+    //! A valid line's neighbours in its set's recency list.
+    struct Link
+    {
+        std::uint8_t older = kNoWay, newer = kNoWay;
+    };
+    //! Per-set state, one 4-byte load.
+    struct SetState
+    {
+        //! Most-recently-touched way, probed before the linear scan.  A
+        //! stale hint only costs one extra compare; search results are
+        //! unchanged.
+        std::uint8_t mru = 0;
+        //! Ends of the recency list of the set's valid lines: under LRU
+        //! oldest is the least recently used line, under FIFO the
+        //! earliest filled one, so a full set's victim is O(1).
+        std::uint8_t oldest = kNoWay, newest = kNoWay;
+        //! Valid lines; once a set is full the victim is oldest.
+        std::uint8_t filled = 0;
+    };
 
     //! Line state in structure-of-arrays form so the tag scan — the
     //! hottest loop in the whole simulator — touches one dense array
     //! instead of striding through 24-byte structs.
     std::vector<addr::Addr> tags_;
-    std::vector<std::uint64_t> lru_;
+    std::vector<Link> links_;
     std::vector<std::uint8_t> dirty_;
-    //! Most-recently-touched way per set, probed before the linear scan.
-    //! A stale hint only costs one extra compare; search results are
-    //! unchanged.
-    std::vector<std::uint32_t> mru_;
-    //! Valid lines per set; once a set is full the victim scan skips the
-    //! invalid-way check and reduces to a pure LRU minimum.
-    std::vector<std::uint32_t> filled_;
-    std::uint64_t clock_ = 0;
+    std::vector<SetState> sets_;
     std::uint64_t hits_ = 0, misses_ = 0, writebacks_ = 0;
 };
 

@@ -9,21 +9,6 @@ TrafficBudget::TrafficBudget(const BudgetConfig &cfg)
 }
 
 bool
-TrafficBudget::onAccess()
-{
-    ++total_accesses_;
-    // Continuous accrual: identical cumulative allowance at every epoch
-    // boundary to the paper's replenish-at-epoch-start + carry-over rule,
-    // but usable smoothly within short simulation windows.
-    pool_ += cfg_.fraction;
-    if (++in_epoch_ < cfg_.epoch_accesses)
-        return false;
-    in_epoch_ = 0;
-    ++epochs_;
-    return true;
-}
-
-bool
 TrafficBudget::trySpend(std::uint64_t cost)
 {
     if (!canSpend(cost))

@@ -46,7 +46,20 @@ class TrafficBudget
      * Record one memory access toward epoch progress.
      * @return true exactly when this access closes an epoch.
      */
-    bool onAccess();
+    bool onAccess()
+    {
+        ++total_accesses_;
+        // Continuous accrual: identical cumulative allowance at every
+        // epoch boundary to the paper's replenish-at-epoch-start +
+        // carry-over rule, but usable smoothly within short simulation
+        // windows.
+        pool_ += cfg_.fraction;
+        if (++in_epoch_ < cfg_.epoch_accesses)
+            return false;
+        in_epoch_ = 0;
+        ++epochs_;
+        return true;
+    }
 
     /** Overhead accesses available right now. */
     double available() const { return pool_; }

@@ -1,7 +1,5 @@
 #include "core/candidate_monitor.hpp"
 
-#include <algorithm>
-
 namespace rmcc::core
 {
 
@@ -26,27 +24,10 @@ CandidateMonitor::arm(addr::CounterValue max_in_table)
     high_reads_ = 0;
 }
 
-// rmcc-lint: hot-path
-void
-CandidateMonitor::observeRead(addr::CounterValue v)
-{
-    ++total_reads_;
-    if (v <= armed_max_) {
-        ++hist_[0]; // below the first rung X+1, so below every rung
-        return;
-    }
-    ++high_reads_;
-    // The ladder ascends strictly: the read is below exactly the rungs
-    // from the first one above v onward.
-    ++hist_[static_cast<std::size_t>(
-        std::upper_bound(candidates_.begin(), candidates_.end(), v) -
-        candidates_.begin())];
-}
-
 std::optional<addr::CounterValue>
 CandidateMonitor::takeSelection()
 {
-    if (high_reads_ < cfg_.trigger_reads)
+    if (!triggered())
         return std::nullopt;
     const double goal =
         cfg_.coverage_goal * static_cast<double>(total_reads_);

@@ -10,15 +10,17 @@
  * X have accumulated, selects the smallest candidate that covers at least
  * 98% of the reads observed since arming.
  *
- * Each read adds to one bucket of a histogram over the ladder's gaps
- * (a binary search per read instead of a compare per rung); the
- * per-candidate "below" counts are its prefix sums, formed only once the
- * trigger has fired.
+ * Each read adds to one bucket of a histogram over the ladder's gaps,
+ * found arithmetically from the read's distance above X (no compare per
+ * rung, no search); the per-candidate "below" counts are its prefix
+ * sums, formed only once the trigger has fired.
  */
 #ifndef RMCC_CORE_CANDIDATE_MONITOR_HPP
 #define RMCC_CORE_CANDIDATE_MONITOR_HPP
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,7 +52,20 @@ class CandidateMonitor
     void arm(addr::CounterValue max_in_table);
 
     /** Observe the counter value used by one read request. */
-    void observeRead(addr::CounterValue v);
+    // rmcc-lint: hot-path
+    void observeRead(addr::CounterValue v)
+    {
+        ++total_reads_;
+        if (v <= armed_max_) {
+            ++hist_[0]; // below the first rung X+1, so below every rung
+            return;
+        }
+        ++high_reads_;
+        ++hist_[rungsAtOrBelow(v - armed_max_)];
+    }
+
+    /** Whether the 2 K trigger has fired (takeSelection has a value). */
+    bool triggered() const { return high_reads_ >= cfg_.trigger_reads; }
 
     /**
      * If the 2 K trigger has fired, return the selected start value for a
@@ -71,6 +86,20 @@ class CandidateMonitor
   private:
     //! Rungs on the ladder: X+1+8i (17) and X+129+2^j (14).
     static constexpr std::size_t kRungs = 17 + 14;
+
+    /**
+     * How many rungs lie at or below X+d, for d >= 1: the histogram
+     * bucket of a read at distance d above X.  X+1+8i <= X+d for
+     * i <= (d-1)/8, and X+129+2^j <= X+d for 2^j <= d-129.
+     */
+    static std::size_t rungsAtOrBelow(addr::CounterValue d)
+    {
+        if (d < 129 + 16) // below the first exponential rung X+145
+            return static_cast<std::size_t>(std::min<addr::CounterValue>(
+                (d - 1) / 8 + 1, 17));
+        const auto j = static_cast<std::size_t>(std::bit_width(d - 129)) - 1;
+        return 17 + std::min<std::size_t>(j, 17) - 3;
+    }
 
     MonitorConfig cfg_;
     addr::CounterValue armed_max_ = 0;

@@ -50,13 +50,11 @@ RmccEngine::onReadCounterUse(unsigned level, std::uint64_t idx)
 
     // High-counter trigger: insert a new group above the table (IV-C3),
     // at most once per epoch.
-    if (!st.inserted_this_epoch) {
-        if (const auto sel = st.monitor->takeSelection()) {
-            st.table->insertGroup(capStart(*sel));
-            ++st.insertions;
-            st.inserted_this_epoch = true;
-            st.monitor->arm(st.table->maxInTable());
-        }
+    if (!st.inserted_this_epoch && st.monitor->triggered()) {
+        st.table->insertGroup(capStart(*st.monitor->takeSelection()));
+        ++st.insertions;
+        st.inserted_this_epoch = true;
+        st.monitor->arm(st.table->maxInTable());
     }
 
     // Read-triggered relevel for values the table does not cover (IV-C1).
@@ -92,17 +90,11 @@ RmccEngine::onWriteCounter(unsigned level, std::uint64_t idx)
 }
 
 void
-RmccEngine::onDramAccess()
+RmccEngine::endEpoch(LevelState &st)
 {
-    if (!cfg_.enabled)
-        return;
-    for (auto &st : levels_) {
-        if (st->budget->onAccess()) {
-            st->table->endOfEpoch();
-            st->monitor->arm(st->table->maxInTable());
-            st->inserted_this_epoch = false;
-        }
-    }
+    st.table->endOfEpoch();
+    st.monitor->arm(st.table->maxInTable());
+    st.inserted_this_epoch = false;
 }
 
 bool

@@ -73,7 +73,14 @@ class RmccEngine
      * boundaries the tables reselect their groups and the monitors
      * re-arm.
      */
-    void onDramAccess();
+    void onDramAccess()
+    {
+        if (!cfg_.enabled)
+            return;
+        for (auto &st : levels_)
+            if (st->budget->onAccess())
+                endEpoch(*st);
+    }
 
     /** Memoization table of a level (level < memoLevels()). */
     MemoTable &table(unsigned level) { return *levels_[level]->table; }
@@ -168,6 +175,9 @@ class RmccEngine
         //! that every hot block rebases chasing it.
         bool inserted_this_epoch = false;
     };
+
+    /** A level's epoch closed: reselect its groups, re-arm its monitor. */
+    void endEpoch(LevelState &st);
 
     /** Apply the Observed-System-Max cap to a selected group start. */
     addr::CounterValue capStart(addr::CounterValue start) const;

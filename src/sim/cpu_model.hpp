@@ -8,6 +8,12 @@
  * memory operations enter an outstanding queue and overlap until either
  * (a) the reorder window fills — the clock then waits for the oldest
  * outstanding completion — or (b) MSHRs run out.
+ *
+ * Runs of quiet records keep the clock in whole ticks of 2^-16 ns when
+ * it and the time per instruction are whole ticks (every Table I
+ * config: 1/(3.2 GHz x 4) = 5/64 ns), where every partial sum of the
+ * double clock is exact, so both loops make the same transitions bit for
+ * bit (DESIGN.md Sec 4.6).
  */
 #ifndef RMCC_SIM_CPU_MODEL_HPP
 #define RMCC_SIM_CPU_MODEL_HPP
@@ -55,9 +61,7 @@ class CpuModel
     {
         insts_ += inst_gap + 1;
         now_ns_ += static_cast<double>(inst_gap + 1) * ns_per_inst_;
-        if (count_ != 0 &&
-            (now_ns_ >= gate_done_ns_ || insts_ >= gate_insts_ ||
-             count_ >= cfg_.mshrs))
+        if (now_ns_ >= gate_done_ns_ || insts_ >= gate_insts_)
             enforceLimits();
         return now_ns_;
     }
@@ -67,19 +71,23 @@ class CpuModel
      * run of quiet records (L1/L2 hits with no TLB miss and no
      * writeback), which only move the core.  The clock and instruction
      * count stay in registers between gate crossings, and each record
-     * makes advance()'s exact transitions.
+     * makes advance()'s exact transitions: in whole ticks while the
+     * clock allows it (advanceTicks), as doubles otherwise.
      */
     void advanceRun(const trace::Record *recs, std::size_t n)
     {
+        if (n >= kMinTickRun) {
+            const std::size_t done = advanceTicks(recs, n);
+            recs += done;
+            n -= done;
+        }
         double now = now_ns_;
         std::uint64_t insts = insts_;
         for (std::size_t k = 0; k < n; ++k) {
             const std::uint32_t step = recs[k].inst_gap + 1;
             insts += step;
             now += static_cast<double>(step) * ns_per_inst_;
-            if (count_ != 0 &&
-                (now >= gate_done_ns_ || insts >= gate_insts_ ||
-                 count_ >= cfg_.mshrs)) {
+            if (now >= gate_done_ns_ || insts >= gate_insts_) {
                 now_ns_ = now;
                 insts_ = insts;
                 enforceLimits();
@@ -108,7 +116,18 @@ class CpuModel
     /** Instructions accounted so far. */
     std::uint64_t instructions() const { return insts_; }
 
+    /** Long-latency operations not yet retired. */
+    std::size_t outstanding() const { return count_; }
+
   private:
+    //! Clock ticks per ns on the whole-tick path (2^16).
+    static constexpr double kTicksPerNs = 65536.0;
+    //! Shorter runs take the double loop: on them the whole-tick path's
+    //! entry and exit conversions cost more than they save.
+    static constexpr std::size_t kMinTickRun = 16;
+    //! Records summed per gate test on the whole-tick path.
+    static constexpr std::size_t kTickBlock = 4;
+
     struct Outstanding
     {
         double done_ns;
@@ -121,11 +140,24 @@ class CpuModel
     /** Re-derive the head gates after head_ or count_ changed. */
     void refreshGates();
 
+    /**
+     * advanceRun() in whole ticks over a prefix of recs[0..n); returns
+     * its length: 0 when the clock is not a whole tick count below 2^52
+     * (or n is too long to stay below 2^53), short of n when a stall
+     * leaves whole ticks.  The double loop takes the rest.
+     */
+    std::size_t advanceTicks(const trace::Record *recs, std::size_t n);
+
     /** Double the ring capacity, re-linearizing from head_. */
     void grow();
 
     CpuConfig cfg_;
     double ns_per_inst_;
+    //! ns_per_inst_ in ticks, and the longest run whose clock stays
+    //! below 2^53 ticks from a start below 2^52; both 0 (no whole-tick
+    //! path) when ns_per_inst_ is not a whole tick count.
+    std::uint64_t ticks_per_inst_ = 0;
+    std::size_t max_tick_run_ = 0;
     double now_ns_ = 0.0;
     std::uint64_t insts_ = 0;
     //! Outstanding ops in a power-of-two ring (oldest at head_).  The
@@ -138,7 +170,10 @@ class CpuModel
     std::size_t mask_ = 0; //!< capacity - 1 (capacity is a power of two).
     //! Batched-retirement gates: nothing can retire before the clock
     //! reaches the head op's completion (gate_done_ns_) or the
-    //! instruction count reaches head-issue + rob (gate_insts_).
+    //! instruction count reaches head-issue + rob (gate_insts_).  MSHR
+    //! pressure sets gate_insts_ to 0, and an empty queue parks both
+    //! gates where they cannot cross, so one test of two gates covers
+    //! all three limits.
     double gate_done_ns_ = 0.0;
     std::uint64_t gate_insts_ = 0;
 };

@@ -19,7 +19,9 @@
 #ifndef RMCC_SIM_FRONT_END_HPP
 #define RMCC_SIM_FRONT_END_HPP
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -148,11 +150,32 @@ class FrontEndReplay
      */
     bool quietNext() const { return *codes_ == 0; }
 
-    /** Skip the quiet records ahead, at most max; returns how many. */
+    /**
+     * Skip the quiet records ahead, at most max (which must not pass the
+     * recording's end); returns how many.  Scans eight codes per load
+     * while eight remain before max, then one at a time, so it never
+     * reads past codes_ + max.
+     */
+    // rmcc-lint: hot-path
     std::size_t skipQuiet(std::size_t max)
     {
         const std::uint8_t *p = codes_;
         const std::uint8_t *const end = codes_ + max;
+        while (end - p >= 8) {
+            std::uint64_t word;
+            std::memcpy(&word, p, sizeof word);
+            if (word != 0) {
+                // Stop at the first non-zero code in memory order.
+                const int zero_bits =
+                    std::endian::native == std::endian::little
+                        ? std::countr_zero(word)
+                        : std::countl_zero(word);
+                p += zero_bits / 8;
+                break;
+            }
+            p += 8;
+        }
+        // The tail of fewer than eight codes (a no-op after a break).
         while (p != end && *p == 0)
             ++p;
         const auto n = static_cast<std::size_t>(p - codes_);

@@ -10,6 +10,7 @@
 #include "cache/hierarchy.hpp"
 #include "cache/set_assoc.hpp"
 #include "cache/tlb.hpp"
+#include "util/rng.hpp"
 
 using namespace rmcc::cache;
 using rmcc::addr::Addr;
@@ -161,6 +162,137 @@ TEST(SetAssoc, VictimIsLowestInvalidWayThenLru)
                 << "assoc=" << assoc << " k=" << k;
             EXPECT_EQ(c.wayOf(line(100 + k)), way);
             EXPECT_EQ(c.wayOf(line(victim)), -1);
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * The replacement rule stated with stamps: a 64-bit stamp per line from
+ * a clock that ticks on every access and fill, a victim chosen as the
+ * lowest invalid way or else the smallest stamp.  LRU re-stamps a line
+ * on every hit; FIFO stamps it only when it is filled.
+ */
+class StampOracle
+{
+  public:
+    StampOracle(std::uint64_t sets, unsigned assoc, ReplPolicy policy)
+        : sets_(sets), assoc_(assoc), policy_(policy),
+          lines_(sets * assoc)
+    {
+    }
+
+    AccessResult access(Addr a, bool dirty, bool is_fill)
+    {
+        Line *set = &lines_[(a / 64 % sets_) * assoc_];
+        const Addr tag = a / 64;
+        ++clock_;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w].valid && set[w].tag == tag) {
+                if (policy_ == ReplPolicy::LRU)
+                    set[w].stamp = clock_;
+                set[w].dirty |= dirty;
+                return {true, false, false, 0};
+            }
+        }
+        if (!is_fill)
+            ++clock_; // access() missed: one more tick for its fill
+        unsigned victim = assoc_;
+        for (unsigned w = 0; w < assoc_ && victim == assoc_; ++w)
+            if (!set[w].valid)
+                victim = w;
+        if (victim == assoc_) {
+            victim = 0;
+            for (unsigned w = 1; w < assoc_; ++w)
+                if (set[w].stamp < set[victim].stamp)
+                    victim = w;
+        }
+        Line &l = set[victim];
+        AccessResult r;
+        if (l.valid)
+            r = {false, true, l.dirty, l.tag * 64};
+        l = {tag, clock_, true, dirty};
+        return r;
+    }
+
+    bool invalidate(Addr a)
+    {
+        Line *set = &lines_[(a / 64 % sets_) * assoc_];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w].valid && set[w].tag == a / 64) {
+                set[w].valid = false;
+                return set[w].dirty;
+            }
+        }
+        return false;
+    }
+
+    int wayOf(Addr a) const
+    {
+        const Line *set = &lines_[(a / 64 % sets_) * assoc_];
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (set[w].valid && set[w].tag == a / 64)
+                return static_cast<int>(w);
+        return -1;
+    }
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false, dirty = false;
+    };
+    std::uint64_t sets_;
+    unsigned assoc_;
+    ReplPolicy policy_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+TEST(SetAssoc, RecencyListMatchesStampOracle)
+{
+    // Random accesses, fills and invalidations over a pool of three
+    // lines per way, so sets fill, overflow and develop holes; every
+    // outcome, victim and way must match the stamp-minimum rule.
+    rmcc::util::Rng rng(32);
+    for (const ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO}) {
+        for (const unsigned assoc : {1u, 2u, 8u, 16u, 32u}) {
+            const std::uint64_t sets = 4;
+            SetAssocCache c("t", sets * assoc * 64, assoc, 64, policy);
+            StampOracle o(sets, assoc, policy);
+            const std::uint64_t pool = 3 * sets * assoc;
+            for (int op = 0; op < 40000; ++op) {
+                const Addr a = rng.nextBelow(pool) * 64 + rng.nextBelow(64);
+                const std::uint64_t kind = rng.nextBelow(10);
+                if (kind < 6) {
+                    const bool write = rng.nextBool(0.3);
+                    const AccessResult got = c.access(a, write);
+                    const AccessResult want = o.access(a, write, false);
+                    ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                    ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+                    ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+                    ASSERT_EQ(got.victim_addr, want.victim_addr)
+                        << "op " << op;
+                } else if (kind < 8) {
+                    const bool dirty = rng.nextBool(0.3);
+                    const AccessResult got = c.fill(a, dirty);
+                    const AccessResult want = o.access(a, dirty, true);
+                    ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                    ASSERT_EQ(got.victim_addr, want.victim_addr)
+                        << "op " << op;
+                    ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+                } else {
+                    ASSERT_EQ(c.invalidate(a), o.invalidate(a))
+                        << "op " << op;
+                }
+                ASSERT_EQ(c.wayOf(a), o.wayOf(a))
+                    << "assoc " << assoc << " op " << op;
+            }
         }
     }
 }

@@ -177,6 +177,37 @@ class RungOracle
 
 TEST(Monitor, HistogramMatchesPerRungOracle)
 {
+    // Every rung edge, X+1+8i and X+129+2^j, each at -1, 0 and +1, and
+    // values above the top rung: one read each into a fresh monitor that
+    // triggers on one high read and demands full coverage, so the
+    // selection is the first rung above the read's bucket.
+    using V = rmcc::addr::CounterValue;
+    for (const V x : {V{0}, V{1000}, V{1} << 40}) {
+        MonitorConfig cfg;
+        cfg.trigger_reads = 1;
+        cfg.coverage_goal = 1.0;
+        RungOracle edges(cfg);
+        edges.arm(x);
+        std::vector<V> reads;
+        for (const V r : edges.rungs())
+            for (const V d : {0, 1, 2})
+                reads.push_back(r + d - 1);
+        const V top = edges.rungs().back();
+        for (const V above :
+             {top + 1, top + 1000, top + (V{1} << 20), x + (V{1} << 40)})
+            reads.push_back(above);
+        for (const V v : reads) {
+            CandidateMonitor m(cfg);
+            RungOracle o(cfg);
+            m.arm(x);
+            o.arm(x);
+            m.observeRead(v);
+            o.observe(v);
+            EXPECT_EQ(m.triggered(), v > x) << "x " << x << " v " << v;
+            EXPECT_EQ(m.takeSelection(), o.take()) << "x " << x << " v " << v;
+        }
+    }
+
     rmcc::util::Rng rng(2022);
     for (int run = 0; run < 20; ++run) {
         MonitorConfig cfg;

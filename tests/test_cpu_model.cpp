@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu_model.hpp"
@@ -146,4 +148,125 @@ TEST(Cpu, AdvanceRunEqualsPerRecordAdvance)
     }
     EXPECT_GT(crossings, 100u);
     EXPECT_EQ(run.finish(), per_record.finish());
+}
+
+namespace
+{
+
+/** Whether t_ns is a whole number of 2^-16 ns ticks. */
+bool
+wholeTicks(double t_ns)
+{
+    const double x = t_ns * 65536.0;
+    return x == static_cast<double>(static_cast<std::uint64_t>(x));
+}
+
+/**
+ * Drive two cores of one config through one seeded stream, the way
+ * AdvanceRunEqualsPerRecordAdvance does, and require clock, instruction
+ * count and outstanding ops to agree bit for bit after every run.
+ * done_ns(issue) draws each op's completion time.  Returns how many runs
+ * started on a whole tick count and how many of those ended off it (a
+ * stall to a non-dyadic time moved the run to the double loop).
+ */
+template <typename DoneFn>
+std::pair<std::uint64_t, std::uint64_t>
+checkRunsAgainstAdvance(const CpuConfig &cfg, std::uint64_t seed,
+                        DoneFn done_ns)
+{
+    CpuModel per_record(cfg), run(cfg);
+    const double ns_per_inst = 1.0 / (cfg.freq_ghz * cfg.width);
+    rmcc::util::Rng rng(seed);
+    std::vector<rmcc::trace::Record> recs;
+    std::uint64_t on_ticks = 0, switched = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const unsigned ops = static_cast<unsigned>(rng.nextBelow(25));
+        for (unsigned k = 0; k < ops; ++k) {
+            const double issue = per_record.advance(0);
+            EXPECT_EQ(run.advance(0), issue);
+            const double done = done_ns(rng, issue);
+            per_record.recordLongLatency(done);
+            run.recordLongLatency(done);
+        }
+        // Mostly long runs (the whole-tick path's), some short ones.
+        recs.assign(1 + rng.nextBelow(rng.nextBool(0.8) ? 300 : 16),
+                    rmcc::trace::Record{});
+        for (rmcc::trace::Record &r : recs)
+            r.inst_gap = rng.nextBool(0.9) ? rng.nextBelow(8)
+                                           : rng.nextBelow(1000);
+        if (rng.nextBool(0.2)) {
+            // Drain, then one op completing exactly as the run's last
+            // record retires: the run must end with it retired, as
+            // advance() retires it.
+            EXPECT_EQ(run.finish(), per_record.finish());
+            std::uint64_t steps = 0;
+            for (const rmcc::trace::Record &r : recs)
+                steps += r.inst_gap + 1;
+            const double done = per_record.now() +
+                                static_cast<double>(steps) * ns_per_inst;
+            per_record.recordLongLatency(done);
+            run.recordLongLatency(done);
+        }
+        const bool started_whole = wholeTicks(run.now());
+        for (const rmcc::trace::Record &r : recs)
+            per_record.advance(r.inst_gap);
+        run.advanceRun(recs.data(), recs.size());
+        EXPECT_EQ(run.now(), per_record.now()) << "round " << round;
+        EXPECT_EQ(run.instructions(), per_record.instructions())
+            << "round " << round;
+        EXPECT_EQ(run.outstanding(), per_record.outstanding())
+            << "round " << round;
+        if (::testing::Test::HasFailure())
+            break;
+        on_ticks += started_whole;
+        switched += started_whole && !wholeTicks(run.now());
+        if (rng.nextBool(0.05)) {
+            // Stalls to whole 2^-8 ns times (an MC overflow's, say) put
+            // the clock back on ticks.
+            const double t =
+                std::ceil(per_record.now() * 256.0) / 256.0 +
+                static_cast<double>(rng.nextBelow(50 * 256)) / 256.0;
+            per_record.stallUntil(t);
+            run.stallUntil(t);
+        }
+    }
+    EXPECT_EQ(run.finish(), per_record.finish());
+    return {on_ticks, switched};
+}
+
+} // namespace
+
+TEST(Cpu, IntegerTickRunsEqualPerRecordAdvance)
+{
+    // Dyadic completion times: multiples of 2^-8 ns, half of them on the
+    // 5/64 ns instruction grid so runs often land exactly on a gate.
+    const auto dyadic = [](rmcc::util::Rng &rng, double issue) {
+        return rng.nextBool()
+                   ? issue + static_cast<double>(rng.nextBelow(400 * 256)) /
+                                 256.0
+                   : issue + static_cast<double>(rng.nextBelow(5000)) *
+                                 (5.0 / 64.0);
+    };
+    const auto [dyadic_on, dyadic_switched] =
+        checkRunsAgainstAdvance(CpuConfig(), 24, dyadic);
+    EXPECT_EQ(dyadic_on, 3000u); // every run starts on whole ticks
+    EXPECT_EQ(dyadic_switched, 0u);
+
+    // A mixed stream: one op in 50 completes at a non-dyadic time, so a
+    // stall inside a run moves it to the double loop mid-run; later
+    // stalls to dyadic times bring the clock back onto ticks.
+    const auto mixed = [&](rmcc::util::Rng &rng, double issue) {
+        return rng.nextBool(0.02) ? issue + 5.0 + rng.nextDouble() * 400.0
+                                   : dyadic(rng, issue);
+    };
+    const auto [mixed_on, mixed_switched] =
+        checkRunsAgainstAdvance(CpuConfig(), 25, mixed);
+    EXPECT_GT(mixed_on, 1000u);
+    EXPECT_GT(mixed_switched, 20u);
+
+    // At 3.3 GHz an instruction is 1/13.2 ns, not a whole tick count:
+    // every run takes the double loop, with the same results.
+    CpuConfig odd;
+    odd.freq_ghz = 3.3;
+    EXPECT_LT(checkRunsAgainstAdvance(odd, 26, dyadic).first, 100u);
 }

@@ -28,9 +28,15 @@ struct McRig
         : tree(ctr::SchemeKind::Morphable, data_blocks),
           engine(makeCfg(rmcc), tree),
           dram(quietDram()),
-          mc(McConfig{secure, 128 * 1024, 32, LatencyConfig()}, tree,
-             engine, dram)
+          mc(makeMcCfg(secure), tree, engine, dram)
     {
+    }
+
+    static McConfig makeMcCfg(bool secure)
+    {
+        McConfig cfg; // 128 KiB, 32-way counter cache, default latencies
+        cfg.secure = secure;
+        return cfg;
     }
 
     static core::RmccConfig makeCfg(bool rmcc)

@@ -518,3 +518,53 @@ TEST(ReplayCaches, SimRigRefusesMoreThan32BitBlockNumbers)
     cfg.phys_bytes = (std::uint64_t{1} << 32) * addr::kBlockSize * 2;
     EXPECT_THROW(sim::detail::SimRig rig(cfg), std::invalid_argument);
 }
+
+TEST(FrontEndReplay, SkipQuietMatchesByteScan)
+{
+    // Random code strings of quiet (0) runs between loud codes that
+    // next() consumes without reading a miss or victim: runs of 0..40
+    // cross the 8-byte scan blocks at every offset, a random max cuts
+    // them short, and strings that end quiet put a run at the last
+    // code.  The codes vector is exactly sized, so a scan past its end
+    // reads a heap redzone under AddressSanitizer.
+    using R = sim::detail::FrontEndRecording;
+    const std::uint8_t loud[] = {R::kLlcHit, R::kTlbMiss,
+                                 R::kTlbMiss | R::kLlcHit};
+    util::Rng rng(24);
+    std::uint64_t cut = 0, to_end = 0;
+    for (int string = 0; string < 2000; ++string) {
+        R rec;
+        const std::size_t target = rng.nextBelow(120);
+        while (rec.codes.size() < target) {
+            rec.codes.insert(rec.codes.end(), rng.nextBelow(41), 0);
+            rec.codes.push_back(loud[rng.nextBelow(3)]);
+        }
+        if (rng.nextBool())
+            rec.codes.insert(rec.codes.end(), 1 + rng.nextBelow(40), 0);
+        rec.codes.shrink_to_fit();
+
+        sim::detail::FrontEndReplay replay(rec);
+        std::size_t pos = 0;
+        while (pos < rec.codes.size()) {
+            const std::size_t left = rec.codes.size() - pos;
+            const std::size_t max =
+                rng.nextBool(0.7) ? left : rng.nextBelow(left + 1);
+            std::size_t expect = 0; // the byte-at-a-time oracle
+            while (expect < max && rec.codes[pos + expect] == 0)
+                ++expect;
+            ASSERT_EQ(replay.skipQuiet(max), expect)
+                << "string " << string << " pos " << pos << " max " << max;
+            pos += expect;
+            cut += expect == max && pos < rec.codes.size() &&
+                   rec.codes[pos] == 0;
+            to_end += expect > 0 && pos == rec.codes.size();
+            if (pos < rec.codes.size() && rec.codes[pos] != 0) {
+                ASSERT_FALSE(replay.quietNext());
+                replay.next();
+                ++pos;
+            }
+        }
+    }
+    EXPECT_GT(cut, 100u);
+    EXPECT_GT(to_end, 100u);
+}
