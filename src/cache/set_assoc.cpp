@@ -1,11 +1,43 @@
 #include "cache/set_assoc.hpp"
 
 #include <bit>
+#include <cstring>
 
 #include "util/log.hpp"
 
 namespace rmcc::cache
 {
+
+namespace
+{
+
+// The fingerprint scan maps byte k of a loaded word to way w0 + k.
+static_assert(std::endian::native == std::endian::little);
+
+constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kByteHighs = 0x8080808080808080ULL;
+
+/**
+ * High bit of each byte of x that is zero.  The lowest flagged byte is
+ * always a true zero; a borrow may flag bytes above it that are not, so
+ * callers either take the lowest or confirm each candidate.
+ */
+std::uint64_t
+zeroBytes(std::uint64_t x)
+{
+    return (x - kByteOnes) & ~x & kByteHighs;
+}
+
+/** Fingerprint bytes w0..w0+7 of a row as one little-endian word. */
+std::uint64_t
+loadRow8(const std::uint8_t *row, unsigned w0)
+{
+    std::uint64_t word;
+    std::memcpy(&word, row + w0, sizeof word);
+    return word;
+}
+
+} // namespace
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                              unsigned assoc, unsigned line_bytes,
@@ -29,6 +61,7 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
     if (sets_pow2_)
         set_mask_ = sets_count_ - 1;
     tags_.assign(sets_count_ * assoc_, kInvalidTag);
+    fp_.assign(sets_count_ * assoc_, 0);
     links_.assign(sets_count_ * assoc_, Link{});
     dirty_.assign(sets_count_ * assoc_, 0);
     sets_.assign(sets_count_, SetState{});
@@ -38,15 +71,32 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
 int
 SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
 {
-    const addr::Addr *tags = &tags_[set * assoc_];
+    const std::size_t base = set * assoc_;
+    const addr::Addr *tags = &tags_[base];
     const unsigned hint = sets_[set].mru;
     if (tags[hint] == tag)
         return static_cast<int>(hint);
     // The hint way cannot match again, so rescanning it is one harmless
-    // compare; keeping the loop branch-free lets it vectorize.
-    for (unsigned w = 0; w < assoc_; ++w)
-        if (tags[w] == tag)
-            return static_cast<int>(w);
+    // compare.
+    if (assoc_ % 8 != 0) {
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (tags[w] == tag)
+                return static_cast<int>(w);
+        return -1;
+    }
+    // Tags are unique within a set, so the order candidates are
+    // confirmed in cannot change the answer.
+    const std::uint8_t *fp = &fp_[base];
+    const std::uint64_t needle = kByteOnes * fingerprint(tag);
+    for (unsigned w0 = 0; w0 < assoc_; w0 += 8) {
+        for (std::uint64_t m = zeroBytes(loadRow8(fp, w0) ^ needle); m != 0;
+             m &= m - 1) {
+            const unsigned w =
+                w0 + static_cast<unsigned>(std::countr_zero(m)) / 8;
+            if (tags[w] == tag)
+                return static_cast<int>(w);
+        }
+    }
     return -1;
 }
 
@@ -59,10 +109,16 @@ SetAssocCache::victimWay(std::uint64_t set) const
     // (FIFO).
     const SetState &st = sets_[set];
     if (st.filled < assoc_) {
-        const addr::Addr *tags = &tags_[set * assoc_];
-        for (unsigned w = 0; w < assoc_; ++w)
-            if (tags[w] == kInvalidTag)
-                return w;
+        const std::uint8_t *fp = &fp_[set * assoc_];
+        if (assoc_ % 8 == 0) {
+            for (unsigned w0 = 0; w0 < assoc_; w0 += 8)
+                if (const std::uint64_t m = zeroBytes(loadRow8(fp, w0)))
+                    return w0 + static_cast<unsigned>(std::countr_zero(m)) / 8;
+        } else {
+            for (unsigned w = 0; w < assoc_; ++w)
+                if (fp[w] == 0)
+                    return w;
+        }
     }
     return st.oldest;
 }
@@ -114,6 +170,7 @@ SetAssocCache::replaceIn(std::uint64_t set, addr::Addr tag, bool dirty)
         ++sets_[set].filled;
     }
     tags_[li] = tag;
+    fp_[li] = fingerprint(tag);
     dirty_[li] = dirty ? 1 : 0;
     pushNewest(set, way);
     sets_[set].mru = static_cast<std::uint8_t>(way);
@@ -192,6 +249,7 @@ SetAssocCache::invalidate(addr::Addr a)
     const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
     const bool was_dirty = dirty_[li] != 0;
     tags_[li] = kInvalidTag;
+    fp_[li] = 0;
     dirty_[li] = 0;
     unlink(set, static_cast<unsigned>(way));
     --sets_[set].filled;

@@ -76,18 +76,32 @@ class SetAssocCache
 
     /**
      * Hint that the set holding address a is about to be scanned: issues
-     * software prefetches for its tag and recency rows.  Pure — no state,
-     * stat, or replacement decision changes — so callers may prefetch
-     * speculatively (e.g. the replay loop's next record) without
-     * perturbing results.
+     * software prefetches for its fingerprint and recency rows.  Pure —
+     * no state, stat, or replacement decision changes — so callers may
+     * prefetch speculatively (e.g. the replay loop's next record)
+     * without perturbing results.
      */
     void prefetchSet(addr::Addr a) const
     {
         const std::uint64_t set = setIndex(a);
         const std::size_t base = set * assoc_;
-        __builtin_prefetch(&tags_[base]);
+        // A row may straddle two cache lines; its ends cover both.
+        __builtin_prefetch(&fp_[base]);
+        __builtin_prefetch(&fp_[base + assoc_ - 1]);
         __builtin_prefetch(&links_[base]);
         __builtin_prefetch(&sets_[set]);
+    }
+
+    /**
+     * One-byte fingerprint of a tag: the top byte of a multiplicative
+     * hash, so it depends on every tag bit, never 0 (0 marks a way that
+     * holds no line).  Public so tests can build tags that share one.
+     */
+    static std::uint8_t fingerprint(addr::Addr tag)
+    {
+        const auto h =
+            static_cast<std::uint8_t>((tag * 0x9e3779b97f4a7c15ULL) >> 56);
+        return h != 0 ? h : 1;
     }
 
     /**
@@ -128,7 +142,11 @@ class SetAssocCache
         return line_pow2_ ? (a >> line_shift_) : (a / line_);
     }
 
-    /** Find the way holding tag (MRU-hint first), or -1. */
+    /**
+     * Find the way holding tag, or -1: the MRU hint first, then eight
+     * fingerprints per 64-bit word with the full tag compared only where
+     * one matches (a plain tag scan when assoc is not a multiple of 8).
+     */
     int findWay(std::uint64_t set, addr::Addr tag) const;
 
     /** Pick a victim way in the set according to the policy. */
@@ -190,8 +208,12 @@ class SetAssocCache
 
     //! Line state in structure-of-arrays form so the tag scan — the
     //! hottest loop in the whole simulator — touches one dense array
-    //! instead of striding through 24-byte structs.
+    //! instead of striding through 24-byte structs.  fp_ holds each
+    //! line's fingerprint(tag), 0 exactly where tags_ holds kInvalidTag,
+    //! so a 32-way set's lookup reads one 32-byte row, not four tag
+    //! lines, and its lowest invalid way is the row's first zero byte.
     std::vector<addr::Addr> tags_;
+    std::vector<std::uint8_t> fp_;
     std::vector<Link> links_;
     std::vector<std::uint8_t> dirty_;
     std::vector<SetState> sets_;

@@ -8,17 +8,31 @@ namespace rmcc::core
 MemoTable::MemoTable(const MemoConfig &cfg)
     : cfg_(cfg), groups_(cfg.groups), shadows_(cfg.shadow_groups)
 {
+    // Reserved once, so refreshLive never allocates.
+    live_groups_.reserve(groups_.size());
+    live_shadows_.reserve(shadows_.size());
+}
+
+void
+MemoTable::refreshLive()
+{
+    const auto collect = [this](const std::vector<Group> &slots,
+                                std::vector<std::uint32_t> &live) {
+        live.clear();
+        for (std::size_t g = 0; g < slots.size(); ++g)
+            if (slots[g].valid && slots[g].domain == active_)
+                live.push_back(static_cast<std::uint32_t>(g));
+    };
+    collect(groups_, live_groups_);
+    collect(shadows_, live_shadows_);
 }
 
 int
 MemoTable::findGroup(addr::CounterValue v) const
 {
-    // domain is 0 everywhere in the single-domain configuration, so the
-    // extra compare cannot change the legacy result.
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
+    for (const std::uint32_t g : live_groups_) {
         const Group &grp = groups_[g];
-        if (grp.valid && grp.domain == active_ && v >= grp.start &&
-            v < grp.start + cfg_.group_size)
+        if (v >= grp.start && v < grp.start + cfg_.group_size)
             return static_cast<int>(g);
     }
     return -1;
@@ -27,15 +41,15 @@ MemoTable::findGroup(addr::CounterValue v) const
 int
 MemoTable::findShadow(addr::CounterValue v) const
 {
-    for (std::size_t g = 0; g < shadows_.size(); ++g) {
+    for (const std::uint32_t g : live_shadows_) {
         const Group &grp = shadows_[g];
-        if (grp.valid && grp.domain == active_ && v >= grp.start &&
-            v < grp.start + cfg_.group_size)
+        if (v >= grp.start && v < grp.start + cfg_.group_size)
             return static_cast<int>(g);
     }
     return -1;
 }
 
+// rmcc-lint: hot-path
 MemoHit
 MemoTable::lookupRead(addr::CounterValue v)
 {
@@ -98,9 +112,8 @@ std::optional<addr::CounterValue>
 MemoTable::nearestAbove(addr::CounterValue v) const
 {
     std::optional<addr::CounterValue> best;
-    for (const Group &grp : groups_) {
-        if (!grp.valid || grp.domain != active_)
-            continue;
+    for (const std::uint32_t g : live_groups_) {
+        const Group &grp = groups_[g];
         // Smallest value in this group strictly above v.
         addr::CounterValue candidate;
         if (grp.start > v)
@@ -119,9 +132,8 @@ addr::CounterValue
 MemoTable::maxInTable() const
 {
     addr::CounterValue m = 0;
-    for (const Group &grp : groups_)
-        if (grp.valid && grp.domain == active_)
-            m = std::max(m, grp.start + cfg_.group_size - 1);
+    for (const std::uint32_t g : live_groups_)
+        m = std::max(m, groups_[g].start + cfg_.group_size - 1);
     return m;
 }
 
@@ -189,6 +201,7 @@ MemoTable::insertGroup(addr::CounterValue start)
     }
     groups_[victim] = {start, 0, true, active_};
     protected_start_ = DomainValue{start, active_};
+    refreshLive();
 }
 
 void
@@ -270,6 +283,7 @@ MemoTable::endOfEpoch()
     // Reselection re-derives every memoized pad from scratch, so any
     // quarantined values are honest again from here on.
     quarantine_.clear();
+    refreshLive();
 }
 
 bool
@@ -283,6 +297,7 @@ MemoTable::quarantineValue(addr::CounterValue v)
             protected_start_->domain == grp.domain)
             protected_start_.reset();
         grp = Group(); // invalidate; no shadow push for a poisoned group
+        refreshLive();
         dropped = true;
     }
     const DomainValue dv{v, active_};

@@ -77,7 +77,13 @@ class MemoTable
      * domains > 1 the engine calls this before every table operation
      * with the domain the touched counter entity belongs to.
      */
-    void setActiveDomain(std::uint32_t d) { active_ = d; }
+    void setActiveDomain(std::uint32_t d)
+    {
+        if (d != active_) {
+            active_ = d;
+            refreshLive();
+        }
+    }
 
     /** Domain subsequent operations act in. */
     std::uint32_t activeDomain() const { return active_; }
@@ -192,10 +198,23 @@ class MemoTable
     /** Shadow group containing v in the active domain, or -1. */
     int findShadow(addr::CounterValue v) const;
 
+    /**
+     * Rebuild live_groups_ and live_shadows_.  Every change to a slot's
+     * validity, domain or position, and every domain switch, calls it;
+     * frequency updates leave the lists as they are.
+     */
+    void refreshLive();
+
     MemoConfig cfg_;
     std::uint32_t active_ = 0;
     std::vector<Group> groups_;
     std::vector<Group> shadows_;
+    //! Ascending indices of the slots of groups_ / shadows_ that are
+    //! valid in the active domain.  Lookups walk only these: a table
+    //! rarely holds more than a few live groups, and ascending order
+    //! keeps the first match of a full scan.
+    std::vector<std::uint32_t> live_groups_;
+    std::vector<std::uint32_t> live_shadows_;
     std::deque<DomainValue> recent_; // front = most recent
     std::vector<DomainValue> quarantine_; // empty almost always
     std::optional<DomainValue> protected_start_;

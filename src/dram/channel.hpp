@@ -6,6 +6,7 @@
 #ifndef RMCC_DRAM_CHANNEL_HPP
 #define RMCC_DRAM_CHANNEL_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -48,8 +49,56 @@ class Channel
     Channel(const DramConfig &cfg, unsigned channel_index);
 
     /** Serve one block transfer at earliest time t_ns. */
-    DramCompletion serve(const DramCoord &coord, bool is_write,
-                         double t_ns);
+    DramCompletion serve(const DramCoord &coord, bool is_write, double t_ns)
+    {
+        const std::size_t bank_idx =
+            static_cast<std::size_t>(coord.rank) * cfg_.banks_per_rank +
+            coord.bank;
+        Bank &bank = banks_[bank_idx];
+
+        double t = refreshAdjust(coord.rank, t_ns);
+
+        RowOutcome outcome;
+        double data_at = bank.issue(t, coord.row, cfg_, burst_ns_, outcome);
+
+        // FR-FCFS-Capped: after `cap` consecutive row hits the scheduler
+        // lets an older row-miss request in, which closes our row; charge
+        // the full conflict path on the capped access.
+        if (outcome == RowOutcome::Hit) {
+            if (++hit_streak_[bank_idx] > cfg_.frfcfs_cap) {
+                hit_streak_[bank_idx] = 0;
+                outcome = RowOutcome::Conflict;
+                data_at += cfg_.tRP_ns + cfg_.tRCD_ns;
+            }
+        } else {
+            hit_streak_[bank_idx] = 0;
+        }
+
+        switch (outcome) {
+          case RowOutcome::Hit:
+            ++stats_.row_hits;
+            break;
+          case RowOutcome::Closed:
+            ++stats_.row_closed;
+            break;
+          case RowOutcome::Conflict:
+            ++stats_.row_conflicts;
+            break;
+        }
+
+        // Serialize the burst on the shared data bus.
+        const double burst_start = std::max(data_at, bus_free_ns_);
+        const double done = burst_start + burst_ns_;
+        bus_free_ns_ = done;
+        stats_.bus_busy_ns += burst_ns_;
+
+        if (is_write)
+            ++stats_.writes;
+        else
+            ++stats_.reads;
+
+        return {done, outcome};
+    }
 
     const ChannelStats &stats() const { return stats_; }
     void resetStats() { stats_ = ChannelStats(); }
@@ -59,7 +108,20 @@ class Channel
 
   private:
     /** Apply refresh blackout for a rank to a candidate issue time. */
-    double refreshAdjust(unsigned rank, double t_ns);
+    double refreshAdjust(unsigned rank, double t_ns)
+    {
+        double &next = next_refresh_[rank];
+        // Catch the schedule up to the present.
+        while (t_ns >= next + cfg_.tRFC_ns)
+            next += cfg_.tREFI_ns;
+        if (t_ns >= next) {
+            // Inside the blackout: wait for tRFC to finish.
+            const double resume = next + cfg_.tRFC_ns;
+            next += cfg_.tREFI_ns;
+            return resume;
+        }
+        return t_ns;
+    }
 
     DramConfig cfg_;
     double burst_ns_; //!< cfg_.burstNs(), computed once.

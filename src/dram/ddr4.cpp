@@ -12,13 +12,6 @@ Ddr4::Ddr4(const DramConfig &cfg) : cfg_(cfg), mapper_(cfg)
         channels_.emplace_back(cfg_, c);
 }
 
-DramCompletion
-Ddr4::access(addr::Addr a, bool is_write, double t_ns)
-{
-    const DramCoord coord = mapper_.decode(a);
-    return channels_[coord.channel].serve(coord, is_write, t_ns);
-}
-
 std::uint64_t
 Ddr4::totalAccesses() const
 {

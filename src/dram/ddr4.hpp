@@ -27,7 +27,12 @@ class Ddr4
      * Writes are posted (see Channel); the returned time is when the burst
      * finishes on the bus.
      */
-    DramCompletion access(addr::Addr a, bool is_write, double t_ns);
+    // rmcc-lint: hot-path
+    DramCompletion access(addr::Addr a, bool is_write, double t_ns)
+    {
+        const DramCoord coord = mapper_.decode(a);
+        return channels_[coord.channel].serve(coord, is_write, t_ns);
+    }
 
     /** Total 64 B transfers served. */
     std::uint64_t totalAccesses() const;

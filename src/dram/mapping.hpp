@@ -44,7 +44,29 @@ class AddressMapper
     explicit AddressMapper(const DramConfig &cfg);
 
     /** Decode a byte address into DRAM coordinates. */
-    DramCoord decode(addr::Addr a) const;
+    DramCoord decode(addr::Addr a) const
+    {
+        // Bit layout (low to high): block offset | column | channel |
+        // bank | rank | row.  The bank field is XOR-hashed with the low
+        // row bits.
+        std::uint64_t x = a >> addr::kBlockShift;
+        DramCoord c{};
+        c.column = x & ((1ULL << col_bits_) - 1);
+        x >>= col_bits_;
+        c.channel = static_cast<unsigned>(x & ((1ULL << chan_bits_) - 1));
+        x >>= chan_bits_;
+        const auto bank_raw =
+            static_cast<unsigned>(x & ((1ULL << bank_bits_) - 1));
+        x >>= bank_bits_;
+        c.rank = static_cast<unsigned>(x & ((1ULL << rank_bits_) - 1));
+        x >>= rank_bits_;
+        c.row = x;
+        // Skylake-style XOR hash: fold the low row bits into the bank
+        // index.
+        c.bank = bank_raw ^
+                 static_cast<unsigned>(c.row & ((1ULL << bank_bits_) - 1));
+        return c;
+    }
 
   private:
     DramConfig cfg_;

@@ -252,47 +252,130 @@ class StampOracle
     std::uint64_t clock_ = 0;
 };
 
+/**
+ * Random accesses, fills and invalidations drawn from `lines` (line
+ * numbers), with every outcome, victim and way checked against the
+ * stamp-minimum rule; `invalidate_pct` percent of operations invalidate.
+ */
+void
+matchStampOracle(const std::vector<Addr> &lines, std::uint64_t sets,
+                 unsigned assoc, ReplPolicy policy, rmcc::util::Rng &rng,
+                 unsigned invalidate_pct)
+{
+    SetAssocCache c("t", sets * assoc * 64, assoc, 64, policy);
+    StampOracle o(sets, assoc, policy);
+    for (int op = 0; op < 40000; ++op) {
+        const Addr a = lines[rng.nextBelow(lines.size())] * 64 +
+                       rng.nextBelow(64);
+        const std::uint64_t kind = rng.nextBelow(100);
+        if (kind < invalidate_pct) {
+            ASSERT_EQ(c.invalidate(a), o.invalidate(a)) << "op " << op;
+        } else if (kind < 70) {
+            const bool write = rng.nextBool(0.3);
+            const AccessResult got = c.access(a, write);
+            const AccessResult want = o.access(a, write, false);
+            ASSERT_EQ(got.hit, want.hit) << "op " << op;
+            ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+            ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+            ASSERT_EQ(got.victim_addr, want.victim_addr) << "op " << op;
+        } else {
+            const bool dirty = rng.nextBool(0.3);
+            const AccessResult got = c.fill(a, dirty);
+            const AccessResult want = o.access(a, dirty, true);
+            ASSERT_EQ(got.hit, want.hit) << "op " << op;
+            ASSERT_EQ(got.victim_addr, want.victim_addr) << "op " << op;
+            ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+        }
+        ASSERT_EQ(c.wayOf(a), o.wayOf(a))
+            << "assoc " << assoc << " op " << op;
+    }
+}
+
 } // namespace
 
 TEST(SetAssoc, RecencyListMatchesStampOracle)
 {
-    // Random accesses, fills and invalidations over a pool of three
-    // lines per way, so sets fill, overflow and develop holes; every
-    // outcome, victim and way must match the stamp-minimum rule.
+    // A pool of three lines per way, so sets fill, overflow and develop
+    // holes.  Assoc 1 and 12 take the plain tag scan, the others the
+    // fingerprint scan.
     rmcc::util::Rng rng(32);
     for (const ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO}) {
-        for (const unsigned assoc : {1u, 2u, 8u, 16u, 32u}) {
+        for (const unsigned assoc : {1u, 2u, 8u, 12u, 16u, 32u}) {
             const std::uint64_t sets = 4;
-            SetAssocCache c("t", sets * assoc * 64, assoc, 64, policy);
-            StampOracle o(sets, assoc, policy);
-            const std::uint64_t pool = 3 * sets * assoc;
-            for (int op = 0; op < 40000; ++op) {
-                const Addr a = rng.nextBelow(pool) * 64 + rng.nextBelow(64);
-                const std::uint64_t kind = rng.nextBelow(10);
-                if (kind < 6) {
-                    const bool write = rng.nextBool(0.3);
-                    const AccessResult got = c.access(a, write);
-                    const AccessResult want = o.access(a, write, false);
-                    ASSERT_EQ(got.hit, want.hit) << "op " << op;
-                    ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
-                    ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
-                    ASSERT_EQ(got.victim_addr, want.victim_addr)
-                        << "op " << op;
-                } else if (kind < 8) {
-                    const bool dirty = rng.nextBool(0.3);
-                    const AccessResult got = c.fill(a, dirty);
-                    const AccessResult want = o.access(a, dirty, true);
-                    ASSERT_EQ(got.hit, want.hit) << "op " << op;
-                    ASSERT_EQ(got.victim_addr, want.victim_addr)
-                        << "op " << op;
-                    ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
-                } else {
-                    ASSERT_EQ(c.invalidate(a), o.invalidate(a))
-                        << "op " << op;
-                }
-                ASSERT_EQ(c.wayOf(a), o.wayOf(a))
-                    << "assoc " << assoc << " op " << op;
+            std::vector<Addr> lines(3 * sets * assoc);
+            for (std::size_t i = 0; i < lines.size(); ++i)
+                lines[i] = i;
+            matchStampOracle(lines, sets, assoc, policy, rng, 20);
+        }
+    }
+}
+
+namespace
+{
+
+/** The first n line numbers of set `set` (of `sets`) whose tag has
+ *  fingerprint fp. */
+std::vector<Addr>
+fingerprintTwins(std::uint64_t sets, std::uint64_t set, std::uint8_t fp,
+                 std::size_t n)
+{
+    std::vector<Addr> out;
+    for (Addr line = set; out.size() < n; line += sets)
+        if (SetAssocCache::fingerprint(line) == fp)
+            out.push_back(line);
+    return out;
+}
+
+} // namespace
+
+TEST(SetAssoc, FingerprintTwinsNeedTheFullTag)
+{
+    // Fill one set with lines that all share a fingerprint: every probe
+    // of an absent twin passes the fingerprint filter on every way and
+    // must still miss, and each resident twin must be found in its own
+    // way, including after an invalidated way is refilled.
+    for (const unsigned assoc : {8u, 16u, 32u}) {
+        const std::uint64_t sets = 4;
+        SetAssocCache c("t", sets * assoc * 64, assoc);
+        const std::vector<Addr> twins = fingerprintTwins(sets, 1, 0x5a,
+                                                         2 * assoc);
+        for (unsigned i = 0; i < assoc; ++i)
+            EXPECT_FALSE(c.access(twins[i] * 64, false).hit);
+        for (unsigned i = 0; i < assoc; ++i) {
+            EXPECT_EQ(c.wayOf(twins[i] * 64), static_cast<int>(i));
+            EXPECT_FALSE(c.probe(twins[assoc + i] * 64))
+                << "assoc " << assoc << " twin " << assoc + i;
+        }
+        const unsigned hole = assoc / 2 + 1;
+        EXPECT_FALSE(c.invalidate(twins[hole] * 64));
+        EXPECT_FALSE(c.probe(twins[hole] * 64));
+        EXPECT_FALSE(c.access(twins[assoc] * 64, true).evicted);
+        EXPECT_EQ(c.wayOf(twins[assoc] * 64), static_cast<int>(hole));
+        EXPECT_EQ(c.wayOf(twins[hole] * 64), -1);
+        for (unsigned i = 0; i < assoc; ++i) {
+            if (i != hole) {
+                EXPECT_TRUE(c.access(twins[i] * 64, false).hit);
             }
+        }
+    }
+}
+
+TEST(SetAssoc, FingerprintTwinsMatchStampOracle)
+{
+    // Each set's lines fall into two fingerprint classes, so most
+    // lookups meet several candidates, and a third of the operations
+    // invalidate, so ways are emptied and refilled all the time.
+    rmcc::util::Rng rng(33);
+    for (const ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO}) {
+        for (const unsigned assoc : {1u, 8u, 12u, 16u, 32u}) {
+            const std::uint64_t sets = 4;
+            std::vector<Addr> lines;
+            for (std::uint64_t set = 0; set < sets; ++set)
+                for (const std::uint8_t fp : {0x01, 0xc3})
+                    for (const Addr l : fingerprintTwins(sets, set, fp,
+                                                         2 * assoc))
+                        lines.push_back(l);
+            matchStampOracle(lines, sets, assoc, policy, rng, 33);
         }
     }
 }

@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "dram/ddr4.hpp"
 
 using namespace rmcc::dram;
@@ -187,4 +191,101 @@ TEST(Ddr4, SequentialBeatsRandomLatency)
         t = c.done_ns;
     }
     EXPECT_LT(seq_total, rnd_total);
+}
+
+TEST(Ddr4, TimingDigestPinned)
+{
+    // A seeded read/write stream over two channels, four ranks and all
+    // banks, mixing row-hit streaks (which run into the FR-FCFS cap),
+    // row conflicts, idle gaps past the 500 ns row timeout and a short
+    // refresh interval, digested bit for bit.  The pinned value was
+    // computed with the out-of-line (pre-inlining) DRAM model, so any
+    // change to a completion time, outcome or statistic fails here.
+    DramConfig cfg;
+    cfg.channels = 2;
+    cfg.ranks = 4;
+    cfg.tREFI_ns = 2000.0;
+    Ddr4 dram(cfg);
+
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    const auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto mix = [&digest](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            digest ^= (v >> (8 * b)) & 0xff;
+            digest *= 0x100000001b3ULL;
+        }
+    };
+
+    // A conflict on the row the bank last served can only come from the
+    // FR-FCFS cap, so the stream counts those by decoding each address.
+    const AddressMapper mapper(cfg);
+    std::vector<std::uint64_t> last_row(
+        static_cast<std::size_t>(cfg.channels) * cfg.ranks *
+            cfg.banks_per_rank,
+        ~0ULL);
+    unsigned outcomes[3] = {0, 0, 0};
+    unsigned refresh_waits = 0, capped = 0;
+    Addr streak = 0;
+    double t = 0.0;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t r = next();
+        Addr a;
+        switch (r % 8) {
+          case 0:
+          case 1:
+          case 2:
+          case 3: // continue a sequential streak: row hits
+            streak += 64;
+            a = streak;
+            break;
+          case 4:
+          case 5: // one of a few hot rows: hits and conflicts
+            a = ((r >> 8) % 16) * (Addr{1} << 22) + ((r >> 16) % 4) * 64;
+            break;
+          default: // anywhere in 4 GiB
+            a = ((r >> 8) % (Addr{1} << 26)) * 64;
+            streak = a;
+            break;
+        }
+        const bool is_write = (r >> 40) % 3 == 0;
+        const std::uint64_t gap = (r >> 44) % 32;
+        if (gap < 24)
+            t += static_cast<double>(gap % 8) * 1.25;
+        else if (gap < 31)
+            t += 40.0 * static_cast<double>(gap - 21);
+        else
+            t += 700.0; // past the row timeout
+        const DramCompletion c = dram.access(a, is_write, t);
+        mix(std::bit_cast<std::uint64_t>(c.done_ns));
+        mix(static_cast<std::uint64_t>(c.outcome));
+        ++outcomes[static_cast<unsigned>(c.outcome)];
+        refresh_waits += c.done_ns - t >= cfg.tRFC_ns;
+        const DramCoord coord = mapper.decode(a);
+        std::uint64_t &row = last_row[coord.flatBank(cfg)];
+        capped += c.outcome == RowOutcome::Conflict && row == coord.row;
+        row = coord.row;
+        if ((r >> 50) % 4 == 0)
+            t = c.done_ns; // a dependent access waits for the data
+    }
+    const ChannelStats s = dram.aggregateStats();
+    for (const std::uint64_t v :
+         {s.reads, s.writes, s.row_hits, s.row_closed, s.row_conflicts,
+          std::bit_cast<std::uint64_t>(s.bus_busy_ns),
+          dram.totalAccesses(),
+          std::bit_cast<std::uint64_t>(dram.busBacklogNs(t))})
+        mix(v);
+
+    // The stream reaches every path it is meant to guard.
+    EXPECT_GT(outcomes[static_cast<unsigned>(RowOutcome::Hit)], 1000u);
+    EXPECT_GT(outcomes[static_cast<unsigned>(RowOutcome::Closed)], 1000u);
+    EXPECT_GT(outcomes[static_cast<unsigned>(RowOutcome::Conflict)], 1000u);
+    EXPECT_GT(refresh_waits, 100u);
+    EXPECT_GT(capped, 100u);
+    EXPECT_EQ(digest, 0x1b2a30e301766976ULL) << std::hex << digest;
 }

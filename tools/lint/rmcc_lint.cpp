@@ -12,7 +12,7 @@
  *   getenv       std::getenv only inside src/util/env.cpp — every
  *                RMCC_* knob goes through the strict util::env parsers.
  *   env-docs     every RMCC_* env var named in a code string literal
- *                must appear in README.md or docs/*.md, and vice versa
+ *                must appear in README.md or docs/<name>.md, and vice versa
  *                (stale docs are as misleading as missing ones).
  *   determinism  no rand()/srand()/time()/std::random_device in src/ —
  *                results are reproducible from the seed alone.
