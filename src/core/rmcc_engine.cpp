@@ -6,21 +6,23 @@
 namespace rmcc::core
 {
 
-RmccEngine::RmccEngine(const RmccConfig &cfg, ctr::IntegrityTree &tree)
-    : cfg_(cfg), tree_(tree)
+RmccEngine::LevelState::LevelState(const RmccConfig &cfg,
+                                   ctr::CounterScheme &s,
+                                   bool allow_far_relevel)
+    : table(cfg.memo), monitor(cfg.monitor), budget(cfg.budget),
+      policy(table, budget, cfg.enabled, allow_far_relevel), scheme(&s),
+      morphable(dynamic_cast<const ctr::MorphableScheme *>(&s))
 {
-    const unsigned n =
-        std::min(cfg_.memo_levels, tree_.levels());
-    for (unsigned l = 0; l < n; ++l) {
-        auto state = std::make_unique<LevelState>();
-        state->table = std::make_unique<MemoTable>(cfg_.memo);
-        state->monitor = std::make_unique<CandidateMonitor>(cfg_.monitor);
-        state->budget = std::make_unique<TrafficBudget>(cfg_.budget);
-        state->policy = std::make_unique<UpdatePolicy>(
-            *state->table, *state->budget, cfg_.enabled,
-            /*allow_far_relevel=*/l == 0);
-        levels_.push_back(std::move(state));
-    }
+}
+
+RmccEngine::RmccEngine(const RmccConfig &cfg, ctr::IntegrityTree &tree)
+    : cfg_(cfg), tree_(tree),
+      n_levels_(std::min(cfg_.memo_levels, tree_.levels()))
+{
+    levels_ = std::make_unique<std::optional<LevelState>[]>(n_levels_);
+    for (unsigned l = 0; l < n_levels_; ++l)
+        levels_[l].emplace(cfg_, tree_.level(l),
+                           /*allow_far_relevel=*/l == 0);
 }
 
 addr::CounterValue
@@ -36,30 +38,29 @@ ReadConsult
 RmccEngine::onReadCounterUse(unsigned level, std::uint64_t idx)
 {
     ReadConsult out;
-    if (!cfg_.enabled || level >= levels_.size())
+    if (!cfg_.enabled || level >= n_levels_)
         return out;
 
     LevelState &st = *levels_[level];
     if (domain_resolver_)
-        st.table->setActiveDomain(domain_resolver_(level, idx));
-    ctr::CounterScheme &scheme = tree_.level(level);
-    const addr::CounterValue v = scheme.read(idx);
+        st.table.setActiveDomain(domain_resolver_(level, idx));
+    const addr::CounterValue v = st.read(idx);
 
-    st.monitor->observeRead(v);
-    out.hit = st.table->lookupRead(v);
+    st.monitor.observeRead(v);
+    out.hit = st.table.lookupRead(v);
 
     // High-counter trigger: insert a new group above the table (IV-C3),
     // at most once per epoch.
-    if (!st.inserted_this_epoch && st.monitor->triggered()) {
-        st.table->insertGroup(capStart(*st.monitor->takeSelection()));
+    if (!st.inserted_this_epoch && st.monitor.triggered()) {
+        st.table.insertGroup(capStart(*st.monitor.takeSelection()));
         ++st.insertions;
         st.inserted_this_epoch = true;
-        st.monitor->arm(st.table->maxInTable());
+        st.monitor.arm(st.table.maxInTable());
     }
 
     // Read-triggered relevel for values the table does not cover (IV-C1).
     if (out.hit == MemoHit::Miss && cfg_.read_update) {
-        if (const auto upd = st.policy->onReadMiss(scheme, idx)) {
+        if (const auto upd = st.policy.onReadMiss(*st.scheme, idx)) {
             out.releveled = true;
             out.overhead_accesses = upd->overhead_accesses;
             out.reencrypt_blocks = upd->reencrypt_blocks;
@@ -71,15 +72,15 @@ RmccEngine::onReadCounterUse(unsigned level, std::uint64_t idx)
 UpdateOutcome
 RmccEngine::onWriteCounter(unsigned level, std::uint64_t idx)
 {
-    ctr::CounterScheme &scheme = tree_.level(level);
-    if (cfg_.enabled && level < levels_.size()) {
+    if (cfg_.enabled && level < n_levels_) {
+        LevelState &st = *levels_[level];
         if (domain_resolver_)
-            levels_[level]->table->setActiveDomain(
-                domain_resolver_(level, idx));
-        return levels_[level]->policy->onWrite(scheme, idx);
+            st.table.setActiveDomain(domain_resolver_(level, idx));
+        return st.policy.onWrite(*st.scheme, idx);
     }
 
     // Baseline +1 (also used above the memoized levels under RMCC).
+    ctr::CounterScheme &scheme = tree_.level(level);
     const addr::CounterValue cur = scheme.read(idx);
     const ctr::WriteResult r = scheme.write(idx, cur + 1);
     UpdateOutcome out;
@@ -92,36 +93,36 @@ RmccEngine::onWriteCounter(unsigned level, std::uint64_t idx)
 void
 RmccEngine::endEpoch(LevelState &st)
 {
-    st.table->endOfEpoch();
-    st.monitor->arm(st.table->maxInTable());
+    st.table.endOfEpoch();
+    st.monitor.arm(st.table.maxInTable());
     st.inserted_this_epoch = false;
 }
 
 bool
 RmccEngine::quarantineMemoValue(unsigned level, addr::CounterValue v)
 {
-    if (!cfg_.enabled || level >= levels_.size())
+    if (!cfg_.enabled || level >= n_levels_)
         return false;
     LevelState &st = *levels_[level];
-    const bool dropped = st.table->quarantineValue(v);
-    st.monitor->arm(st.table->maxInTable());
+    const bool dropped = st.table.quarantineValue(v);
+    st.monitor.arm(st.table.maxInTable());
     return dropped;
 }
 
 void
 RmccEngine::setBudgetPools(double accesses)
 {
-    for (auto &st : levels_)
-        st->budget->setPool(accesses);
+    for (unsigned l = 0; l < n_levels_; ++l)
+        levels_[l]->budget.setPool(accesses);
 }
 
 double
 RmccEngine::averageCoverage(unsigned level) const
 {
-    if (level >= levels_.size())
+    if (level >= n_levels_)
         return 0.0;
-    const MemoTable &tbl = *levels_[level]->table;
-    const ctr::CounterScheme &scheme = tree_.level(level);
+    const MemoTable &tbl = levels_[level]->table;
+    const ctr::CounterScheme &scheme = *levels_[level]->scheme;
 
     // Covered values form [start, start + group_size) intervals; merge
     // the (possibly overlapping) groups into sorted disjoint ranges and

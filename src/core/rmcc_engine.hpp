@@ -14,12 +14,13 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
+#include <optional>
 
 #include "core/budget.hpp"
 #include "core/candidate_monitor.hpp"
 #include "core/memo_table.hpp"
 #include "core/update_policy.hpp"
+#include "counters/morphable.hpp"
 #include "counters/tree.hpp"
 
 namespace rmcc::core
@@ -77,29 +78,28 @@ class RmccEngine
     {
         if (!cfg_.enabled)
             return;
-        for (auto &st : levels_)
-            if (st->budget->onAccess())
-                endEpoch(*st);
+        for (unsigned l = 0; l < n_levels_; ++l) {
+            LevelState &st = *levels_[l];
+            if (st.budget.onAccess())
+                endEpoch(st);
+        }
     }
 
     /** Memoization table of a level (level < memoLevels()). */
-    MemoTable &table(unsigned level) { return *levels_[level]->table; }
+    MemoTable &table(unsigned level) { return levels_[level]->table; }
     const MemoTable &table(unsigned level) const
     {
-        return *levels_[level]->table;
+        return levels_[level]->table;
     }
 
     /** Budget of a level. */
     const TrafficBudget &budget(unsigned level) const
     {
-        return *levels_[level]->budget;
+        return levels_[level]->budget;
     }
 
     /** Number of levels with memoization tables. */
-    unsigned memoLevels() const
-    {
-        return static_cast<unsigned>(levels_.size());
-    }
+    unsigned memoLevels() const { return n_levels_; }
 
     /** Whether RMCC is active at all. */
     bool enabled() const { return cfg_.enabled; }
@@ -113,7 +113,7 @@ class RmccEngine
     /** Read-triggered relevels performed at a level. */
     std::uint64_t readUpdates(unsigned level) const
     {
-        return levels_[level]->policy->readUpdates();
+        return levels_[level]->policy.readUpdates();
     }
 
     /**
@@ -162,12 +162,33 @@ class RmccEngine
     const RmccConfig &config() const { return cfg_; }
 
   private:
+    /**
+     * One memoized level, held by value.  It is built in place once and
+     * never moved or copied: its update policy holds references to its
+     * own table and budget.
+     */
     struct LevelState
     {
-        std::unique_ptr<MemoTable> table;
-        std::unique_ptr<CandidateMonitor> monitor;
-        std::unique_ptr<TrafficBudget> budget;
-        std::unique_ptr<UpdatePolicy> policy;
+        LevelState(const RmccConfig &cfg, ctr::CounterScheme &s,
+                   bool allow_far_relevel);
+        LevelState(const LevelState &) = delete;
+        LevelState &operator=(const LevelState &) = delete;
+
+        /** The counter value of entity idx at this level. */
+        addr::CounterValue read(std::uint64_t idx) const
+        {
+            return morphable != nullptr ? morphable->read(idx)
+                                        : scheme->read(idx);
+        }
+
+        MemoTable table;
+        CandidateMonitor monitor;
+        TrafficBudget budget;
+        UpdatePolicy policy;
+        ctr::CounterScheme *scheme; //!< The tree's scheme at this level.
+        //! The same scheme when it is Morphable (else null): its read()
+        //! is then a direct, inlined call instead of a virtual one.
+        const ctr::MorphableScheme *morphable;
         std::uint64_t insertions = 0;
         //! One insertion per epoch: the reselection protects one new
         //! group per epoch (the 15-of-32 + newcomer rule, Sec IV-C3);
@@ -184,7 +205,9 @@ class RmccEngine
 
     RmccConfig cfg_;
     ctr::IntegrityTree &tree_;
-    std::vector<std::unique_ptr<LevelState>> levels_;
+    //! memoLevels() levels, allocated once; each is emplaced in place.
+    std::unique_ptr<std::optional<LevelState>[]> levels_;
+    unsigned n_levels_ = 0;
     DomainResolver domain_resolver_; //!< Null outside tenancy mode.
 };
 

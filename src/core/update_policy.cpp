@@ -35,7 +35,6 @@ UpdatePolicy::onWrite(ctr::CounterScheme &scheme, std::uint64_t idx)
 {
     const addr::CounterValue cur = scheme.read(idx);
     const addr::CounterValue baseline = cur + 1;
-    const bool baseline_overflows = !scheme.encodable(idx, baseline);
 
     auto finish = [&](ctr::WriteResult r, bool memo,
                       std::uint64_t overhead) {
@@ -76,6 +75,7 @@ UpdatePolicy::onWrite(ctr::CounterScheme &scheme, std::uint64_t idx)
         allow_far_relevel_ ? table_.nearestAbove(scheme.blockMax(idx))
                            : std::nullopt;
     if (relevel_target) {
+        const bool baseline_overflows = !scheme.encodable(idx, baseline);
         const std::uint64_t cost = 2ULL * scheme.coverage();
         if (baseline_overflows || budget_.trySpend(cost)) {
             const ctr::WriteResult r =

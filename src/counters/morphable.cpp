@@ -180,12 +180,6 @@ MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
     return count;
 }
 
-addr::CounterValue
-MorphableScheme::read(std::uint64_t idx) const
-{
-    return majors_[blockOf(idx)] + off_[idx];
-}
-
 bool
 MorphableScheme::encodable(std::uint64_t idx,
                            addr::CounterValue new_value) const

@@ -79,7 +79,10 @@ class MorphableScheme final : public CounterScheme
     unsigned coverage() const override { return kCoverage; }
     double decodeLatencyNs() const override { return 3.0; }
 
-    addr::CounterValue read(std::uint64_t idx) const override;
+    addr::CounterValue read(std::uint64_t idx) const override
+    {
+        return majors_[idx / kCoverage] + off_[idx];
+    }
     WriteResult write(std::uint64_t idx,
                       addr::CounterValue new_value) override;
     bool encodable(std::uint64_t idx,

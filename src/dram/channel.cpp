@@ -3,7 +3,7 @@
 namespace rmcc::dram
 {
 
-Channel::Channel(const DramConfig &cfg, unsigned channel_index)
+Channel::Channel(const DramConfig &cfg)
     : cfg_(cfg),
       burst_ns_(cfg.burstNs()),
       banks_(static_cast<std::size_t>(cfg.ranks) * cfg.banks_per_rank),
@@ -15,7 +15,6 @@ Channel::Channel(const DramConfig &cfg, unsigned channel_index)
         next_refresh_[r] =
             cfg_.tREFI_ns * (static_cast<double>(r) + 1.0) /
             static_cast<double>(cfg_.ranks);
-    (void)channel_index;
 }
 
 } // namespace rmcc::dram

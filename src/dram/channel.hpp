@@ -46,7 +46,7 @@ struct ChannelStats
 class Channel
 {
   public:
-    Channel(const DramConfig &cfg, unsigned channel_index);
+    explicit Channel(const DramConfig &cfg);
 
     /** Serve one block transfer at earliest time t_ns. */
     DramCompletion serve(const DramCoord &coord, bool is_write, double t_ns)

@@ -9,7 +9,7 @@ Ddr4::Ddr4(const DramConfig &cfg) : cfg_(cfg), mapper_(cfg)
 {
     channels_.reserve(cfg_.channels);
     for (unsigned c = 0; c < cfg_.channels; ++c)
-        channels_.emplace_back(cfg_, c);
+        channels_.emplace_back(cfg_);
 }
 
 std::uint64_t

@@ -1,12 +1,47 @@
 #include "mc/secure_mc.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/registry.hpp"
 #include "util/log.hpp"
 
 namespace rmcc::mc
 {
+
+namespace
+{
+
+/** stats() names of SecureMc's event counts, in SecureMc::Count order. */
+constexpr const char *kCountNames[] = {
+    "dram.data_read",
+    "dram.data_write",
+    "dram.ctr_read",
+    "dram.ctr_write",
+    "dram.ovf0",
+    "dram.ovf_hi",
+    "dram.total",
+    "ctr.writebacks",
+    "ovf.count",
+    "ovf.l0",
+    "ovf.hi",
+    "rmcc.read_updates",
+    "rmcc.memo_write_updates",
+    "mc.reads",
+    "mc.writes",
+    "ctr.l0_miss",
+    "ctr.hi_miss",
+    "ctr.l0_hit",
+    "memo.l0_lookups_on_miss",
+    "memo.l0_hit_on_miss",
+    "memo.l0_group_hit_on_miss",
+    "memo.l0_recent_hit_on_miss",
+    "memo.l0_hit_all",
+    "memo.l0_lookups_all",
+    "memo.accelerated_misses",
+};
+
+} // namespace
 
 SecureMc::SecureMc(const McConfig &cfg, ctr::IntegrityTree &tree,
                    core::RmccEngine &engine, dram::Ddr4 &dram)
@@ -15,34 +50,6 @@ SecureMc::SecureMc(const McConfig &cfg, ctr::IntegrityTree &tree,
                  cfg.counter_cache_assoc),
       ovf_(dram), recovery_(cfg.recovery)
 {
-    h_.dram_total = stats_.handle("dram.total");
-    h_.dram_data_read = stats_.handle("dram.data_read");
-    h_.dram_data_write = stats_.handle("dram.data_write");
-    h_.dram_ctr_read = stats_.handle("dram.ctr_read");
-    h_.dram_ctr_write = stats_.handle("dram.ctr_write");
-    h_.dram_ovf0 = stats_.handle("dram.ovf0");
-    h_.dram_ovf_hi = stats_.handle("dram.ovf_hi");
-    h_.ctr_writebacks = stats_.handle("ctr.writebacks");
-    h_.ovf_count = stats_.handle("ovf.count");
-    h_.ovf_l0 = stats_.handle("ovf.l0");
-    h_.ovf_hi = stats_.handle("ovf.hi");
-    h_.rmcc_read_updates = stats_.handle("rmcc.read_updates");
-    h_.rmcc_memo_write_updates = stats_.handle("rmcc.memo_write_updates");
-    h_.mc_reads = stats_.handle("mc.reads");
-    h_.mc_writes = stats_.handle("mc.writes");
-    h_.lat_read_sum_ns = stats_.handle("lat.read_sum_ns");
-    h_.ctr_l0_miss = stats_.handle("ctr.l0_miss");
-    h_.ctr_hi_miss = stats_.handle("ctr.hi_miss");
-    h_.ctr_l0_hit = stats_.handle("ctr.l0_hit");
-    h_.memo_lookups_on_miss = stats_.handle("memo.l0_lookups_on_miss");
-    h_.memo_hit_on_miss = stats_.handle("memo.l0_hit_on_miss");
-    h_.memo_group_hit_on_miss = stats_.handle("memo.l0_group_hit_on_miss");
-    h_.memo_recent_hit_on_miss =
-        stats_.handle("memo.l0_recent_hit_on_miss");
-    h_.memo_hit_all = stats_.handle("memo.l0_hit_all");
-    h_.memo_lookups_all = stats_.handle("memo.l0_lookups_all");
-    h_.memo_accelerated_misses = stats_.handle("memo.accelerated_misses");
-
     const unsigned levels = tree_.levels();
     if (levels > kMaxLevels)
         util::fatal("SecureMc: integrity tree has %u levels, max %u",
@@ -55,6 +62,20 @@ SecureMc::SecureMc(const McConfig &cfg, ctr::IntegrityTree &tree,
         meta_[k].decode_ns = tree_.level(k).decodeLatencyNs();
         meta_[k].storage = tree_.level(k).entityStorage();
     }
+}
+
+util::StatSet
+SecureMc::stats() const
+{
+    static_assert(std::size(kCountNames) == kCounts);
+    util::StatSet s;
+    for (unsigned c = 0; c < kCounts; ++c)
+        if (counts_[c] != 0)
+            s.put(kCountNames[c], static_cast<double>(counts_[c]));
+    // Every read adds its service time, 0 included.
+    if (counts_[kMcReads] != 0)
+        s.put("lat.read_sum_ns", read_sum_ns_);
+    return s;
 }
 
 void
@@ -80,10 +101,10 @@ SecureMc::prefetchRead(addr::Addr paddr) const
 
 double
 SecureMc::chargeDram(addr::Addr a, bool is_write, double now_ns,
-                     util::StatHandle category)
+                     Count category)
 {
-    stats_.inc(category);
-    stats_.inc(h_.dram_total);
+    ++counts_[category];
+    ++counts_[kDramTotal];
     engine_.onDramAccess();
     const double done = dram_.access(a, is_write, now_ns).done_ns;
     if (obs_)
@@ -103,7 +124,7 @@ SecureMc::touchCounterBlock(unsigned level, addr::CounterBlockId cb,
     const cache::AccessResult acc = ctr_cache_.access(a, dirty);
     if (acc.hit)
         return {now_ns + cfg_.lat.ctr_cache_ns + decode, false};
-    const double done = chargeDram(a, false, now_ns, h_.dram_ctr_read);
+    const double done = chargeDram(a, false, now_ns, kDramCtrRead);
     if (acc.writeback) {
         // Dirty victim: identify its level and block id from the address.
         for (unsigned l = 0; l < tree_.levels(); ++l) {
@@ -141,8 +162,8 @@ SecureMc::counterWriteback(unsigned level, addr::CounterBlockId cb,
         touchCounterBlock(level + 1, parent, true, now_ns);
     }
     chargeDram(meta_[level].base + (cb << addr::kBlockShift), true, now_ns,
-               h_.dram_ctr_write);
-    stats_.inc(h_.ctr_writebacks);
+               kDramCtrWrite);
+    ++counts_[kCtrWritebacks];
 }
 
 double
@@ -151,42 +172,34 @@ SecureMc::chargeOverflow(unsigned level, std::uint64_t first_entity,
 {
     // Covered entities of a level-k overflow are data blocks (k = 0) or
     // level k-1 counter blocks (k >= 1); each is read and rewritten.
-    addr::Addr base;
-    util::StatHandle category;
-    if (level == 0) {
-        base = first_entity * addr::kBlockSize;
-        category = h_.dram_ovf0;
-    } else {
-        base = meta_[level - 1].base + (first_entity << addr::kBlockShift);
-        category = h_.dram_ovf_hi;
-    }
+    const addr::Addr base =
+        level == 0
+            ? first_entity * addr::kBlockSize
+            : meta_[level - 1].base + (first_entity << addr::kBlockShift);
     const OverflowIssue issue = ovf_.schedule(base, blocks, now_ns);
-    for (std::uint64_t i = 0; i < issue.accesses; ++i) {
-        stats_.inc(category);
-        stats_.inc(h_.dram_total);
+    counts_[level == 0 ? kDramOvf0 : kDramOvfHi] += issue.accesses;
+    counts_[kDramTotal] += issue.accesses;
+    for (std::uint64_t i = 0; i < issue.accesses; ++i)
         engine_.onDramAccess();
-    }
-    stats_.inc(h_.ovf_count);
-    if (level == 0)
-        stats_.inc(h_.ovf_l0);
-    else
-        stats_.inc(h_.ovf_hi);
+    ++counts_[kOvfCount];
+    ++counts_[level == 0 ? kOvfL0 : kOvfHi];
     if (obs_)
         obs_->instant(level == 0 ? obs::InstantKind::CounterOverflowL0
                                  : obs::InstantKind::CounterOverflowHi);
     return issue.stall_until_ns;
 }
 
-void
-SecureMc::chargeReadUpdate(unsigned level, std::uint64_t entity,
-                           const core::ReadConsult &consult, double now_ns)
+core::MemoHit
+SecureMc::consultRead(unsigned level, std::uint64_t entity, double now_ns)
 {
+    const core::ReadConsult consult =
+        engine_.onReadCounterUse(level, entity);
     if (!consult.releveled)
-        return;
+        return consult.hit;
     // The whole counter block was releveled: every covered entity is
     // re-encrypted under the new shared counter (read + write each),
     // drained through the overflow engine like any block re-encryption.
-    stats_.inc(h_.rmcc_read_updates);
+    ++counts_[kRmccReadUpdates];
     if (obs_)
         obs_->instant(obs::InstantKind::Rebase);
     if (consult.reencrypt_blocks > 0) {
@@ -196,6 +209,7 @@ SecureMc::chargeReadUpdate(unsigned level, std::uint64_t entity,
     }
     // Its counter block is now dirty.
     touchCounterBlock(level, entity / meta_[level].coverage, true, now_ns);
+    return consult.hit;
 }
 
 // rmcc-lint: hot-path
@@ -203,13 +217,12 @@ McReadResult
 SecureMc::read(addr::Addr paddr, double now_ns)
 {
     McReadResult res;
-    stats_.inc(h_.mc_reads);
+    ++counts_[kMcReads];
 
-    const double data_done =
-        chargeDram(paddr, false, now_ns, h_.dram_data_read);
+    const double data_done = chargeDram(paddr, false, now_ns, kDramDataRead);
     if (!cfg_.secure) {
         res.done_ns = data_done;
-        stats_.inc(h_.lat_read_sum_ns, res.done_ns - now_ns);
+        read_sum_ns_ += res.done_ns - now_ns;
         if (obs_)
             obs_->recordLatency(obs::LatencyHist::McRead,
                                 res.done_ns - now_ns);
@@ -246,55 +259,53 @@ SecureMc::read(addr::Addr paddr, double now_ns)
             hit_level = k;
             break;
         }
-        stats_.inc(k == 0 ? h_.ctr_l0_miss : h_.ctr_hi_miss);
+        ++counts_[k == 0 ? kCtrL0Miss : kCtrHiMiss];
     }
     res.counter_miss = hit_level != 0;
     if (!res.counter_miss)
-        stats_.inc(h_.ctr_l0_hit);
+        ++counts_[kCtrL0Hit];
 
     // Consult RMCC for every counter value this read uses: level 0 always
     // (data OTPs), level k >= 1 only when level k-1's block was fetched
-    // (its MAC needs the level-k value).
-    core::ReadConsult consult[kMaxLevels + 1];
-    consult[0] = engine_.onReadCounterUse(0, entity[0]);
-    chargeReadUpdate(0, entity[0], consult[0], now_ns);
+    // (its MAC needs the level-k value).  hit[k] is set for k <= walked
+    // below the root; ctr_contrib and the L1 test read no other entry.
+    core::MemoHit hit[kMaxLevels];
+    hit[0] = consultRead(0, entity[0], now_ns);
     const unsigned walked = std::min(hit_level, levels);
-    for (unsigned k = 1; k <= walked && k < levels; ++k) {
-        consult[k] = engine_.onReadCounterUse(k, entity[k]);
-        chargeReadUpdate(k, entity[k], consult[k], now_ns);
-    }
+    for (unsigned k = 1; k <= walked && k < levels; ++k)
+        hit[k] = consultRead(k, entity[k], now_ns);
 
     // Degraded mode: memoization is disabled — every consult becomes a
     // miss, so reads pay full AES and a poisoned memo entry cannot serve.
     if (degraded)
-        for (unsigned k = 0; k < levels; ++k)
-            consult[k].hit = core::MemoHit::Miss;
+        std::fill(hit, hit + levels, core::MemoHit::Miss);
 
-    res.memo_hit = consult[0].hit != core::MemoHit::Miss;
+    res.memo_hit = hit[0] != core::MemoHit::Miss;
     if (res.counter_miss) {
-        stats_.inc(h_.memo_lookups_on_miss);
+        ++counts_[kMemoLookupsOnMiss];
         if (res.memo_hit) {
-            stats_.inc(h_.memo_hit_on_miss);
-            if (consult[0].hit == core::MemoHit::GroupHit)
-                stats_.inc(h_.memo_group_hit_on_miss);
-            else
-                stats_.inc(h_.memo_recent_hit_on_miss);
+            ++counts_[kMemoHitOnMiss];
+            ++counts_[hit[0] == core::MemoHit::GroupHit
+                          ? kMemoGroupHitOnMiss
+                          : kMemoRecentHitOnMiss];
         }
     }
     if (res.memo_hit)
-        stats_.inc(h_.memo_hit_all);
-    stats_.inc(h_.memo_lookups_all);
+        ++counts_[kMemoHitAll];
+    ++counts_[kMemoLookupsAll];
 
     // Counter-value contribution latency at a level: memoized values need
     // only the CLMUL combine; otherwise AES runs after the value is known
-    // (plus the combine under RMCC's split OTP).
+    // (plus the combine under RMCC's split OTP).  Without RMCC every
+    // level pays plain AES, and no level is memoized.
+    const unsigned memo_levels = engine_.enabled() ? engine_.memoLevels() : 0;
+    const double miss_contrib = engine_.enabled()
+                                    ? cfg_.lat.aes_ns + cfg_.lat.clmul_ns
+                                    : cfg_.lat.aes_ns;
     auto ctr_contrib = [&](unsigned k) {
-        if (!engine_.enabled())
-            return cfg_.lat.aes_ns;
-        if (k < engine_.memoLevels() &&
-            consult[k].hit != core::MemoHit::Miss)
-            return cfg_.lat.clmul_ns;
-        return cfg_.lat.aes_ns + cfg_.lat.clmul_ns;
+        return k < memo_levels && hit[k] != core::MemoHit::Miss
+                   ? cfg_.lat.clmul_ns
+                   : miss_contrib;
     };
 
     // Verification chain from the trust point down to level 0.
@@ -334,10 +345,10 @@ SecureMc::read(addr::Addr paddr, double now_ns)
     if (res.counter_miss && res.memo_hit) {
         const bool l1_fast =
             hit_level == 1 ||
-            (levels > 1 && consult[1].hit != core::MemoHit::Miss);
+            (levels > 1 && hit[1] != core::MemoHit::Miss);
         res.accelerated = l1_fast || hit_level >= levels;
         if (res.accelerated)
-            stats_.inc(h_.memo_accelerated_misses);
+            ++counts_[kMemoAcceleratedMisses];
     }
 
     // Self-healing check runs before latency accounting so a recovered
@@ -348,7 +359,7 @@ SecureMc::read(addr::Addr paddr, double now_ns)
             recoverRead(blk, paddr, chk, res);
     }
 
-    stats_.inc(h_.lat_read_sum_ns, res.done_ns - now_ns);
+    read_sum_ns_ += res.done_ns - now_ns;
     if (obs_) {
         obs_->recordLatency(obs::LatencyHist::McRead, res.done_ns - now_ns);
         obs_->recordLatency(obs::LatencyHist::MacVerify,
@@ -382,7 +393,7 @@ SecureMc::recoverRead(addr::BlockId blk, addr::Addr paddr,
         ++res.recovery.refetches;
         t += backoff;
         backoff *= 2.0;
-        t = chargeDram(paddr, false, t, h_.dram_data_read);
+        t = chargeDram(paddr, false, t, kDramDataRead);
         t += cfg_.lat.aes_ns + cfg_.lat.mac_dot_ns;
         observer_->onRefetch(blk);
         healthy = observer_->checkRead(blk, res.memo_hit).pass;
@@ -452,16 +463,16 @@ SecureMc::recoverRead(addr::BlockId blk, addr::Addr paddr,
 double
 SecureMc::write(addr::Addr paddr, double now_ns)
 {
-    stats_.inc(h_.mc_writes);
+    ++counts_[kMcWrites];
     if (!cfg_.secure) {
-        chargeDram(paddr, true, now_ns, h_.dram_data_write);
+        chargeDram(paddr, true, now_ns, kDramDataWrite);
         return now_ns;
     }
 
     const addr::BlockId blk = addr::blockOf(paddr);
     const core::UpdateOutcome out = engine_.onWriteCounter(0, blk);
     if (out.used_memo_target)
-        stats_.inc(h_.rmcc_memo_write_updates);
+        ++counts_[kRmccMemoWriteUpdates];
     double stall = now_ns;
     if (out.reencrypt_blocks > 0) {
         const unsigned cov = meta_[0].coverage;
@@ -476,7 +487,7 @@ SecureMc::write(addr::Addr paddr, double now_ns)
 
     // Encrypt + write the data (posted; OTP generation is off the
     // critical path because the counter is already in the MC).
-    chargeDram(paddr, true, now_ns, h_.dram_data_write);
+    chargeDram(paddr, true, now_ns, kDramDataWrite);
     if (observer_)
         observer_->onDataWrite(blk);
     return stall;

@@ -162,9 +162,14 @@ class SecureMc
      */
     double write(addr::Addr paddr, double now_ns);
 
-    /** Named statistics (dram.* traffic categories, memo.*, ctr.*). */
-    const util::StatSet &stats() const { return stats_; }
-    util::StatSet &stats() { return stats_; }
+    /**
+     * Named statistics (dram.* traffic categories, memo.*, ctr.*),
+     * materialised from the controller's plain event counts: every count
+     * that is non-zero, plus lat.read_sum_ns once a read has been served.
+     * A name appears exactly when its event has happened, so diff()
+     * against an earlier snapshot keeps a name whose window delta is 0.
+     */
+    util::StatSet stats() const;
 
     const cache::SetAssocCache &counterCache() const { return ctr_cache_; }
     const OverflowEngine &overflowEngine() const { return ovf_; }
@@ -207,25 +212,38 @@ class SecureMc
 
   private:
     /**
-     * Pre-resolved stat handles for every counter the data path touches.
-     * Resolved once at construction so read()/write() never perform a
-     * string-keyed registry lookup per event.
+     * The data path's event counts, one plain integer each (counts_);
+     * stats() names them.  chargeDram() takes its traffic category as a
+     * Count.
      */
-    struct Handles
+    enum Count : unsigned
     {
-        util::StatHandle dram_total;
-        util::StatHandle dram_data_read, dram_data_write;
-        util::StatHandle dram_ctr_read, dram_ctr_write;
-        util::StatHandle dram_ovf0, dram_ovf_hi;
-        util::StatHandle ctr_writebacks;
-        util::StatHandle ovf_count, ovf_l0, ovf_hi;
-        util::StatHandle rmcc_read_updates, rmcc_memo_write_updates;
-        util::StatHandle mc_reads, mc_writes, lat_read_sum_ns;
-        util::StatHandle ctr_l0_miss, ctr_hi_miss, ctr_l0_hit;
-        util::StatHandle memo_lookups_on_miss, memo_hit_on_miss;
-        util::StatHandle memo_group_hit_on_miss, memo_recent_hit_on_miss;
-        util::StatHandle memo_hit_all, memo_lookups_all;
-        util::StatHandle memo_accelerated_misses;
+        kDramDataRead,
+        kDramDataWrite,
+        kDramCtrRead,
+        kDramCtrWrite,
+        kDramOvf0,
+        kDramOvfHi,
+        kDramTotal,
+        kCtrWritebacks,
+        kOvfCount,
+        kOvfL0,
+        kOvfHi,
+        kRmccReadUpdates,
+        kRmccMemoWriteUpdates,
+        kMcReads,
+        kMcWrites,
+        kCtrL0Miss,
+        kCtrHiMiss,
+        kCtrL0Hit,
+        kMemoLookupsOnMiss,
+        kMemoHitOnMiss,
+        kMemoGroupHitOnMiss,
+        kMemoRecentHitOnMiss,
+        kMemoHitAll,
+        kMemoLookupsAll,
+        kMemoAcceleratedMisses,
+        kCounts
     };
 
     /** Per-level geometry snapshot taken from the integrity tree. */
@@ -241,7 +259,7 @@ class SecureMc
 
     /** One DRAM transfer with category accounting and epoch advance. */
     double chargeDram(addr::Addr a, bool is_write, double now_ns,
-                      util::StatHandle category);
+                      Count category);
 
     /**
      * Ensure a counter block is present in the counter cache; returns the
@@ -259,9 +277,13 @@ class SecureMc
     double chargeOverflow(unsigned level, std::uint64_t first_entity,
                           std::uint64_t blocks, double now_ns);
 
-    /** Apply a read-consult's relevel side effects (traffic). */
-    void chargeReadUpdate(unsigned level, std::uint64_t entity,
-                          const core::ReadConsult &consult, double now_ns);
+    /**
+     * Consult the engine for the level-`level` counter of `entity` that
+     * a read uses, and charge a read-triggered relevel's traffic at once;
+     * returns the memoization outcome.
+     */
+    core::MemoHit consultRead(unsigned level, std::uint64_t entity,
+                              double now_ns);
 
     /**
      * Escalate a failed read check through the recovery stages (re-fetch,
@@ -282,8 +304,8 @@ class SecureMc
     dram::Ddr4 &dram_;
     cache::SetAssocCache ctr_cache_;
     OverflowEngine ovf_;
-    util::StatSet stats_;
-    Handles h_;
+    std::uint64_t counts_[kCounts] = {};
+    double read_sum_ns_ = 0.0; //!< Sum of read service times (lat.*).
     LevelMeta meta_[kMaxLevels] = {};
     McObserver *observer_ = nullptr;
     obs::Registry *obs_ = nullptr;

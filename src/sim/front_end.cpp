@@ -98,4 +98,18 @@ frontEndRecording(const trace::TraceSource &trace, const SystemConfig &cfg)
         fe, [&trace, &fe] { return recordFrontEnd(trace, fe); });
 }
 
+void
+FrontEndCounts::reportSince(const FrontEndCounts &earlier,
+                            util::StatSet &stats) const
+{
+    const auto report = [&stats](const char *name, std::uint64_t now,
+                                 std::uint64_t then) {
+        if (now != 0)
+            stats.put(name, static_cast<double>(now - then));
+    };
+    report("tlb.misses", tlb_misses, earlier.tlb_misses);
+    report("sim.llc_misses", llc_misses, earlier.llc_misses);
+    report("sim.llc_writebacks", llc_writebacks, earlier.llc_writebacks);
+}
+
 } // namespace rmcc::sim::detail

@@ -28,6 +28,7 @@
 #include "address/page_mapper.hpp"
 #include "sim/system_config.hpp"
 #include "trace/trace_source.hpp"
+#include "util/stats.hpp"
 
 namespace rmcc::sim::detail
 {
@@ -110,6 +111,23 @@ struct FrontEndOutcome
     addr::Addr miss = 0;    //!< ...from this line address.
     bool writeback = false; //!< A dirty LLC victim goes to memory...
     addr::Addr victim = 0;  //!< ...at this line address.
+};
+
+/**
+ * A replay loop's front-end event counts, kept as plain integers.
+ * reportSince() adds the window since `earlier` to a result's stats
+ * under tlb.misses, sim.llc_misses and sim.llc_writebacks.  A name is
+ * left out when its count is 0 over the whole run, as a StatSet leaves
+ * out a counter that was never written.
+ */
+struct FrontEndCounts
+{
+    std::uint64_t tlb_misses = 0;
+    std::uint64_t llc_misses = 0;
+    std::uint64_t llc_writebacks = 0;
+
+    void reportSince(const FrontEndCounts &earlier,
+                     util::StatSet &stats) const;
 };
 
 /** A sequential read of a recording, counting LLC lookups and misses. */

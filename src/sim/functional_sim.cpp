@@ -32,11 +32,8 @@ measuredLoop(const std::string &workload_name,
     }
 
     detail::FrontEndReplay front(recording);
-    util::StatSet side; // simulator-side counters (TLB, LLC events)
-    const util::StatHandle h_tlb_miss = side.handle("tlb.misses");
-    const util::StatHandle h_llc_miss = side.handle("sim.llc_misses");
-    const util::StatHandle h_llc_wb = side.handle("sim.llc_writebacks");
-    util::StatSet mc_at_warm, side_at_warm;
+    detail::FrontEndCounts side, side_at_warm;
+    util::StatSet mc_at_warm;
     std::uint64_t instructions = 0, insts_at_warm = 0;
 
     // A loosely advancing pseudo-clock keeps the DRAM and overflow-engine
@@ -74,10 +71,9 @@ measuredLoop(const std::string &workload_name,
             instructions += rec.inst_gap + 1;
 
             const detail::FrontEndOutcome h = front.next();
-            if (h.tlb_miss)
-                side.inc(h_tlb_miss);
+            side.tlb_misses += h.tlb_miss;
             if (h.llc_miss) {
-                side.inc(h_llc_miss);
+                ++side.llc_misses;
                 // One-miss lookahead, as in runTiming.
                 addr::Addr ahead = 0;
                 if (front.nextMiss(&ahead))
@@ -88,7 +84,7 @@ measuredLoop(const std::string &workload_name,
                 fake_now += 20.0;
             }
             if (h.writeback) {
-                side.inc(h_llc_wb);
+                ++side.llc_writebacks;
                 rig.mc.write(h.victim, fake_now);
                 if (replay != nullptr)
                     replay->onWrite(rec.vaddr);
@@ -111,7 +107,7 @@ measuredLoop(const std::string &workload_name,
     SimResult res;
     res.workload = workload_name;
     res.stats = rig.mc.stats().diff(mc_at_warm);
-    res.stats.merge(side.diff(side_at_warm));
+    side.reportSince(side_at_warm, res.stats);
     res.instructions = instructions - insts_at_warm;
 
     // Lifetime/global state snapshots (not windowed).

@@ -37,11 +37,8 @@ measuredLoop(const std::string &workload_name,
         rig.mc.attachObs(obs.get());
     }
 
-    util::StatSet side;
-    const util::StatHandle h_tlb_miss = side.handle("tlb.misses");
-    const util::StatHandle h_llc_miss = side.handle("sim.llc_misses");
-    const util::StatHandle h_llc_wb = side.handle("sim.llc_writebacks");
-    util::StatSet mc_at_warm, side_at_warm;
+    detail::FrontEndCounts side, side_at_warm;
+    util::StatSet mc_at_warm;
     std::uint64_t insts_at_warm = 0;
     double time_at_warm = 0.0;
 
@@ -86,11 +83,10 @@ measuredLoop(const std::string &workload_name,
 
             const double issue = cpu.advance(recs[i - first].inst_gap);
             const detail::FrontEndOutcome h = front.next();
-            if (h.tlb_miss)
-                side.inc(h_tlb_miss);
+            side.tlb_misses += h.tlb_miss;
 
             if (h.llc_miss) {
-                side.inc(h_llc_miss);
+                ++side.llc_misses;
                 // One-miss lookahead: the next miss's counter entries
                 // are prefetched while this one is served, hiding the
                 // counter store's memory stalls.
@@ -105,7 +101,7 @@ measuredLoop(const std::string &workload_name,
                 cpu.recordLongLatency(issue + llc_lookup_ns);
             }
             if (h.writeback) {
-                side.inc(h_llc_wb);
+                ++side.llc_writebacks;
                 const double stall = rig.mc.write(h.victim, cpu.now());
                 cpu.stallUntil(stall);
             }
@@ -123,7 +119,7 @@ measuredLoop(const std::string &workload_name,
     SimResult res;
     res.workload = workload_name;
     res.stats = rig.mc.stats().diff(mc_at_warm);
-    res.stats.merge(side.diff(side_at_warm));
+    side.reportSince(side_at_warm, res.stats);
     res.instructions = cpu.instructions() - insts_at_warm;
     res.elapsed_ns = end - time_at_warm;
     res.stats.set("time.elapsed_ns", res.elapsed_ns);

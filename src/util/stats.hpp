@@ -162,6 +162,19 @@ class StatSet
         set(handle(name), value);
     }
 
+    /**
+     * Overwrite the named counter at reporting time.  Same effect as
+     * set(), but not counted in stringLookups(): it materialises a
+     * snapshot from plain counters, like merge()/diff(), and is not
+     * per-event resolution.
+     */
+    void put(const std::string &name, double value)
+    {
+        const std::uint32_t idx = slotFor(name);
+        values_[idx] = value;
+        written_[idx] = 1;
+    }
+
     /** Read a counter; returns 0 for names never written. */
     double get(const std::string &name) const;
 

@@ -104,7 +104,7 @@ TEST(Bank, RowTimeoutClosesIdleRow)
 TEST(Channel, BusSerializesBursts)
 {
     const DramConfig cfg = quietConfig();
-    Channel ch(cfg, 0);
+    Channel ch(cfg);
     // Two simultaneous row hits to different banks: the second burst must
     // wait for the shared bus.
     DramCoord a{0, 0, 0, 5, 0};
@@ -121,7 +121,7 @@ TEST(Channel, RefreshBlackoutDelaysRequests)
     DramConfig cfg;
     cfg.tREFI_ns = 1000.0;
     cfg.tRFC_ns = 350.0;
-    Channel ch(cfg, 0);
+    Channel ch(cfg);
     DramCoord a{0, 0, 0, 5, 0};
     // Rank 0's first refresh window starts at tREFI/ranks = 125 ns.
     const DramCompletion c = ch.serve(a, false, 130.0);
@@ -131,7 +131,7 @@ TEST(Channel, RefreshBlackoutDelaysRequests)
 TEST(Channel, FrFcfsCapBreaksHitStreak)
 {
     const DramConfig cfg = quietConfig();
-    Channel ch(cfg, 0);
+    Channel ch(cfg);
     DramCoord a{0, 0, 0, 5, 0};
     ch.serve(a, false, 0.0); // opens the row
     unsigned conflicts = 0;

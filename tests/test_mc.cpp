@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "mc/latency.hpp"
 #include "mc/overflow_engine.hpp"
 #include "mc/secure_mc.hpp"
@@ -167,6 +170,64 @@ TEST(SecureMc, StatsConservation)
                           "dram.ovf_hi", "dram.update"})
         cat += s.get(c);
     EXPECT_DOUBLE_EQ(cat, s.get("dram.total"));
+}
+
+TEST(SecureMc, StatsReportOnlyTouchedCounters)
+{
+    using Names = std::map<std::string, double>;
+
+    // A fresh controller has counted nothing, so it reports nothing.
+    EXPECT_EQ(McRig(true, true).mc.stats().all(), Names{});
+
+    // One non-secure read: the data fetch and the read's service time.
+    {
+        McRig rig(false, false);
+        const McReadResult r = rig.mc.read(0x1000, 100.0);
+        EXPECT_EQ(rig.mc.stats().all(),
+                  (Names{{"dram.data_read", 1.0},
+                         {"dram.total", 1.0},
+                         {"lat.read_sum_ns", r.done_ns - 100.0},
+                         {"mc.reads", 1.0}}));
+    }
+
+    // One secure read and one write of a block whose L0 counter value
+    // (0) is memoized: the read walks both in-memory levels, memo-hits
+    // at L0 and counts as accelerated; the write's baseline +1 lands on
+    // the next memoized value and finds its counter block cached.
+    McRig rig(true, true);
+    ASSERT_EQ(rig.tree.levels(), 2u);
+    rig.engine.table(0).insertGroup(0);
+    const McReadResult r = rig.mc.read(0x1000, 100.0);
+    ASSERT_TRUE(r.accelerated);
+    const util::StatSet after_read = rig.mc.stats();
+    rig.mc.write(0x1000, 200.0);
+    EXPECT_EQ(rig.mc.stats().all(),
+              (Names{{"ctr.hi_miss", 1.0},
+                     {"ctr.l0_miss", 1.0},
+                     {"dram.ctr_read", 2.0},
+                     {"dram.data_read", 1.0},
+                     {"dram.data_write", 1.0},
+                     {"dram.total", 4.0},
+                     {"lat.read_sum_ns", r.done_ns - 100.0},
+                     {"mc.reads", 1.0},
+                     {"mc.writes", 1.0},
+                     {"memo.accelerated_misses", 1.0},
+                     {"memo.l0_group_hit_on_miss", 1.0},
+                     {"memo.l0_hit_all", 1.0},
+                     {"memo.l0_hit_on_miss", 1.0},
+                     {"memo.l0_lookups_all", 1.0},
+                     {"memo.l0_lookups_on_miss", 1.0},
+                     {"rmcc.memo_write_updates", 1.0}}));
+
+    // A windowed diff keeps every name the controller has counted, with
+    // delta 0 for the read-side ones the write did not touch.
+    const util::StatSet window = rig.mc.stats().diff(after_read);
+    EXPECT_EQ(window.all().size(), 16u);
+    EXPECT_EQ(window.all().count("mc.reads"), 1u);
+    EXPECT_DOUBLE_EQ(window.get("mc.reads"), 0.0);
+    EXPECT_DOUBLE_EQ(window.get("lat.read_sum_ns"), 0.0);
+    EXPECT_DOUBLE_EQ(window.get("mc.writes"), 1.0);
+    EXPECT_DOUBLE_EQ(window.get("dram.total"), 1.0);
 }
 
 TEST(OverflowEngine, CapStallsThirdOverflow)

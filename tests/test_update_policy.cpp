@@ -29,7 +29,104 @@ struct PolicyRig
     }
 };
 
+/** How often the oracle took its far-jump paths. */
+struct FarJumps
+{
+    int relevels = 0;          //!< Far jump with a relevel target.
+    int overflow_relevels = 0; //!< ...relevelled because +1 overflows.
+};
+
+/**
+ * Oracle: the enabled policy's write with the baseline-overflow check
+ * evaluated up front on every write.  UpdatePolicy::onWrite evaluates it
+ * only on the far-jump branch, the one that reads it, and must give the
+ * same outcomes.
+ */
+UpdateOutcome
+eagerOnWrite(MemoTable &table, TrafficBudget &budget, CounterScheme &scheme,
+             std::uint64_t idx, FarJumps &far)
+{
+    const rmcc::addr::CounterValue cur = scheme.read(idx);
+    const rmcc::addr::CounterValue baseline = cur + 1;
+    const bool baseline_overflows = !scheme.encodable(idx, baseline);
+
+    auto finish = [&](WriteResult r, bool memo, std::uint64_t overhead) {
+        UpdateOutcome out;
+        out.value = r.new_value;
+        out.used_memo_target = memo;
+        out.overflow = r.overflow;
+        out.reencrypt_blocks = r.reencrypt_blocks;
+        out.overhead_accesses = overhead;
+        return out;
+    };
+
+    const auto target = table.nearestAbove(cur);
+    if (!target || *target == baseline)
+        return finish(scheme.write(idx, baseline), target.has_value(), 0);
+    if (scheme.cheaplyEncodable(idx, *target))
+        return finish(scheme.write(idx, *target), true, 0);
+    const auto relevel_target = table.nearestAbove(scheme.blockMax(idx));
+    if (relevel_target) {
+        ++far.relevels;
+        const std::uint64_t cost = 2ULL * scheme.coverage();
+        if (baseline_overflows || budget.trySpend(cost)) {
+            far.overflow_relevels += baseline_overflows;
+            UpdateOutcome out =
+                finish(scheme.relevelBlock(idx, *relevel_target), true,
+                       baseline_overflows ? 0 : cost);
+            out.overflow = baseline_overflows;
+            return out;
+        }
+    }
+    return finish(scheme.write(idx, baseline), false, 0);
+}
+
 } // namespace
+
+TEST(UpdatePolicy, LazyOverflowCheckMatchesEagerOracle)
+{
+    // Random writebacks over two Morphable blocks whose counters sit
+    // below, inside and between memoized groups, so writes take the
+    // plus-one, free-jump and far-jump paths; the far jumps relevel at a
+    // full budget and fall back to +1 (or relevel on overflow) when dry.
+    for (const double pool : {1e9, 0.0}) {
+        PolicyRig lazy(pool);
+        PolicyRig eager(pool);
+        rmcc::util::Rng init(3);
+        lazy.scheme.randomInit(init, 400);
+        rmcc::util::Rng init_again(3);
+        eager.scheme.randomInit(init_again, 400);
+        for (const rmcc::addr::CounterValue start : {420u, 2000u, 60000u}) {
+            lazy.table.insertGroup(start);
+            eager.table.insertGroup(start);
+        }
+        FarJumps far;
+        rmcc::util::Rng rng(17);
+        for (int i = 0; i < 20000; ++i) {
+            // Skewed toward a few hot entities, whose offsets grow until
+            // their block runs out of encodings.
+            const std::uint64_t idx =
+                rng.nextBelow(4) == 0 ? rng.nextBelow(256)
+                                      : rng.nextBelow(24) * 10;
+            const UpdateOutcome got = lazy.policy.onWrite(lazy.scheme, idx);
+            const UpdateOutcome want =
+                eagerOnWrite(eager.table, eager.budget, eager.scheme, idx,
+                             far);
+            ASSERT_EQ(got.value, want.value) << "write " << i;
+            ASSERT_EQ(got.used_memo_target, want.used_memo_target);
+            ASSERT_EQ(got.overflow, want.overflow);
+            ASSERT_EQ(got.reencrypt_blocks, want.reencrypt_blocks);
+            ASSERT_EQ(got.overhead_accesses, want.overhead_accesses);
+            ASSERT_EQ(lazy.budget.available(), eager.budget.available());
+        }
+        for (std::uint64_t e = 0; e < lazy.scheme.entities(); ++e)
+            ASSERT_EQ(lazy.scheme.read(e), eager.scheme.read(e));
+        EXPECT_GT(far.relevels, 0) << "pool " << pool;
+        if (pool == 0.0) {
+            EXPECT_GT(far.overflow_relevels, 0);
+        }
+    }
+}
 
 TEST(UpdatePolicy, DisabledMeansBaselinePlusOne)
 {
