@@ -41,9 +41,9 @@ loadRow8(const std::uint8_t *row, unsigned w0)
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                              unsigned assoc, unsigned line_bytes,
-                             ReplPolicy policy)
-    : name_(std::move(name)), assoc_(assoc), line_(line_bytes),
-      policy_(policy)
+                             ReplPolicy policy, TagWindow window)
+    : name_(std::move(name)), assoc_(assoc), stride_((assoc + 7) & ~7u),
+      line_(line_bytes), policy_(policy)
 {
     if (assoc_ == 0 || assoc_ > kMaxAssoc || line_ == 0 ||
         size_bytes % (static_cast<std::uint64_t>(assoc_) * line_) != 0) {
@@ -60,35 +60,49 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
     sets_pow2_ = std::has_single_bit(sets_count_);
     if (sets_pow2_)
         set_mask_ = sets_count_ - 1;
-    tags_.assign(sets_count_ * assoc_, kInvalidTag);
-    fp_.assign(sets_count_ * assoc_, 0);
-    links_.assign(sets_count_ * assoc_, Link{});
-    dirty_.assign(sets_count_ * assoc_, 0);
+    const std::uint64_t slots = sets_count_ * stride_;
+    tags_.assign(slots, kInvalidTag);
+    fp_.assign(slots, 0);
+    links_.assign(slots, Link{});
+    dirty_.assign(slots, 0);
     sets_.assign(sets_count_, SetState{});
+    window_lo_ = window.lo;
+    way_of_.assign(window.n, kNoWay);
+}
+
+void
+SetAssocCache::outsideWindow(addr::Addr tag) const
+{
+    util::fatal("cache %s: line %llu outside its tag window [%llu, %llu)",
+                name_.c_str(), static_cast<unsigned long long>(tag),
+                static_cast<unsigned long long>(window_lo_),
+                static_cast<unsigned long long>(window_lo_ + way_of_.size()));
 }
 
 // rmcc-lint: hot-path
 int
 SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
 {
-    const std::size_t base = set * assoc_;
+    if (!way_of_.empty()) {
+        // A tag below the window wraps to a huge index, so one compare
+        // checks both ends.
+        const addr::Addr i = tag - window_lo_;
+        if (i >= way_of_.size()) [[unlikely]]
+            outsideWindow(tag);
+        const std::uint8_t w = way_of_[i];
+        return w == kNoWay ? -1 : static_cast<int>(w);
+    }
+    const std::size_t base = set * stride_;
     const addr::Addr *tags = &tags_[base];
     const unsigned hint = sets_[set].mru;
     if (tags[hint] == tag)
         return static_cast<int>(hint);
     // The hint way cannot match again, so rescanning it is one harmless
-    // compare.
-    if (assoc_ % 8 != 0) {
-        for (unsigned w = 0; w < assoc_; ++w)
-            if (tags[w] == tag)
-                return static_cast<int>(w);
-        return -1;
-    }
-    // Tags are unique within a set, so the order candidates are
-    // confirmed in cannot change the answer.
+    // compare.  Tags are unique within a set, so the order candidates
+    // are confirmed in cannot change the answer.
     const std::uint8_t *fp = &fp_[base];
     const std::uint64_t needle = kByteOnes * fingerprint(tag);
-    for (unsigned w0 = 0; w0 < assoc_; w0 += 8) {
+    for (unsigned w0 = 0; w0 < stride_; w0 += 8) {
         for (std::uint64_t m = zeroBytes(loadRow8(fp, w0) ^ needle); m != 0;
              m &= m - 1) {
             const unsigned w =
@@ -109,16 +123,10 @@ SetAssocCache::victimWay(std::uint64_t set) const
     // (FIFO).
     const SetState &st = sets_[set];
     if (st.filled < assoc_) {
-        const std::uint8_t *fp = &fp_[set * assoc_];
-        if (assoc_ % 8 == 0) {
-            for (unsigned w0 = 0; w0 < assoc_; w0 += 8)
-                if (const std::uint64_t m = zeroBytes(loadRow8(fp, w0)))
-                    return w0 + static_cast<unsigned>(std::countr_zero(m)) / 8;
-        } else {
-            for (unsigned w = 0; w < assoc_; ++w)
-                if (fp[w] == 0)
-                    return w;
-        }
+        const std::uint8_t *fp = &fp_[set * stride_];
+        for (unsigned w0 = 0; w0 < stride_; w0 += 8)
+            if (const std::uint64_t m = zeroBytes(loadRow8(fp, w0)))
+                return w0 + static_cast<unsigned>(std::countr_zero(m)) / 8;
     }
     return st.oldest;
 }
@@ -126,7 +134,7 @@ SetAssocCache::victimWay(std::uint64_t set) const
 void
 SetAssocCache::unlink(std::uint64_t set, unsigned way)
 {
-    Link *links = &links_[set * assoc_];
+    Link *links = &links_[set * stride_];
     SetState &st = sets_[set];
     const Link l = links[way];
     if (l.older != kNoWay)
@@ -142,7 +150,7 @@ SetAssocCache::unlink(std::uint64_t set, unsigned way)
 void
 SetAssocCache::pushNewest(std::uint64_t set, unsigned way)
 {
-    Link *links = &links_[set * assoc_];
+    Link *links = &links_[set * stride_];
     SetState &st = sets_[set];
     const auto w = static_cast<std::uint8_t>(way);
     links[way] = {st.newest, kNoWay};
@@ -157,9 +165,11 @@ AccessResult
 SetAssocCache::replaceIn(std::uint64_t set, addr::Addr tag, bool dirty)
 {
     const unsigned way = victimWay(set);
-    const std::size_t li = set * assoc_ + way;
+    const std::size_t li = set * stride_ + way;
     AccessResult res;
     if (tags_[li] != kInvalidTag) {
+        if (!way_of_.empty())
+            way_of_[tags_[li] - window_lo_] = kNoWay;
         res.evicted = true;
         res.writeback = dirty_[li] != 0;
         res.victim_addr = tags_[li] * line_;
@@ -169,6 +179,9 @@ SetAssocCache::replaceIn(std::uint64_t set, addr::Addr tag, bool dirty)
     } else {
         ++sets_[set].filled;
     }
+    // The caller's findWay has checked tag against the window.
+    if (!way_of_.empty())
+        way_of_[tag - window_lo_] = static_cast<std::uint8_t>(way);
     tags_[li] = tag;
     fp_[li] = fingerprint(tag);
     dirty_[li] = dirty ? 1 : 0;
@@ -188,7 +201,7 @@ SetAssocCache::access(addr::Addr a, bool is_write)
         if (policy_ == ReplPolicy::LRU)
             touch(set, w);
         if (is_write)
-            dirty_[set * assoc_ + w] = 1;
+            dirty_[set * stride_ + w] = 1;
         sets_[set].mru = static_cast<std::uint8_t>(w);
         ++hits_;
         return {true, false, false, 0};
@@ -208,7 +221,7 @@ SetAssocCache::fill(addr::Addr a, bool dirty)
     if (existing >= 0) {
         const auto w = static_cast<unsigned>(existing);
         if (dirty)
-            dirty_[set * assoc_ + w] = 1;
+            dirty_[set * stride_ + w] = 1;
         if (policy_ == ReplPolicy::LRU)
             touch(set, w);
         sets_[set].mru = static_cast<std::uint8_t>(w);
@@ -246,8 +259,10 @@ SetAssocCache::invalidate(addr::Addr a)
     const int way = findWay(set, tagOf(a));
     if (way < 0)
         return false;
-    const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
+    const std::size_t li = set * stride_ + static_cast<unsigned>(way);
     const bool was_dirty = dirty_[li] != 0;
+    if (!way_of_.empty())
+        way_of_[tags_[li] - window_lo_] = kNoWay;
     tags_[li] = kInvalidTag;
     fp_[li] = 0;
     dirty_[li] = 0;
@@ -261,7 +276,7 @@ SetAssocCache::touchDirty(addr::Addr a)
 {
     const int way = findWay(setIndex(a), tagOf(a));
     if (way >= 0)
-        dirty_[setIndex(a) * assoc_ + static_cast<unsigned>(way)] = 1;
+        dirty_[setIndex(a) * stride_ + static_cast<unsigned>(way)] = 1;
 }
 
 void

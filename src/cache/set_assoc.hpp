@@ -26,6 +26,17 @@ enum class ReplPolicy
     FIFO, //!< Insertion order; used in ablation tests.
 };
 
+/**
+ * The tags a cache's lines may take when they all come from one
+ * contiguous address range: [lo, lo + n), in line numbers (addresses
+ * over the line size).  n == 0 means no window.
+ */
+struct TagWindow
+{
+    addr::Addr lo = 0;
+    std::uint64_t n = 0;
+};
+
 /** Outcome of a cache access. */
 struct AccessResult
 {
@@ -51,10 +62,14 @@ class SetAssocCache
      * @param assoc ways per set, at most kMaxAssoc.
      * @param line_bytes line size (64 for all caches in the paper).
      * @param policy replacement policy.
+     * @param window when non-empty, every tag the cache sees lies in it
+     *        (one outside is fatal), and a lookup reads the tag's way
+     *        from a one-byte-per-tag index instead of scanning the set.
      */
     SetAssocCache(std::string name, std::uint64_t size_bytes, unsigned assoc,
                   unsigned line_bytes = addr::kBlockSize,
-                  ReplPolicy policy = ReplPolicy::LRU);
+                  ReplPolicy policy = ReplPolicy::LRU,
+                  TagWindow window = {});
 
     /**
      * Access (and allocate on miss) the line containing address a.
@@ -84,7 +99,7 @@ class SetAssocCache
     void prefetchSet(addr::Addr a) const
     {
         const std::uint64_t set = setIndex(a);
-        const std::size_t base = set * assoc_;
+        const std::size_t base = set * stride_;
         // A row may straddle two cache lines; its ends cover both.
         __builtin_prefetch(&fp_[base]);
         __builtin_prefetch(&fp_[base + assoc_ - 1]);
@@ -143,11 +158,14 @@ class SetAssocCache
     }
 
     /**
-     * Find the way holding tag, or -1: the MRU hint first, then eight
-     * fingerprints per 64-bit word with the full tag compared only where
-     * one matches (a plain tag scan when assoc is not a multiple of 8).
+     * Find the way holding tag, or -1.  A windowed cache reads it from
+     * way_of_; otherwise the MRU hint first, then eight fingerprints per
+     * 64-bit word with the full tag compared only where one matches.
      */
     int findWay(std::uint64_t set, addr::Addr tag) const;
+
+    /** A tag outside the window: fatal. */
+    [[noreturn]] void outsideWindow(addr::Addr tag) const;
 
     /** Pick a victim way in the set according to the policy. */
     unsigned victimWay(std::uint64_t set) const;
@@ -173,6 +191,12 @@ class SetAssocCache
     std::string name_;
     std::uint64_t sets_count_;
     unsigned assoc_;
+    //! Ways per row of the per-line arrays: assoc_ rounded up to a
+    //! multiple of 8, so the fingerprint scan always reads whole words.
+    //! Padding ways hold no line (kInvalidTag, fingerprint 0) and sit
+    //! after every real way, so they never match a tag and the lowest
+    //! invalid way of a set that is not full is always a real one.
+    unsigned stride_;
     unsigned line_;
     ReplPolicy policy_;
     //! Power-of-two fast paths for the per-access index/tag math; the
@@ -217,6 +241,10 @@ class SetAssocCache
     std::vector<Link> links_;
     std::vector<std::uint8_t> dirty_;
     std::vector<SetState> sets_;
+    //! Windowed caches only: way_of_[tag - window_lo_] is the way
+    //! holding tag, or kNoWay.  Empty without a window.
+    addr::Addr window_lo_ = 0;
+    std::vector<std::uint8_t> way_of_;
     std::uint64_t hits_ = 0, misses_ = 0, writebacks_ = 0;
 };
 

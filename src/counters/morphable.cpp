@@ -149,19 +149,26 @@ MorphableScheme::blockMax(std::uint64_t idx) const
     return majors_[cb] + summaries_[cb].max_off;
 }
 
+// rmcc-lint: hot-path
 std::uint64_t
 MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
 {
     // Every value of block cb lies in [major, major + max_off], so a block
     // inside one range counts in full and a block in a gap between ranges
     // counts nothing; only blocks straddling a range edge are read.
+    if (ranges.empty())
+        return 0;
+    const addr::CounterValue below = ranges.front().first;
+    const addr::CounterValue above = ranges.back().second;
     std::uint64_t count = 0;
     for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
         const addr::CounterValue lo = majors_[cb];
         const addr::CounterValue hi = lo + summaries_[cb].max_off;
+        if (hi < below || lo >= above)
+            continue;
         // First range ending above lo; every earlier one ends at or below
         // it, so no value of the block can fall there.
-        const auto r = std::upper_bound(
+        auto r = std::upper_bound(
             ranges.begin(), ranges.end(), lo,
             [](addr::CounterValue v, const ValueRange &x) {
                 return v < x.second;
@@ -173,9 +180,25 @@ MorphableScheme::countInRanges(std::span<const ValueRange> ranges) const
             count += last - first;
             continue;
         }
-        const std::span<const ValueRange> rest(r, ranges.end());
-        for (std::uint64_t i = first; i < last; ++i)
-            count += inRanges(lo + off_[i], rest);
+        // A straddling block: one branch-free pass over its offsets per
+        // range it meets.  Range [a, b) relative to the major holds offset
+        // off exactly when off - a < b - a in unsigned arithmetic; both
+        // ends lie within [0, max_off + 1], which is at most 2^16.  The
+        // ranges are disjoint, so their counts add up.
+        const std::uint16_t *off = &off_[first];
+        const auto n = static_cast<std::size_t>(last - first);
+        for (; r != ranges.end() && r->first <= hi; ++r) {
+            const auto a =
+                static_cast<std::uint32_t>(std::max(r->first, lo) - lo);
+            const auto b =
+                static_cast<std::uint32_t>(std::min(r->second, hi + 1) - lo);
+            // An empty range (second <= first) counts nothing.
+            const std::uint32_t w = b > a ? b - a : 0;
+            std::uint64_t in = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                in += (static_cast<std::uint32_t>(off[i]) - a) < w;
+            count += in;
+        }
     }
     return count;
 }

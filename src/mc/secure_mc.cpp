@@ -41,13 +41,27 @@ constexpr const char *kCountNames[] = {
     "memo.accelerated_misses",
 };
 
+/**
+ * The counter cache's tag window: the tree's counter region, in which
+ * MemoryLayout places every level contiguously, in ascending order, from
+ * level 0's base to the end of the address space.
+ */
+cache::TagWindow
+counterRegion(const ctr::IntegrityTree &tree)
+{
+    const addr::Addr base = tree.blockAddr(0, 0);
+    return {base >> addr::kBlockShift,
+            (tree.layout().totalBytes() - base) >> addr::kBlockShift};
+}
+
 } // namespace
 
 SecureMc::SecureMc(const McConfig &cfg, ctr::IntegrityTree &tree,
                    core::RmccEngine &engine, dram::Ddr4 &dram)
     : cfg_(cfg), tree_(tree), engine_(engine), dram_(dram),
       ctr_cache_("counter-cache", cfg.counter_cache_bytes,
-                 cfg.counter_cache_assoc),
+                 cfg.counter_cache_assoc, addr::kBlockSize,
+                 cache::ReplPolicy::LRU, counterRegion(tree)),
       ovf_(dram), recovery_(cfg.recovery)
 {
     const unsigned levels = tree_.levels();
@@ -245,8 +259,10 @@ SecureMc::read(addr::Addr paddr, double now_ns)
     // scratch: this path runs per LLC miss and must not allocate.
     std::uint64_t entity[kMaxLevels + 1];
     addr::CounterBlockId block_id[kMaxLevels];
+    // known[k] = when the level-k counter value is known: set below for
+    // every walked level, and for the on-chip root at known[levels].
     double known[kMaxLevels + 1];
-    std::fill(known, known + levels + 1, now_ns);
+    known[levels] = now_ns;
     entity[0] = blk;
     unsigned hit_level = levels; // levels = walked to the on-chip root
     for (unsigned k = 0; k < levels; ++k) {
@@ -310,10 +326,10 @@ SecureMc::read(addr::Addr paddr, double now_ns)
 
     // Verification chain from the trust point down to level 0.
     // verified[k] = when the level-k block fetched from memory is trusted.
+    // The trust point is the cached block (pre-verified) or the on-chip
+    // root; no entry above it is read.
     double verified[kMaxLevels + 1];
-    std::fill(verified, verified + levels + 1, now_ns);
-    if (hit_level < levels)
-        verified[hit_level] = known[hit_level]; // cached => pre-verified
+    verified[hit_level] = known[hit_level];
     for (int k = static_cast<int>(std::min(hit_level, levels)) - 1; k >= 0;
          --k) {
         const auto ku = static_cast<unsigned>(k);

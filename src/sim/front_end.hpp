@@ -170,35 +170,25 @@ class FrontEndReplay
 
     /**
      * Skip the quiet records ahead, at most max (which must not pass the
-     * recording's end); returns how many.  Scans eight codes per load
-     * while eight remain before max, then one at a time, so it never
-     * reads past codes_ + max.
+     * recording's end); returns how many.
      */
-    // rmcc-lint: hot-path
-    std::size_t skipQuiet(std::size_t max)
+    std::size_t skipQuiet(std::size_t max) { return skipUntil(0xff, max); }
+
+    /**
+     * Skip the records ahead that send nothing to memory, at most max
+     * (which must not pass the recording's end); returns how many: stops
+     * at the first record with an LLC miss or a writeback.  The skipped
+     * records, LLC hits among them, never reach next(), so they are left
+     * out of llcAccesses(): for replays that read neither tally, such as
+     * the warm-up.
+     */
+    std::size_t skipToMemoryEvent(std::size_t max)
     {
-        const std::uint8_t *p = codes_;
-        const std::uint8_t *const end = codes_ + max;
-        while (end - p >= 8) {
-            std::uint64_t word;
-            std::memcpy(&word, p, sizeof word);
-            if (word != 0) {
-                // Stop at the first non-zero code in memory order.
-                const int zero_bits =
-                    std::endian::native == std::endian::little
-                        ? std::countr_zero(word)
-                        : std::countl_zero(word);
-                p += zero_bits / 8;
-                break;
-            }
-            p += 8;
-        }
-        // The tail of fewer than eight codes (a no-op after a break).
-        while (p != end && *p == 0)
-            ++p;
-        const auto n = static_cast<std::size_t>(p - codes_);
-        codes_ = p;
-        return n;
+        using R = FrontEndRecording;
+        // The level bits then read as "goes to memory" only if no other
+        // level code carries kLlcMiss's bit.
+        static_assert(((R::kUpperHit | R::kLlcHit) & R::kLlcMiss) == 0);
+        return skipUntil(R::kLlcMiss | R::kWriteback, max);
     }
 
     /**
@@ -218,6 +208,40 @@ class FrontEndReplay
     std::uint64_t llcMisses() const { return llc_misses_; }
 
   private:
+    /**
+     * Advance past the codes ahead that have no bit of mask set, at most
+     * max; returns how many.  Scans eight codes per load while eight
+     * remain before max, then one at a time, so it never reads past
+     * codes_ + max.
+     */
+    // rmcc-lint: hot-path
+    std::size_t skipUntil(std::uint8_t mask, std::size_t max)
+    {
+        const std::uint64_t masks = 0x0101010101010101ULL * mask;
+        const std::uint8_t *p = codes_;
+        const std::uint8_t *const end = codes_ + max;
+        while (end - p >= 8) {
+            std::uint64_t word;
+            std::memcpy(&word, p, sizeof word);
+            if (const std::uint64_t hits = word & masks) {
+                // Stop at the first code with a mask bit, in memory order.
+                const int skip_bits =
+                    std::endian::native == std::endian::little
+                        ? std::countr_zero(hits)
+                        : std::countl_zero(hits);
+                p += skip_bits / 8;
+                break;
+            }
+            p += 8;
+        }
+        // The tail of fewer than eight codes (a no-op after a break).
+        while (p != end && (*p & mask) == 0)
+            ++p;
+        const auto n = static_cast<std::size_t>(p - codes_);
+        codes_ = p;
+        return n;
+    }
+
     const std::uint8_t *codes_;
     const std::uint32_t *misses_;
     const std::uint32_t *misses_end_;

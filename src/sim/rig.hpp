@@ -167,6 +167,9 @@ struct SimRig
  * The pass reads only the trace's front-end recording: counter reads
  * happen at the recorded LLC-miss blocks and counter writes at the
  * recorded writeback victims, without the trace, translation or caches.
+ * Records with neither are skipped unread, so the pass's own
+ * FrontEndReplay tallies (llcAccesses) miss its LLC hits; nothing reads
+ * them.
  */
 // rmcc-lint: hot-path
 inline void
@@ -189,9 +192,10 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     while (i < records) {
         if ((i & 0x1fff) == 0)
             util::pollCancel();
-        // Quiet records touch no counter: skip them, up to the next poll.
+        // Only LLC misses and writebacks touch a counter: skip every other
+        // record, up to the next poll.
         const std::size_t poll_at = std::min(records, (i | 0x1fff) + 1);
-        i += front.skipQuiet(poll_at - i);
+        i += front.skipToMemoryEvent(poll_at - i);
         if (i == poll_at)
             continue;
         ++i;

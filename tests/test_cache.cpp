@@ -256,20 +256,34 @@ class StampOracle
  * Random accesses, fills and invalidations drawn from `lines` (line
  * numbers), with every outcome, victim and way checked against the
  * stamp-minimum rule; `invalidate_pct` percent of operations invalidate.
+ * With a non-empty window the cache under test looks tags up in its
+ * index, and a scanning cache of the same geometry runs the same stream
+ * in lockstep: every result, way, tally and occupancy count must agree.
  */
 void
 matchStampOracle(const std::vector<Addr> &lines, std::uint64_t sets,
                  unsigned assoc, ReplPolicy policy, rmcc::util::Rng &rng,
-                 unsigned invalidate_pct)
+                 unsigned invalidate_pct, TagWindow window = {})
 {
-    SetAssocCache c("t", sets * assoc * 64, assoc, 64, policy);
+    const std::uint64_t bytes = sets * assoc * 64;
+    SetAssocCache c("t", bytes, assoc, 64, policy, window);
+    SetAssocCache scan("s", bytes, assoc, 64, policy);
+    const bool twin = window.n != 0;
+    const auto same = [](const AccessResult &x, const AccessResult &y) {
+        return x.hit == y.hit && x.evicted == y.evicted &&
+               x.writeback == y.writeback && x.victim_addr == y.victim_addr;
+    };
     StampOracle o(sets, assoc, policy);
     for (int op = 0; op < 40000; ++op) {
         const Addr a = lines[rng.nextBelow(lines.size())] * 64 +
                        rng.nextBelow(64);
         const std::uint64_t kind = rng.nextBelow(100);
         if (kind < invalidate_pct) {
-            ASSERT_EQ(c.invalidate(a), o.invalidate(a)) << "op " << op;
+            const bool dirty = c.invalidate(a);
+            ASSERT_EQ(dirty, o.invalidate(a)) << "op " << op;
+            if (twin) {
+                ASSERT_EQ(dirty, scan.invalidate(a)) << "op " << op;
+            }
         } else if (kind < 70) {
             const bool write = rng.nextBool(0.3);
             const AccessResult got = c.access(a, write);
@@ -278,6 +292,9 @@ matchStampOracle(const std::vector<Addr> &lines, std::uint64_t sets,
             ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
             ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
             ASSERT_EQ(got.victim_addr, want.victim_addr) << "op " << op;
+            if (twin) {
+                ASSERT_TRUE(same(got, scan.access(a, write))) << "op " << op;
+            }
         } else {
             const bool dirty = rng.nextBool(0.3);
             const AccessResult got = c.fill(a, dirty);
@@ -285,9 +302,24 @@ matchStampOracle(const std::vector<Addr> &lines, std::uint64_t sets,
             ASSERT_EQ(got.hit, want.hit) << "op " << op;
             ASSERT_EQ(got.victim_addr, want.victim_addr) << "op " << op;
             ASSERT_EQ(got.writeback, want.writeback) << "op " << op;
+            if (twin) {
+                ASSERT_TRUE(same(got, scan.fill(a, dirty))) << "op " << op;
+            }
         }
         ASSERT_EQ(c.wayOf(a), o.wayOf(a))
             << "assoc " << assoc << " op " << op;
+        if (twin && op % 64 == 0) {
+            const Addr lo = lines[rng.nextBelow(lines.size())] * 64;
+            const Addr hi = lo + rng.nextBelow(lines.size() * 64);
+            ASSERT_EQ(c.countValidIn(lo, hi), scan.countValidIn(lo, hi))
+                << "op " << op;
+        }
+    }
+    if (twin) {
+        EXPECT_EQ(c.hits(), scan.hits());
+        EXPECT_EQ(c.misses(), scan.misses());
+        EXPECT_EQ(c.writebacks(), scan.writebacks());
+        EXPECT_EQ(c.countValidIn(0, ~Addr{0}), scan.countValidIn(0, ~Addr{0}));
     }
 }
 
@@ -296,8 +328,8 @@ matchStampOracle(const std::vector<Addr> &lines, std::uint64_t sets,
 TEST(SetAssoc, RecencyListMatchesStampOracle)
 {
     // A pool of three lines per way, so sets fill, overflow and develop
-    // holes.  Assoc 1 and 12 take the plain tag scan, the others the
-    // fingerprint scan.
+    // holes.  Assoc 1, 2 and 12 scan a fingerprint row padded to 8 ways,
+    // whose padding must neither match a tag nor be chosen as a victim.
     rmcc::util::Rng rng(32);
     for (const ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO}) {
         for (const unsigned assoc : {1u, 2u, 8u, 12u, 16u, 32u}) {
@@ -308,6 +340,46 @@ TEST(SetAssoc, RecencyListMatchesStampOracle)
             matchStampOracle(lines, sets, assoc, policy, rng, 20);
         }
     }
+}
+
+TEST(SetAssoc, IndexedMatchesStampOracle)
+{
+    // The streams of RecencyListMatchesStampOracle, over line numbers
+    // that start at 1000, through a cache whose window leaves a few
+    // unused tags at both ends.
+    rmcc::util::Rng rng(34);
+    for (const ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO}) {
+        for (const unsigned assoc : {1u, 2u, 8u, 12u, 16u, 32u}) {
+            const std::uint64_t sets = 4;
+            std::vector<Addr> lines(3 * sets * assoc);
+            for (std::size_t i = 0; i < lines.size(); ++i)
+                lines[i] = 1000 + i;
+            matchStampOracle(lines, sets, assoc, policy, rng, 20,
+                             {997, lines.size() + 8});
+        }
+    }
+}
+
+TEST(SetAssocDeathTest, AccessOutsideIndexedWindowIsFatal)
+{
+    // Lines 100..131 are in the window; the lines just outside it on
+    // either side are refused, by every lookup that takes a tag.
+    const auto cache = [] {
+        return SetAssocCache("w", 4 * 8 * 64, 8, 64, ReplPolicy::LRU,
+                             {100, 32});
+    };
+    SetAssocCache ok = cache();
+    EXPECT_FALSE(ok.access(100 * 64, false).hit);
+    EXPECT_FALSE(ok.access(131 * 64 + 63, false).hit);
+    EXPECT_TRUE(ok.probe(131 * 64));
+    EXPECT_EXIT(cache().access(132 * 64, false),
+                ::testing::ExitedWithCode(1), "outside its tag window");
+    EXPECT_EXIT(cache().fill(99 * 64 + 63, true),
+                ::testing::ExitedWithCode(1), "outside its tag window");
+    EXPECT_EXIT(cache().probe(0), ::testing::ExitedWithCode(1),
+                "outside its tag window");
+    EXPECT_EXIT(cache().invalidate(1000 * 64),
+                ::testing::ExitedWithCode(1), "outside its tag window");
 }
 
 namespace

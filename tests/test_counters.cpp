@@ -568,6 +568,34 @@ TEST_P(CountInRanges, MatchesDenseCount)
         }
         return c;
     };
+    // Block 3 at the edge of the 16-bit offsets: releveled, then three
+    // entities written to 50, 40000 and 65535 above the block minimum.
+    // Morphable keeps that in Index16, with offsets up to 2^16 - 1.
+    const std::uint64_t b3 = 3 * s->coverage();
+    s->relevelBlock(b3, s->blockMax(b3) + 1);
+    const CounterValue m3 = s->read(b3);
+    for (const auto &[i, off] : {std::pair<std::uint64_t, CounterValue>{
+                                     b3 + 5, 65535},
+                                 {b3 + 7, 50},
+                                 {b3 + 9, 40000}})
+        s->write(i, m3 + off);
+    if (GetParam() == SchemeKind::Morphable) {
+        const auto &m = static_cast<const MorphableScheme &>(*s);
+        ASSERT_EQ(m.major(3), m3);
+        ASSERT_EQ(s->read(b3 + 5), m3 + 65535);
+        ASSERT_EQ(s->blockMax(b3), m3 + 65535);
+    }
+    const std::vector<std::vector<ValueRange>> edge_cases = {
+        {{m3 + 65535, m3 + 65536}},           // only the top offset
+        {{m3 + 65534, m3 + 70000}},           // ends above the block
+        {{m3 + 1, m3 + 65535}},               // all but both ends
+        {{m3 + 10, m3 + 60}},                 // strictly inside the block
+        {{m3, m3 + 1}, {m3 + 50, m3 + 51}, {m3 + 40000, m3 + 65536}},
+    };
+    for (const auto &ranges : edge_cases)
+        EXPECT_EQ(s->countInRanges(ranges), dense(ranges))
+            << "[" << ranges.front().first - m3 << ", "
+            << ranges.back().second - m3 << ")";
     for (int trial = 0; trial < 200; ++trial) {
         // Edges drawn around block bounds: a block's minimum, maximum and
         // their neighbours, so ranges start and end inside blocks, on

@@ -568,3 +568,89 @@ TEST(FrontEndReplay, SkipQuietMatchesByteScan)
     EXPECT_GT(cut, 100u);
     EXPECT_GT(to_end, 100u);
 }
+
+TEST(FrontEndReplay, SkipToMemoryEventMatchesByteScan)
+{
+    // Runs of codes that send nothing to memory (no LLC miss, no
+    // writeback) between codes that do, as in SkipQuietMatchesByteScan.
+    // Every stop must leave next() reading the stopping record with its
+    // own miss and victim, which the skipped records never consume.
+    using R = sim::detail::FrontEndRecording;
+    const std::uint8_t skipped[] = {0, R::kLlcHit, R::kTlbMiss,
+                                    R::kTlbMiss | R::kLlcHit};
+    const std::uint8_t events[] = {
+        R::kLlcMiss,
+        R::kWriteback,
+        R::kWriteback | R::kLlcHit,
+        R::kWriteback | R::kLlcMiss,
+        R::kTlbMiss | R::kLlcMiss,
+        R::kTlbMiss | R::kWriteback};
+    util::Rng rng(25);
+    std::uint64_t cut = 0, to_end = 0;
+    std::uint64_t stop_offsets[8] = {};
+    for (int string = 0; string < 2000; ++string) {
+        R rec;
+        const std::size_t target = rng.nextBelow(120);
+        const auto run = [&](std::size_t n) {
+            for (std::size_t k = 0; k < n; ++k)
+                rec.codes.push_back(skipped[rng.nextBelow(4)]);
+        };
+        while (rec.codes.size() < target) {
+            run(rng.nextBelow(41));
+            const std::uint8_t e = events[rng.nextBelow(6)];
+            if ((e & R::kLevelMask) == R::kLlcMiss)
+                rec.misses.push_back(static_cast<std::uint32_t>(
+                    rec.codes.size()));
+            if ((e & R::kWriteback) != 0)
+                rec.victims.push_back(static_cast<std::uint32_t>(
+                    rec.codes.size() + 1000));
+            rec.codes.push_back(e);
+        }
+        if (rng.nextBool())
+            run(1 + rng.nextBelow(40));
+        rec.codes.shrink_to_fit();
+
+        sim::detail::FrontEndReplay replay(rec);
+        std::size_t pos = 0;
+        while (pos < rec.codes.size()) {
+            const std::size_t left = rec.codes.size() - pos;
+            const std::size_t max =
+                rng.nextBool(0.7) ? left : rng.nextBelow(left + 1);
+            std::size_t expect = 0; // the byte-at-a-time oracle
+            while (expect < max &&
+                   (rec.codes[pos + expect] & (R::kLlcMiss | R::kWriteback)) ==
+                       0)
+                ++expect;
+            ASSERT_EQ(replay.skipToMemoryEvent(max), expect)
+                << "string " << string << " pos " << pos << " max " << max;
+            pos += expect;
+            if (pos == rec.codes.size()) {
+                to_end += expect > 0;
+                break;
+            }
+            const std::uint8_t code = rec.codes[pos];
+            if ((code & (R::kLlcMiss | R::kWriteback)) == 0) {
+                ++cut; // max ended inside a run
+                replay.next();
+                ++pos;
+                continue;
+            }
+            if (expect < max)
+                ++stop_offsets[expect % 8];
+            const sim::detail::FrontEndOutcome o = replay.next();
+            ASSERT_EQ(o.llc_miss, (code & R::kLevelMask) == R::kLlcMiss);
+            ASSERT_EQ(o.writeback, (code & R::kWriteback) != 0);
+            if (o.llc_miss) {
+                ASSERT_EQ(o.miss, addr::blockBase(pos));
+            }
+            if (o.writeback) {
+                ASSERT_EQ(o.victim, addr::blockBase(pos + 1000));
+            }
+            ++pos;
+        }
+    }
+    EXPECT_GT(cut, 100u);
+    EXPECT_GT(to_end, 100u);
+    for (const std::uint64_t n : stop_offsets)
+        EXPECT_GT(n, 10u);
+}
